@@ -579,12 +579,10 @@ let propagate_cmd =
           close_in ic;
           s
         in
-        match Casekit.Case_format.parse text with
+        match Casekit.Case_format.graph text with
         | exception Casekit.Case_format.Parse_error e ->
           Error (Printf.sprintf "%s:%d: %s" path e.line e.message)
-        | exception Invalid_argument msg -> Error msg
-        | case -> (
-          try Ok (G.of_node case) with Invalid_argument msg -> Error msg))
+        | g -> Ok g)
     in
     match (dep, graph) with
     | Error msg, _ | _, Error msg -> `Error (false, msg)

@@ -297,31 +297,21 @@ let graph ?(options = default_options) ?(locate = fun _ -> None) g =
 
 let case ?file ?(options = default_options) text =
   check_options options;
-  let static = Case_rules.check text in
-  let static =
-    match file with Some f -> D.with_file f static | None -> static
+  let with_file diags =
+    match file with Some f -> D.with_file f diags | None -> diags
   in
-  match Casekit.Case_format.parse text with
-  | exception Casekit.Case_format.Parse_error _ -> static
-  | exception Invalid_argument _ -> static
-  | node ->
-    let g = G.of_node node in
-    (* Anchor graph nodes back to source positions through the interned
-       ids (the strict parser guarantees every node has one). *)
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun (rn : Casekit.Case_format.raw_node) ->
-        if not (Hashtbl.mem table rn.id) then
-          Hashtbl.add table rn.id (rn.line, rn.id_col))
-      (Casekit.Case_format.parse_raw text);
-    let locate i =
-      match G.id_of g i with "" -> None | id -> Hashtbl.find_opt table id
-    in
-    (* Case_rules already linted the document with better positions; only
-       the semantic passes are new information here. *)
-    let options = { options with structural = false } in
-    let audit = graph ~options ~locate g in
-    let audit =
-      match file with Some f -> D.with_file f audit | None -> audit
-    in
-    D.sort (static @ audit)
+  (* One lex: the rules, the graph and the source positions all read the
+     same raw lines. *)
+  match Case_rules.lex text with
+  | Error static -> with_file static
+  | Ok raw -> (
+    let static = with_file (Case_rules.check_raw raw) in
+    match Casekit.Case_format.load raw with
+    | exception Casekit.Case_format.Parse_error _ -> static
+    | g, { lines; cols } ->
+      let locate i = Some (lines.(i), cols.(i)) in
+      (* Case_rules already linted the document with better positions;
+         only the semantic passes are new information here. *)
+      let options = { options with structural = false } in
+      let audit = with_file (graph ~options ~locate g) in
+      D.sort (static @ audit))

@@ -89,7 +89,8 @@ val graph :
 
 (** [case ?file ?options text] — audit an authored case document: the
     {!Case_rules} lint (as [confcase check] would report it), plus — when
-    the strict parser accepts the document — the semantic graph passes
-    anchored back to source lines through the node ids.  Returns the
-    combined, sorted diagnostic list. *)
+    the strict loader accepts the document — the semantic graph passes
+    anchored to each node's source position.  The document is lexed
+    once: the rules, {!Casekit.Case_format.load} and the positions share
+    one raw list.  Returns the combined, sorted diagnostic list. *)
 val case : ?file:string -> ?options:options -> string -> Diagnostic.t list

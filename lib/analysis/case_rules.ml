@@ -93,8 +93,8 @@ let build_forest nodes =
     nodes;
   (List.rev !roots, List.rev !diags)
 
-let check_duplicates nodes =
-  let seen = Hashtbl.create 16 in
+let check_duplicates ~count nodes =
+  let seen = Hashtbl.create count in
   List.filter_map
     (fun rn ->
       match Hashtbl.find_opt seen rn.F.id with
@@ -186,60 +186,148 @@ let check_depth root =
 (* C009: independence between legs of an `any` goal is what two-leg
    composition (Section 4.2) relies on; the same piece of evidence cited in
    two legs silently breaks it.  Evidence is matched by normalised statement
-   text — matching ids are already C001. *)
-let normalise s = String.lowercase_ascii (String.trim s)
+   text — matching ids are already C001.
 
-let rec evidence_leaves t =
-  match t.rn.F.item with
-  | F.Raw_evidence _ -> [ t.rn ]
-  | _ -> List.concat_map evidence_leaves (List.rev t.kids)
+   The pass runs over the raw lines as an array.  In the lenient forest
+   every line pops the stack down to its own indentation, so the subtree
+   of line [k] is the contiguous range up to [ends.(k)], the first later
+   line (assumption or not) that is no deeper.  A leg's evidence is the
+   evidence in its range that no other evidence encloses (evidence under
+   evidence is C012, and its children are not citations).  Each statement
+   is interned to an int key once; per goal, key-indexed arrays stamped
+   with the goal's ticket record which leg cited a key first, as [Graph]
+   does for its overlap fractions. *)
 
-let rec check_shared_evidence t =
-  let own =
-    match t.rn.F.item with
-    | F.Raw_goal { combinator = Casekit.Node.Any } when List.length t.kids >= 2 ->
-      let legs = List.rev t.kids in
-      let leg_leaves = List.map evidence_leaves legs in
-      (* Pass 1: the goal's overlap fraction — distinct evidence
-         statements cited from two or more legs, over all distinct
-         statements under the goal.  The same shared/distinct quotient
-         [Graph.overlap_fraction] derives from DAG structure, so the
-         static warning and the propagation-time correlation floor agree
-         on one number. *)
-      let first_cite = Hashtbl.create 16 in
-      let distinct = ref 0 and shared = ref 0 in
-      List.iteri
-        (fun leg_idx leaves ->
-          List.iter
-            (fun (ev : F.raw_node) ->
-              let key = normalise ev.F.statement in
-              match Hashtbl.find_opt first_cite key with
-              | None ->
-                incr distinct;
-                Hashtbl.add first_cite key (leg_idx, ev, ref false)
-              | Some (first_leg, _, counted) ->
-                if first_leg <> leg_idx && not !counted then begin
-                  counted := true;
+(* Statements keyed as [String.lowercase_ascii (String.trim s)] would be,
+   without building that copy: hash and compare the trimmed span with
+   ASCII case folded. *)
+module Statement = Hashtbl.Make (struct
+  type t = string
+
+  let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+
+  let span s =
+    let rec first i = if i < String.length s && blank s.[i] then first (i + 1) else i in
+    let i = first 0 in
+    let rec last j = if j > i && blank s.[j - 1] then last (j - 1) else j in
+    (i, last (String.length s))
+
+  let fold c = Char.code (Char.lowercase_ascii c)
+
+  let equal a b =
+    let i, j = span a and k, l = span b in
+    j - i = l - k
+    &&
+    let rec go d = d = j - i || (fold a.[i + d] = fold b.[k + d] && go (d + 1)) in
+    go 0
+
+  let hash s =
+    let i, j = span s in
+    let h = ref 0 in
+    for d = i to j - 1 do
+      h := (!h * 31) + fold s.[d]
+    done;
+    !h land max_int
+end)
+
+let check_shared_evidence raw =
+  let n = Array.length raw in
+  let ends = Array.make n n in
+  let stack = Array.make n 0 and top = ref 0 in
+  for k = 0 to n - 1 do
+    let indent = raw.(k).F.indent in
+    while !top > 0 && raw.(stack.(!top - 1)).F.indent >= indent do
+      decr top;
+      ends.(stack.(!top)) <- k
+    done;
+    if not (is_assume raw.(k)) then begin
+      stack.(!top) <- k;
+      incr top
+    end
+  done;
+  (* [iter_legs g f] calls [f leg c] for each child line [c] of [g]. *)
+  let iter_legs g f =
+    let p = ref (g + 1) and leg = ref 0 in
+    while !p < ends.(g) do
+      if is_assume raw.(!p) then incr p
+      else begin
+        f !leg !p;
+        incr leg;
+        p := ends.(!p)
+      end
+    done
+  in
+  let iter_leaves c f =
+    match raw.(c).F.item with
+    | F.Raw_evidence _ -> f c
+    | _ ->
+      let p = ref (c + 1) in
+      while !p < ends.(c) do
+        match raw.(!p).F.item with
+        | F.Raw_evidence _ ->
+          f !p;
+          p := ends.(!p)
+        | _ -> incr p
+      done
+  in
+  let keys = Statement.create n in
+  let key = Array.make n (-1) in
+  let key_of e =
+    if key.(e) < 0 then begin
+      let s = raw.(e).F.statement in
+      key.(e) <-
+        (match Statement.find_opt keys s with
+        | Some k -> k
+        | None ->
+          let k = Statement.length keys in
+          Statement.add keys s k;
+          k)
+    end;
+    key.(e)
+  in
+  (* Per key, stamped with the goal's ticket: the first citing leg and
+     line, and whether the key has been counted as shared. *)
+  let seen = Array.make n (-1) and counted = Array.make n (-1) in
+  let first_leg = Array.make n 0 and first_ev = Array.make n 0 in
+  let diags = ref [] in
+  for g = 0 to n - 1 do
+    match raw.(g).F.item with
+    | F.Raw_goal { combinator = Casekit.Node.Any } ->
+      let legs = ref 0 in
+      iter_legs g (fun _ _ -> incr legs);
+      if !legs >= 2 then begin
+        (* Pass 1: the goal's overlap fraction — distinct evidence
+           statements cited from two or more legs, over all distinct
+           statements under the goal.  The same shared/distinct quotient
+           [Graph.overlap_fraction] derives from DAG structure, so the
+           static warning and the propagation-time correlation floor
+           agree on one number. *)
+        let distinct = ref 0 and shared = ref 0 in
+        iter_legs g (fun leg c ->
+            iter_leaves c (fun e ->
+                let k = key_of e in
+                if seen.(k) <> g then begin
+                  seen.(k) <- g;
+                  first_leg.(k) <- leg;
+                  first_ev.(k) <- e;
+                  incr distinct
+                end
+                else if first_leg.(k) <> leg && counted.(k) <> g then begin
+                  counted.(k) <- g;
                   incr shared
-                end)
-            leaves)
-        leg_leaves;
-      let fraction =
-        if !distinct = 0 then 0.0
-        else float_of_int !shared /. float_of_int !distinct
-      in
-      (* Pass 2: one diagnostic per cross-leg repeat citation (same
-         emission points as always), each carrying the goal fraction. *)
-      List.concat
-        (List.mapi
-           (fun leg_idx leaves ->
-             List.filter_map
-               (fun (ev : F.raw_node) ->
-                 match Hashtbl.find_opt first_cite (normalise ev.F.statement) with
-                 | Some (first_leg, (first : F.raw_node), _)
-                   when first_leg <> leg_idx ->
-                   Some
-                     (D.make ~code:"C009" ~severity:D.Warning ~line:ev.F.line
+                end));
+        (* Pass 2: one diagnostic per cross-leg repeat citation, each
+           carrying the goal fraction.  With nothing shared there is no
+           repeat to report. *)
+        if !shared > 0 then begin
+          let fraction = float_of_int !shared /. float_of_int !distinct in
+          iter_legs g (fun leg c ->
+              iter_leaves c (fun e ->
+                  let k = key.(e) in
+                  if first_leg.(k) <> leg then begin
+                    let ev = raw.(e) and first = raw.(first_ev.(k)) in
+                    diags :=
+                      D.make ~code:"C009" ~severity:D.Warning ~line:ev.F.line
                         ~col:ev.F.id_col
                         ~data:[ ("overlap_fraction", fraction) ]
                         (Printf.sprintf
@@ -248,30 +336,38 @@ let rec check_shared_evidence t =
                             independent, which invalidates multi-leg \
                             composition (%.0f%% of this goal's evidence \
                             is shared)"
-                           ev.F.id first.F.id first.F.line t.rn.F.id
-                           (100.0 *. fraction)))
-                 | _ -> None)
-               leaves)
-           leg_leaves)
-    | _ -> []
-  in
-  own @ List.concat_map check_shared_evidence (List.rev t.kids)
+                           ev.F.id first.F.id first.F.line raw.(g).F.id
+                           (100.0 *. fraction))
+                      :: !diags
+                  end))
+        end
+      end
+    | _ -> ()
+  done;
+  !diags
 
 let check_raw nodes =
   match nodes with
   | [] -> []
   | _ ->
+    let raw = Array.of_list nodes in
     let roots, structural = build_forest nodes in
-    structural @ check_duplicates nodes @ check_values nodes
+    structural
+    @ check_duplicates ~count:(Array.length raw) nodes
+    @ check_values nodes
     @ List.concat_map check_shape roots
     @ List.concat_map check_depth roots
-    @ List.concat_map check_shared_evidence roots
+    @ check_shared_evidence raw
     |> D.sort
 
-let check text =
+let lex text =
   match F.parse_raw text with
   | exception F.Parse_error e ->
-    [ D.make ~code:"C000" ~severity:D.Error ~line:e.line ~col:e.col e.message ]
+    Error
+      [ D.make ~code:"C000" ~severity:D.Error ~line:e.line ~col:e.col e.message ]
   | [] ->
-    [ D.make ~code:"C000" ~severity:D.Error ~line:0 "empty case document" ]
-  | nodes -> check_raw nodes
+    Error [ D.make ~code:"C000" ~severity:D.Error ~line:0 "empty case document" ]
+  | nodes -> Ok nodes
+
+let check text =
+  match lex text with Error diags -> diags | Ok nodes -> check_raw nodes

@@ -31,6 +31,12 @@ val codes : (string * Diagnostic.severity * string) list
     design. *)
 val check_raw : Casekit.Case_format.raw_node list -> Diagnostic.t list
 
+(** [lex text] — [parse_raw text], or the [C000] diagnostic [check]
+    reports when the document does not lex or is empty.  For callers that
+    share one raw list between {!check_raw} and the strict loader. *)
+val lex :
+  string -> (Casekit.Case_format.raw_node list, Diagnostic.t list) result
+
 (** [check text] — [parse_raw] + {!check_raw}; lexical faults become a
     single [C000] diagnostic (and an empty document is [C000] at line 0). *)
 val check : string -> Diagnostic.t list

@@ -57,14 +57,19 @@ let check_file path =
 type 'a checked = { value : 'a option; diagnostics : D.t list }
 
 let case ?file text =
-  let diagnostics = check_string ?file Case text in
-  let value =
-    match Casekit.Case_format.parse text with
-    | node -> Some node
-    | exception Casekit.Case_format.Parse_error _ -> None
-    | exception Invalid_argument _ -> None
+  let with_file diags =
+    match file with Some f -> D.with_file f diags | None -> diags
   in
-  { value; diagnostics }
+  (* One lex, shared by the rules and the strict build. *)
+  match Case_rules.lex text with
+  | Error diags -> { value = None; diagnostics = with_file diags }
+  | Ok raw ->
+    let value =
+      match Casekit.Case_format.graph_of_raw raw with
+      | g -> Some (Casekit.Graph.to_node g)
+      | exception Casekit.Case_format.Parse_error _ -> None
+    in
+    { value; diagnostics = with_file (Case_rules.check_raw raw) }
 
 let belief ?file text =
   let diagnostics = check_string ?file Belief text in

@@ -31,7 +31,7 @@ val check_file : string -> Diagnostic.t list
 type 'a checked = { value : 'a option; diagnostics : Diagnostic.t list }
 
 (** [case text] — [Casekit.Case_format.parse] + {!Case_rules.check} in one
-    call. *)
+    call, lexing the document once. *)
 val case : ?file:string -> string -> Casekit.Node.t checked
 
 (** [belief text] — [Elicit.Belief_format.parse] + {!Belief_rules.check} in

@@ -52,15 +52,53 @@ type raw_node = {
 
 (** [parse_raw text] — the document as a flat list of raw nodes in source
     order.  Accepts structurally broken documents (duplicate ids, dangling
-    assumptions, out-of-range values, bad indentation).
+    assumptions, out-of-range values, bad indentation).  A single scan of
+    the text by offsets: lines split on ['\n'], blank lines and lines
+    whose first non-blank character is [#] skipped.
     @raise Parse_error only on lexical faults. *)
 val parse_raw : string -> raw_node list
 
-(** {1 Strict layer} *)
+(** {1 Strict layer}
 
-(** [parse text] — the root node.
+    The strict loader builds the evaluation graph ({!Graph.t}) straight
+    from the raw lines, without an intermediate {!Node.t} tree: one pass
+    keeps a stack of open goals and emits each into {!Graph.Builder} when
+    it closes, children first.  That is the postorder {!Graph.of_node}
+    walks, so [graph text] is bit for bit [Graph.of_node (parse text)]:
+    the same node indices, CSR layout, ids, evidence confidences,
+    assumption-validity products (folded in document order), and hence
+    the same propagated values and {!Graph.root_hash}.  The builder's id
+    table is the duplicate-id check.
+
+    A caller that needs both the lint and the graph lexes once and shares
+    the raw list: [Analysis.Audit.case] and [Analysis.Check.case] hand
+    one {!parse_raw} result to the rules, to {!load} and (for the audit)
+    to its source locations. *)
+
+(** Source position of every graph node: [lines.(i)] and [cols.(i)] are
+    the line and column of the id token of node [i]. *)
+type positions = { lines : int array; cols : int array }
+
+(** [load raw] — the strict graph of a raw document, with each node's
+    source position.  Errors are those of {!parse}, in the same order:
+    an empty or indented first line, then the first duplicate id in
+    document order, then the first structural or range fault.
+    @raise Parse_error with position information on malformed input. *)
+val load : raw_node list -> Graph.t * positions
+
+(** [graph_of_raw raw] — [fst (load raw)]. *)
+val graph_of_raw : raw_node list -> Graph.t
+
+(** [graph text] — [graph_of_raw (parse_raw text)].
+    @raise Parse_error with position information on malformed input. *)
+val graph : string -> Graph.t
+
+(** [parse text] — the root node: [Graph.to_node (graph text)].
     @raise Parse_error with position information on malformed input. *)
 val parse : string -> Node.t
 
-(** [print node] — render back to the format; [parse (print n)] is [n]. *)
+(** [print node] — render back to the format; [parse (print n)] is [n].
+    @raise Invalid_argument naming the node when the document could not
+    be read back: an id that is empty or contains whitespace, or a
+    statement that contains a double quote or a line break. *)
 val print : Node.t -> string

@@ -82,8 +82,9 @@ type t = {
   parent : int array;
   ids : string array; (* "" = anonymous *)
   statements : string array;
-  index : (string, int) Hashtbl.t; (* node id -> index *)
-  aindex : (string, int) Hashtbl.t; (* assumption id -> owning goal *)
+  (* One namespace for node and assumption ids: a node id maps to its
+     index (>= 0), an assumption id to [lnot] of its owning goal (< 0). *)
+  index : (string, int) Hashtbl.t;
   assumption_lists : Node.assumption list array;
   base : Columns.t; (* evidence confidence (0 for goals) *)
   avalid : Columns.t; (* product of assumption validities *)
@@ -229,10 +230,11 @@ module Builder = struct
     mutable bchild : int array;
     mutable bchild_len : int;
     bindex : (string, int) Hashtbl.t;
-    baindex : (string, int) Hashtbl.t;
   }
 
-  let create ?(capacity = 16) () =
+  (* [ids] sizes the id table apart from [capacity]: a generated graph of
+     anonymous nodes interns nothing and should not pay for a table. *)
+  let create ?(capacity = 16) ?(ids = 64) () =
     let cap = max capacity 1 in
     {
       bn = 0;
@@ -245,8 +247,7 @@ module Builder = struct
       bchild_off = Array.make (cap + 1) 0;
       bchild = Array.make (max cap 16) 0;
       bchild_len = 0;
-      bindex = Hashtbl.create 64;
-      baindex = Hashtbl.create 16;
+      bindex = Hashtbl.create (max ids 1);
     }
 
   let grow_nodes b =
@@ -269,18 +270,12 @@ module Builder = struct
       b.bchild_off <- noff
     end
 
-  let intern b id i =
+  (* [slot] is the node index, or [lnot owner] for an assumption id. *)
+  let intern b id slot =
     if id <> "" then begin
-      if Hashtbl.mem b.bindex id || Hashtbl.mem b.baindex id then
+      if Hashtbl.mem b.bindex id then
         invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" id);
-      Hashtbl.add b.bindex id i
-    end
-
-  let intern_assumption b aid i =
-    if aid <> "" then begin
-      if Hashtbl.mem b.bindex aid || Hashtbl.mem b.baindex aid then
-        invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" aid);
-      Hashtbl.add b.baindex aid i
+      Hashtbl.add b.bindex id slot
     end
 
   let evidence b ?(id = "") ?(statement = "") ~confidence () =
@@ -314,7 +309,7 @@ module Builder = struct
       (fun (a : Node.assumption) ->
         if not (a.p_valid > 0.0 && a.p_valid <= 1.0) then
           invalid_arg "Graph.Builder.goal: p_valid must be in (0,1]";
-        intern_assumption b a.aid i)
+        intern b a.aid (lnot i))
       assumptions;
     Bytes.set b.bkinds i
       (match combinator with Node.All -> tag_all | Node.Any -> tag_any);
@@ -407,7 +402,6 @@ module Builder = struct
       ids;
       statements;
       index = b.bindex;
-      aindex = b.baindex;
       assumption_lists;
       base = b.bbase;
       avalid = b.bavalid;
@@ -435,7 +429,8 @@ type frame = {
 }
 
 let of_node root_node =
-  let b = Builder.create ~capacity:(Node.size root_node) () in
+  let n = Node.size root_node in
+  let b = Builder.create ~capacity:n ~ids:n () in
   (* Iterative postorder with an explicit frame stack: a 10^5-node chain
      must not overflow the OCaml stack. *)
   let stack = ref [] in
@@ -685,9 +680,11 @@ let set_evidence t i confidence =
 let set_assumption t ~id ~p_valid =
   if not (p_valid > 0.0 && p_valid <= 1.0) then
     invalid_arg "Graph.set_assumption: p_valid must be in (0,1]";
-  match Hashtbl.find_opt t.aindex id with
+  match Hashtbl.find_opt t.index id with
   | None -> raise Not_found
-  | Some gi ->
+  | Some slot when slot >= 0 -> raise Not_found
+  | Some slot ->
+    let gi = lnot slot in
     t.assumption_lists.(gi) <-
       List.map
         (fun (a : Node.assumption) ->
@@ -1048,7 +1045,10 @@ let kind_of t i =
   | _ -> Any_goal
 
 let id_of t i = t.ids.(i)
-let find t id = Hashtbl.find_opt t.index id
+let find t id =
+  match Hashtbl.find_opt t.index id with
+  | Some i when i >= 0 -> Some i
+  | _ -> None
 let value t i = Columns.get t.value i
 let base_confidence t i = Columns.get t.base i
 

@@ -62,7 +62,13 @@ module Builder : sig
 
   type b
 
-  val create : ?capacity:int -> unit -> b
+  (** [create ?capacity ?ids ()] — [capacity] pre-sizes the node
+      columns; [ids] (default 64) pre-sizes the table that interns node
+      and assumption ids.  The two are separate hints on purpose: a
+      loader of 10^5 named nodes passes its line count so the table never
+      rehashes, while a generated graph of anonymous nodes interns
+      nothing and keeps the small default. *)
+  val create : ?capacity:int -> ?ids:int -> unit -> b
 
   (** [evidence b ?id ?statement ~confidence ()] — new leaf, confidence
       in (0,1].  [id] defaults to [""] (anonymous: not interned, not

@@ -438,15 +438,14 @@ let run t req =
   | Bad msg -> Error msg
   | Load { case; path } ->
     let text = read_file path in
-    let node =
-      match Casekit.Case_format.parse text with
+    let g =
+      match Casekit.Case_format.graph text with
       | exception Casekit.Case_format.Parse_error e ->
         raise
           (Err
              (Printf.sprintf "%s:%d:%d: %s" path e.line e.col e.message))
-      | n -> n
+      | g -> g
     in
-    let g = G.of_node node in
     Hashtbl.replace t.cases case g;
     Ok
       ( "load",

@@ -84,6 +84,37 @@ let test_evidence_root () =
   | N.Goal _ -> Alcotest.fail "expected evidence root");
   check_true "roundtrip" (F.parse (F.print case) = case)
 
+(* Documents [parse] could not read back are refused, naming the node. *)
+let test_print_refuses () =
+  let refuses what node needle =
+    match F.print node with
+    | exception Invalid_argument msg ->
+      if not (contains_substring msg needle) then
+        Alcotest.failf "%s: message %S does not name %S" what msg needle
+    | text -> Alcotest.failf "%s: printed %S" what text
+  in
+  let ev ?(id = "E") statement = N.evidence ~id ~statement ~confidence:0.9 in
+  refuses "quote in statement" (ev "say \"hi\"") "E";
+  refuses "line break in statement" (ev "two\nlines") "E";
+  refuses "carriage return in statement" (ev "two\rlines") "E";
+  refuses "empty id" (ev ~id:"" "fine") "\"\"";
+  refuses "id with a space" (ev ~id:"E 1" "fine") "E 1";
+  refuses "id with a tab" (ev ~id:"E\t1" "fine") "E\\t1";
+  refuses "nested goal statement"
+    (N.goal ~id:"G" ~statement:"g" [ N.goal ~id:"H" ~statement:"a \"b\"" [ ev "e" ] ])
+    "H";
+  refuses "assumption id"
+    (N.goal ~id:"G" ~statement:"g"
+       ~assumptions:[ N.assumption ~id:"A 1" ~statement:"a" ~p_valid:0.9 ]
+       [ ev "e" ])
+    "A 1";
+  (* Everything else round-trips, odd characters included. *)
+  let odd =
+    N.goal ~id:"G#1\"x" ~statement:"  # not a comment \t 'quoted' "
+      [ N.evidence ~id:"é" ~statement:"" ~confidence:1.0 ]
+  in
+  check_true "odd but printable" (F.parse (F.print odd) = odd)
+
 let test_default_combinator () =
   let case = F.parse "goal G \"g\"\n  evidence E \"a\" 0.9\n" in
   match case with
@@ -143,4 +174,5 @@ let suite =
     case "error reporting with line numbers" test_errors;
     case "comments and blank lines" test_comments_and_blanks;
     case "evidence-only case" test_evidence_root;
-    case "goal defaults to all" test_default_combinator ]
+    case "goal defaults to all" test_default_combinator;
+    case "print refuses what parse cannot read" test_print_refuses ]

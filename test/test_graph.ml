@@ -337,6 +337,31 @@ let test_edit_validation () =
   check_raises_invalid "child index out of range" (fun () ->
       ignore (G.Builder.goal b2 ~combinator:N.All [| 3 |]))
 
+(* Node and assumption ids live in one interned table: each kind of
+   lookup sees only its own ids, and a clash across kinds is a
+   duplicate, with or without a size hint. *)
+let test_id_namespace () =
+  let b = G.Builder.create ~capacity:4 ~ids:1 () in
+  let e = G.Builder.evidence b ~id:"E" ~confidence:0.9 () in
+  let a = N.assumption ~id:"A" ~statement:"a" ~p_valid:0.8 in
+  let r = G.Builder.goal b ~id:"G" ~assumptions:[ a ] ~combinator:N.All [| e |] in
+  let g = G.Builder.build b ~root:r in
+  Alcotest.(check (option int)) "node id" (Some e) (G.find g "E");
+  Alcotest.(check (option int)) "goal id" (Some r) (G.find g "G");
+  Alcotest.(check (option int)) "assumption id is not a node" None (G.find g "A");
+  G.set_assumption g ~id:"A" ~p_valid:0.5;
+  check_close ~eps:0.0 "assumption edited" 0.5 (G.assumption_validity g r);
+  (match G.set_assumption g ~id:"E" ~p_valid:0.5 with
+  | exception Not_found -> ()
+  | () -> Alcotest.fail "a node id is not an assumption");
+  let b = G.Builder.create () in
+  let e = G.Builder.evidence b ~id:"X" ~confidence:0.9 () in
+  check_raises_invalid "assumption id clashing with a node id" (fun () ->
+      ignore
+        (G.Builder.goal b
+           ~assumptions:[ N.assumption ~id:"X" ~statement:"x" ~p_valid:0.9 ]
+           ~combinator:N.All [| e |]))
+
 (* The sensitivity rankings now run on the incremental engine; this pins
    them to the old definition — a central difference of the boxed-tree
    re-evaluation — within 1e-12. *)
@@ -404,6 +429,7 @@ let suite =
     case "generator edge knobs (legs=1, depth=1, shared=1)"
       test_generator_edge_knobs;
     case "edit and builder validation" test_edit_validation;
+    case "one id namespace for nodes and assumptions" test_id_namespace;
     test_children_before_parents_property;
     case "sensitivities match the boxed-tree path" test_sensitivities_match_tree_path;
     test_bitwise_identity_property;

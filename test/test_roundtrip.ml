@@ -52,9 +52,79 @@ let gen_case_tree =
   in
   tree 4
 
+(* The same shapes with arbitrary printable ids and statements: spaces,
+   quotes, line breaks and empty ids all occur.  A counter after the
+   last '#' keeps ids distinct, since no digit string contains '#'. *)
+let gen_printable_tree =
+  let open QCheck2.Gen in
+  let counter = ref 0 in
+  let text ~excluding =
+    string_size ~gen:(map (fun c -> if List.mem c excluding then 'x' else c) printable)
+      (int_range 0 8)
+  in
+  let id =
+    frequency
+      [ (1, pure "");
+        (2, text ~excluding:[]);
+        (8, text ~excluding:[ ' '; '\n' ]) ]
+    |> map (fun s ->
+           if s = "" && !counter mod 3 = 0 then ""
+           else (
+             incr counter;
+             Printf.sprintf "%s#%d" s !counter))
+  in
+  let statement =
+    frequency [ (1, text ~excluding:[]); (6, text ~excluding:[ '"'; '\n' ]) ]
+  in
+  let conf = map (fun u -> 0.01 +. (0.98 *. u)) (float_bound_inclusive 1.0) in
+  let leaf =
+    map3 (fun id s c -> N.evidence ~id ~statement:s ~confidence:c) id statement conf
+  in
+  let assumption =
+    map3 (fun id s p -> N.assumption ~id ~statement:s ~p_valid:p) id statement conf
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (1, leaf);
+          ( 3,
+            let* comb = oneofl [ N.All; N.Any ] in
+            let* children = list_size (int_range 1 3) (tree (depth - 1)) in
+            let* assumptions = list_size (int_range 0 2) assumption in
+            let* id = id and* s = statement in
+            pure (N.goal ~id ~statement:s ~combinator:comb ~assumptions children) ) ]
+  in
+  tree 3
+
+(* What the format can carry: an id is one non-empty word without
+   whitespace; a statement holds no quote and no line break. *)
+let printable_tree t =
+  let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+  let ok_id id = id <> "" && not (String.exists blank id) in
+  let ok_statement s = not (String.exists (fun c -> c = '"' || c = '\n' || c = '\r') s) in
+  N.fold
+    (fun ok node ->
+      ok
+      &&
+      match node with
+      | N.Evidence e -> ok_id e.id && ok_statement e.statement
+      | N.Goal g ->
+        ok_id g.id && ok_statement g.statement
+        && List.for_all (fun (a : N.assumption) -> ok_id a.aid && ok_statement a.a_statement)
+             g.assumptions)
+    true t
+
 let test_case_roundtrip =
-  qcheck ~count:200 "case_format: parse (print t) = t" gen_case_tree (fun t ->
-      CF.parse (CF.print t) = t)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"case_format: parse (print t) = t, or print raises"
+       ~print:(fun t -> N.render t)
+       gen_printable_tree
+       (fun t ->
+         match CF.print t with
+         | exception Invalid_argument _ -> not (printable_tree t)
+         | text -> printable_tree t && CF.parse text = t))
 
 let test_case_print_is_clean =
   qcheck ~count:200 "case_format: print t never triggers analysis errors"
