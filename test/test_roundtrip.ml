@@ -116,6 +116,10 @@ let printable_tree t =
     true t
 
 let test_case_roundtrip =
+  qcheck ~count:200 "case_format: parse (print t) = t" gen_case_tree (fun t ->
+      CF.parse (CF.print t) = t)
+
+let test_case_roundtrip_printable =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300
        ~name:"case_format: parse (print t) = t, or print raises"
@@ -193,4 +197,5 @@ let suite =
   [ test_case_roundtrip;
     test_case_print_is_clean;
     test_belief_roundtrip;
-    test_belief_print_is_clean ]
+    test_belief_print_is_clean;
+    test_case_roundtrip_printable ]
