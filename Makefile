@@ -20,7 +20,10 @@ lint-src:
 # The static analyser over the shipped fixtures: good ones must be clean
 # even under --strict, the deliberately-bad ones must exit 2, and the
 # --json report must parse in both cases (guards the hand-rolled
-# emitter).
+# emitter).  Then `confcase case` on shutdown.case must print exactly the
+# checked-in goldens (plain, --sensitivities, --dependence 0.5), and a
+# bad --dependence must be a usage error (exit 124) with nothing on
+# stdout.
 check-fixtures: build
 	dune exec bin/confcase.exe -- check \
 	  examples/shutdown.case examples/sis.belief --strict
@@ -34,6 +37,18 @@ check-fixtures: build
 	  examples/bad_shutdown.case examples/bad_sis.belief --json); \
 	  code=$$?; test "$$code" -eq 2 && \
 	  printf '%s' "$$out" | python3 -c "import json,sys; json.load(sys.stdin)"
+	dune exec bin/confcase.exe -- case examples/shutdown.case | \
+	  diff examples/shutdown.case.golden -
+	dune exec bin/confcase.exe -- case examples/shutdown.case \
+	  --sensitivities | diff examples/shutdown.sensitivities.golden -
+	dune exec bin/confcase.exe -- case examples/shutdown.case \
+	  --dependence 0.5 | diff examples/shutdown.dependence-0.5.golden -
+	out=$$(dune exec bin/confcase.exe -- case examples/shutdown.case \
+	  --dependence 1.5 2>/dev/null); code=$$?; \
+	  test "$$code" -eq 124 && test -z "$$out"
+	dune exec bin/confcase.exe -- case examples/shutdown.case \
+	  --dependence 1.5 2>&1 >/dev/null | grep -qx "confcase: --dependence: \
+	expected independent, frechet-lower, frechet-upper, or a rho in \[0,1\], got 1.5"
 
 # The semantic audit over the shipped fixtures: the good case must stay
 # clean under a reachable target even with --strict, the unattainable

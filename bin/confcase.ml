@@ -27,6 +27,92 @@ let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
 
+let read_file path = In_channel.with_open_text path In_channel.input_all
+
+(* --dependence for case, propagate and audit.  A bad model is a usage
+   error the command reports before it prints anything. *)
+let dependence_arg =
+  let parse s =
+    match Casekit.Graph.dependence_of_string s with
+    | Some dep -> Ok dep
+    | None ->
+      Error
+        (Printf.sprintf
+           "--dependence: expected independent, frechet-lower, \
+            frechet-upper, or a rho in [0,1], got %s"
+           s)
+  in
+  Term.(
+    const parse
+    $ Arg.(
+        value
+        & opt string "independent"
+        & info [ "dependence" ] ~docv:"MODEL"
+            ~doc:"$(b,independent), $(b,frechet-lower), $(b,frechet-upper), \
+                  or a correlation rho in [0,1]"))
+
+(* The synthetic-case options of propagate and audit: the seed, and with
+   --generate a thunk that builds the case (raising Invalid_argument on
+   bad knobs). *)
+let generator_arg =
+  let generate =
+    Arg.(
+      value & flag
+      & info [ "generate" ]
+          ~doc:"Use a synthetic case from the generator instead of FILE")
+  in
+  let legs =
+    Arg.(value & opt int 3 & info [ "legs" ] ~docv:"N" ~doc:"Generator: legs")
+  in
+  let fanout =
+    Arg.(
+      value & opt int 4
+      & info [ "fanout" ] ~docv:"N" ~doc:"Generator: children per goal")
+  in
+  let depth =
+    Arg.(
+      value & opt int 3
+      & info [ "depth" ] ~docv:"N" ~doc:"Generator: goal levels per leg")
+  in
+  let shared =
+    Arg.(
+      value & opt float 0.0
+      & info [ "shared" ] ~docv:"P"
+          ~doc:"Generator: probability a later-leg leaf reuses first-leg \
+                evidence (makes the case a DAG)")
+  in
+  let seed =
+    Arg.(
+      value & opt int 61508 & info [ "seed" ] ~docv:"N" ~doc:"Generator: seed")
+  in
+  let make generate legs fanout depth shared seed =
+    ( seed,
+      if generate then
+        Some (fun () -> Casekit.Generate.case ~seed ~legs ~fanout ~depth ~shared ())
+      else None )
+  in
+  Term.(const make $ generate $ legs $ fanout $ depth $ shared $ seed)
+
+(* The diagnostics report of check and audit: JSON, or one line per
+   diagnostic and a summary line after [prefix]; then the exit status,
+   0 clean / 1 warnings under --strict / 2 errors (the CI contract). *)
+let print_report ~json ~strict ?(prefix = "") reports =
+  let module D = Analysis.Diagnostic in
+  let all = List.concat_map snd reports in
+  if json then print_endline (D.json_of_report reports)
+  else begin
+    List.iter
+      (fun (_, diags) -> List.iter (fun d -> print_endline (D.to_string d)) diags)
+      reports;
+    let s n = if n = 1 then "" else "s" in
+    Printf.printf "%s%d error%s, %d warning%s, %d info%s\n" prefix
+      (D.errors all) (s (D.errors all)) (D.warnings all) (s (D.warnings all))
+      (D.infos all) (s (D.infos all))
+  end;
+  let code = D.exit_code ~strict all in
+  if code <> 0 then exit code;
+  `Ok ()
+
 (* --- figures ------------------------------------------------------------ *)
 
 let figures_cmd =
@@ -429,61 +515,47 @@ let case_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"Case file (see casekit's Case_format)")
   in
-  let rho_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "dependence" ] ~docv:"RHO"
-          ~doc:"Evaluate at this support correlation instead of independence")
-  in
   let sensitivities_arg =
     Arg.(
       value & flag
       & info [ "sensitivities" ]
           ~doc:"Rank evidence and assumptions by influence on the root")
   in
-  let run file rho show_sens =
-    let text =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    match Casekit.Case_format.parse text with
-    | exception Casekit.Case_format.Parse_error e ->
-      `Error (false, Printf.sprintf "%s:%d: %s" file e.line e.message)
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | case ->
-      print_string (Casekit.Node.render case);
-      let dep =
-        match rho with
-        | None -> Casekit.Propagate.Independent
-        | Some r -> Casekit.Propagate.Correlated r
-      in
-      Printf.printf "\nRoot confidence: %.5f\n"
-        (Casekit.Propagate.confidence dep case);
-      let lo, hi = Casekit.Propagate.bounds case in
-      Printf.printf "Under any dependence: [%.5f, %.5f]\n" lo hi;
-      if show_sens then begin
-        print_endline "\nEvidence sensitivities (d root / d leaf):";
-        Casekit.Propagate.leaf_sensitivities dep case
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-        |> List.iter (fun (id, s) -> Printf.printf "  %-12s %.4f\n" id s);
-        let assumptions = Casekit.Propagate.assumption_sensitivities dep case in
-        if assumptions <> [] then begin
-          print_endline "Assumption sensitivities:";
-          List.iter
-            (fun (id, s) -> Printf.printf "  %-12s %.4f\n" id s)
-            (List.sort (fun (_, a) (_, b) -> compare b a) assumptions)
-        end
-      end;
-      `Ok ()
+  let run file dep show_sens =
+    let module G = Casekit.Graph in
+    match dep with
+    | Error msg -> `Error (false, msg)
+    | Ok dep -> (
+      match Casekit.Case_format.graph (read_file file) with
+      | exception Casekit.Case_format.Parse_error e ->
+        `Error (false, Printf.sprintf "%s:%d: %s" file e.line e.message)
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | g ->
+        print_string (Casekit.Node.render (G.to_node g));
+        Printf.printf "\nRoot confidence: %.5f\n" (G.propagate dep g);
+        let lo = G.propagate G.Frechet_lower g in
+        let hi = G.propagate G.Frechet_upper g in
+        Printf.printf "Under any dependence: [%.5f, %.5f]\n" lo hi;
+        if show_sens then begin
+          let print_ranked ranked =
+            List.sort (fun (_, a) (_, b) -> compare b a) ranked
+            |> List.iter (fun (id, s) -> Printf.printf "  %-12s %.4f\n" id s)
+          in
+          print_endline "\nEvidence sensitivities (d root / d leaf):";
+          print_ranked (G.leaf_sensitivities dep g);
+          let assumptions = G.assumption_sensitivities dep g in
+          if assumptions <> [] then begin
+            print_endline "Assumption sensitivities:";
+            print_ranked assumptions
+          end
+        end;
+        `Ok ())
   in
   let info =
     cmd_info "case" ~doc:"Evaluate a dependability-case file" ()
   in
-  Cmd.v info Term.(ret (const run $ file_arg $ rho_arg $ sensitivities_arg))
+  Cmd.v info
+    Term.(ret (const run $ file_arg $ dependence_arg $ sensitivities_arg))
 
 (* --- propagate ---------------------------------------------------------------- *)
 
@@ -494,44 +566,6 @@ let propagate_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:"Case file to propagate (omit with $(b,--generate))")
-  in
-  let generate_arg =
-    Arg.(
-      value & flag
-      & info [ "generate" ]
-          ~doc:"Propagate a synthetic case from the generator instead of FILE")
-  in
-  let legs_arg =
-    Arg.(value & opt int 3 & info [ "legs" ] ~docv:"N" ~doc:"Generator: legs")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "fanout" ] ~docv:"N" ~doc:"Generator: children per goal")
-  in
-  let depth_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "depth" ] ~docv:"N" ~doc:"Generator: goal levels per leg")
-  in
-  let shared_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "shared" ] ~docv:"P"
-          ~doc:"Generator: probability a later-leg leaf reuses first-leg \
-                evidence (makes the case a DAG)")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 61508 & info [ "seed" ] ~docv:"N" ~doc:"Generator: seed")
-  in
-  let dependence_arg =
-    Arg.(
-      value
-      & opt string "independent"
-      & info [ "dependence" ] ~docv:"MODEL"
-          ~doc:"$(b,independent), $(b,frechet-lower), $(b,frechet-upper), or \
-                a correlation rho in [0,1]")
   in
   let edits_arg =
     Arg.(
@@ -547,39 +581,16 @@ let propagate_cmd =
           ~doc:"Also propagate level-parallel over N domains and verify the \
                 result is bit-identical")
   in
-  let run file generate legs fanout depth shared seed dep_s edits domains =
+  let run file (seed, generate) dep edits domains =
     let module G = Casekit.Graph in
-    let dep =
-      match dep_s with
-      | "independent" -> Ok G.Independent
-      | "frechet-lower" -> Ok G.Frechet_lower
-      | "frechet-upper" -> Ok G.Frechet_upper
-      | s -> (
-        match float_of_string_opt s with
-        | Some rho when rho >= 0.0 && rho <= 1.0 -> Ok (G.Correlated rho)
-        | _ ->
-          Error
-            (Printf.sprintf
-               "--dependence: expected independent, frechet-lower, \
-                frechet-upper, or a rho in [0,1], got %s"
-               s))
-    in
     let graph =
       match (file, generate) with
-      | Some _, true -> Error "give FILE or --generate, not both"
-      | None, false -> Error "no input: give a case FILE or --generate"
-      | None, true -> (
-        try Ok (Casekit.Generate.case ~seed ~legs ~fanout ~depth ~shared ())
-        with Invalid_argument msg -> Error msg)
-      | Some path, false -> (
-        let text =
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
-        match Casekit.Case_format.graph text with
+      | Some _, Some _ -> Error "give FILE or --generate, not both"
+      | None, None -> Error "no input: give a case FILE or --generate"
+      | None, Some generate -> (
+        try Ok (generate ()) with Invalid_argument msg -> Error msg)
+      | Some path, None -> (
+        match Casekit.Case_format.graph (read_file path) with
         | exception Casekit.Case_format.Parse_error e ->
           Error (Printf.sprintf "%s:%d: %s" path e.line e.message)
         | g -> Ok g)
@@ -643,14 +654,13 @@ let propagate_cmd =
   in
   let info =
     cmd_info "propagate"
-      ~doc:"Propagate confidence through a case graph at scale"
+      ~doc:"Evaluate confidence over a case graph at scale"
       ~man:
         [ `S Manpage.s_description;
           `P
-            "Bridges the case into the flat CSR graph representation and \
-             runs the one-pass propagation kernel (bit-identical to the \
-             tree evaluator on trees).  With $(b,--generate) a synthetic \
-             case is built instead — $(b,--legs) 9 $(b,--fanout) 10 \
+            "Loads the case into the flat CSR graph representation and \
+             runs the one-pass propagation kernel.  With $(b,--generate) \
+             a synthetic case is built instead — $(b,--legs) 9 $(b,--fanout) 10 \
              $(b,--depth) 5 is exactly one million nodes.  $(b,--shared) \
              makes legs reuse first-leg evidence: the case becomes a DAG \
              and, under a correlated dependence model, each affected \
@@ -665,9 +675,8 @@ let propagate_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ file_arg $ generate_arg $ legs_arg $ fanout_arg
-       $ depth_arg $ shared_arg $ seed_arg $ dependence_arg $ edits_arg
-       $ domains_arg))
+        (const run $ file_arg $ generator_arg $ dependence_arg
+       $ edits_arg $ domains_arg))
 
 (* --- check ------------------------------------------------------------------- *)
 
@@ -702,33 +711,14 @@ let check_cmd =
     end
     else if files = [] then
       `Error (true, "no input files (or use --codes for the rule table)")
-    else begin
-      let module D = Analysis.Diagnostic in
-      let reports =
-        List.map (fun f -> (f, D.sort (Analysis.Check.check_file f))) files
-      in
-      let all = List.concat_map snd reports in
-      if json then print_endline (D.json_of_report reports)
-      else begin
-        List.iter
-          (fun (_, diags) ->
-            List.iter (fun d -> print_endline (D.to_string d)) diags)
-          reports;
-        Printf.printf "%d file%s checked: %d error%s, %d warning%s, %d info%s\n"
-          (List.length files)
-          (if List.length files = 1 then "" else "s")
-          (D.errors all)
-          (if D.errors all = 1 then "" else "s")
-          (D.warnings all)
-          (if D.warnings all = 1 then "" else "s")
-          (D.infos all)
-          (if D.infos all = 1 then "" else "s")
-      end;
-      (* 0 clean / 1 warnings under --strict / 2 errors: the CI contract. *)
-      let code = D.exit_code ~strict all in
-      if code <> 0 then exit code;
-      `Ok ()
-    end
+    else
+      let n = List.length files in
+      print_report ~json ~strict
+        ~prefix:(Printf.sprintf "%d file%s checked: " n (if n = 1 then "" else "s"))
+        (List.map
+           (fun f ->
+             (f, Analysis.Diagnostic.sort (Analysis.Check.check_file f)))
+           files)
   in
   let info =
     cmd_info "check"
@@ -760,36 +750,6 @@ let audit_cmd =
       & info [] ~docv:"FILE"
           ~doc:"Case files to audit (omit with $(b,--generate))")
   in
-  let generate_arg =
-    Arg.(
-      value & flag
-      & info [ "generate" ]
-          ~doc:"Audit a synthetic case from the generator instead of FILE")
-  in
-  let legs_arg =
-    Arg.(value & opt int 3 & info [ "legs" ] ~docv:"N" ~doc:"Generator: legs")
-  in
-  let fanout_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "fanout" ] ~docv:"N" ~doc:"Generator: children per goal")
-  in
-  let depth_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "depth" ] ~docv:"N" ~doc:"Generator: goal levels per leg")
-  in
-  let shared_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "shared" ] ~docv:"P"
-          ~doc:"Generator: probability a later-leg leaf reuses first-leg \
-                evidence")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 61508 & info [ "seed" ] ~docv:"N" ~doc:"Generator: seed")
-  in
   let target_arg =
     Arg.(
       value
@@ -797,14 +757,6 @@ let audit_cmd =
       & info [ "target" ] ~docv:"P"
           ~doc:"Required root confidence in (0,1]; enables the \
                 attainability rules C013/C015")
-  in
-  let dependence_arg =
-    Arg.(
-      value
-      & opt string "independent"
-      & info [ "dependence" ] ~docv:"MODEL"
-          ~doc:"$(b,independent), $(b,frechet-lower), $(b,frechet-upper), or \
-                a correlation rho in [0,1]")
   in
   let belief_arg =
     Arg.(
@@ -831,25 +783,9 @@ let audit_cmd =
           ~doc:"Report at most N findings per diagnostic code; the rest are \
                 counted in one info summary")
   in
-  let run files generate legs fanout depth shared seed target dep_s belief
-      strict json max_per_code =
+  let run files (_, generate) target dep belief strict json max_per_code =
     let module G = Casekit.Graph in
     let module D = Analysis.Diagnostic in
-    let dep =
-      match dep_s with
-      | "independent" -> Ok G.Independent
-      | "frechet-lower" -> Ok G.Frechet_lower
-      | "frechet-upper" -> Ok G.Frechet_upper
-      | s -> (
-        match float_of_string_opt s with
-        | Some rho when rho >= 0.0 && rho <= 1.0 -> Ok (G.Correlated rho)
-        | _ ->
-          Error
-            (Printf.sprintf
-               "--dependence: expected independent, frechet-lower, \
-                frechet-upper, or a rho in [0,1], got %s"
-               s))
-    in
     let leaf_bounds =
       match belief with
       | None -> Ok None
@@ -880,30 +816,12 @@ let audit_cmd =
           max_per_code;
         }
       in
-      let print_report reports =
-        let all = List.concat_map snd reports in
-        if json then print_endline (D.json_of_report reports)
-        else begin
-          List.iter
-            (fun (_, diags) ->
-              List.iter (fun d -> print_endline (D.to_string d)) diags)
-            reports;
-          Printf.printf "%d error%s, %d warning%s, %d info%s\n" (D.errors all)
-            (if D.errors all = 1 then "" else "s")
-            (D.warnings all)
-            (if D.warnings all = 1 then "" else "s")
-            (D.infos all)
-            (if D.infos all = 1 then "" else "s")
-        end;
-        let code = D.exit_code ~strict all in
-        if code <> 0 then exit code;
-        `Ok ()
-      in
+      let print_report = print_report ~json ~strict in
       match (files, generate) with
-      | _ :: _, true -> `Error (false, "give FILE or --generate, not both")
-      | [], false -> `Error (true, "no input: give a case FILE or --generate")
-      | [], true -> (
-        match Casekit.Generate.case ~seed ~legs ~fanout ~depth ~shared () with
+      | _ :: _, Some _ -> `Error (false, "give FILE or --generate, not both")
+      | [], None -> `Error (true, "no input: give a case FILE or --generate")
+      | [], Some generate -> (
+        match generate () with
         | exception Invalid_argument msg -> `Error (false, msg)
         | g ->
           let n = G.size g in
@@ -921,18 +839,11 @@ let audit_cmd =
                 (float_of_int n /. (t1 -. t0))
           end;
           print_report [ ("<generated>", D.with_file "<generated>" diags) ])
-      | paths, false ->
-        let read path =
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
+      | paths, None ->
         let reports =
           List.map
             (fun path ->
-              match read path with
+              match read_file path with
               | exception Sys_error msg ->
                 ( path,
                   [ D.make ~file:path ~code:"F000" ~severity:D.Error ~line:0
@@ -973,9 +884,9 @@ let audit_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ files_arg $ generate_arg $ legs_arg $ fanout_arg
-       $ depth_arg $ shared_arg $ seed_arg $ target_arg $ dependence_arg
-       $ belief_arg $ strict_arg $ json_arg $ max_per_code_arg))
+        (const run $ files_arg $ generator_arg $ target_arg
+       $ dependence_arg $ belief_arg $ strict_arg $ json_arg
+       $ max_per_code_arg))
 
 (* --- risk -------------------------------------------------------------------- *)
 

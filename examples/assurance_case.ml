@@ -38,21 +38,25 @@ let () =
     (Casekit.Node.size case) (Casekit.Node.depth case)
     (List.length (Casekit.Node.leaves case));
 
-  (* Propagation under different joint-behaviour assumptions. *)
+  (* Propagation under different joint-behaviour assumptions, on the
+     flat evaluation graph of the case. *)
+  let g = Casekit.Graph.of_node case in
   let show name dep =
-    Printf.printf "  %-28s %.5f\n" name
-      (Casekit.Propagate.confidence dep case)
+    Printf.printf "  %-28s %.5f\n" name (Casekit.Graph.propagate dep g)
   in
   print_endline "Root-claim confidence:";
-  show "independent supports" Casekit.Propagate.Independent;
-  show "moderately dependent (0.5)" (Casekit.Propagate.Correlated 0.5);
-  let lo, hi = Casekit.Propagate.bounds case in
+  show "independent supports" Casekit.Graph.Independent;
+  show "moderately dependent (0.5)" (Casekit.Graph.Correlated 0.5);
+  let lo = Casekit.Graph.propagate Casekit.Graph.Frechet_lower g in
+  let hi = Casekit.Graph.propagate Casekit.Graph.Frechet_upper g in
   Printf.printf "  %-28s [%.5f, %.5f]\n" "any dependence (Frechet)" lo hi;
 
-  (* The two legs in the Littlewood-Wright view. *)
+  (* The two legs in the Littlewood-Wright view: propagation values every
+     node, so a leg's confidence is its goal's entry. *)
+  ignore (Casekit.Graph.propagate Casekit.Graph.Independent g);
   let leg_doubt goal_id =
-    match Casekit.Node.find case ~id:goal_id with
-    | Some node -> 1.0 -. Casekit.Propagate.confidence Casekit.Propagate.Independent node
+    match Casekit.Graph.find g goal_id with
+    | Some i -> 1.0 -. Casekit.Graph.value g i
     | None -> assert false
   in
   let l1 =

@@ -223,19 +223,13 @@ let semantic_into em ~locate options g =
     | G.Evidence -> ()
     | G.All_goal | G.Any_goal ->
       let k = G.child_count g i in
-      if k >= 2 && k <= options.max_vacuity_children then
+      if k >= 2 && k <= options.max_vacuity_children then begin
+        let av = G.assumption_validity g i in
+        let unchanged c col =
+          same_bits (G.combine ~skip:c dep g i col *. av) (Columns.get col i)
+        in
         for c = 0 to k - 1 do
-          if
-            same_bits
-              (G.compute_excluding dep g i ~skip:c ~values:vals)
-              (Columns.get vals i)
-            && same_bits
-                 (G.compute_excluding dep g i ~skip:c ~values:lo)
-                 (Columns.get lo i)
-            && same_bits
-                 (G.compute_excluding dep g i ~skip:c ~values:hi)
-                 (Columns.get hi i)
-          then
+          if unchanged c vals && unchanged c lo && unchanged c hi then
             emit em "C014" (fun () ->
                 let child = (G.children g i).(c) in
                 let line, col = position locate child in
@@ -247,6 +241,7 @@ let semantic_into em ~locate options g =
                       interval"
                      (name g child) (name g i) (dependence_name dep)))
         done
+      end
   done;
   (* C016: dominator/articulation evidence — a single item whose
      refutation defeats the root regardless of the rest of the case. *)

@@ -14,7 +14,7 @@
     - [C014] warning — vacuous leg: removing the leg cannot change its
       goal's propagated value or attainable interval (bitwise), so it
       contributes nothing to the argument under the audited dependence
-      model ({!Casekit.Graph.compute_excluding})
+      model ({!Casekit.Graph.combine} with a skipped child)
     - [C015] warning — over-tight assumptions: the root's best case is
       below target, yet without the assumption-validity discounts it
       would reach it — the assumption budget, not the evidence, caps the

@@ -6,7 +6,6 @@
 module Node = Node
 module Graph = Graph
 module Generate = Generate
-module Propagate = Propagate
 module Multileg = Multileg
 module Bbn = Bbn
 module Case_format = Case_format

@@ -217,6 +217,13 @@ let compute_overlap ~n ~kinds ~child_off ~child ~parent_off ~overlap =
 
 (* --- builder ---------------------------------------------------------------- *)
 
+(* The assumption-validity product of a goal, folded in list order: the
+   builder and [set_assumption] both store it, so an edit reverted to the
+   old validity restores the old bits. *)
+let validity_product assumptions =
+  List.fold_left (fun acc (a : Node.assumption) -> acc *. a.p_valid) 1.0
+    assumptions
+
 module Builder = struct
   type b = {
     mutable bn : int;
@@ -317,11 +324,7 @@ module Builder = struct
     b.bstatements.(i) <- statement;
     b.bassumptions.(i) <- assumptions;
     Columns.push b.bbase 0.0;
-    (* Same fold as Propagate.assumption_factor: bit-identical product. *)
-    Columns.push b.bavalid
-      (List.fold_left
-         (fun acc (a : Node.assumption) -> acc *. a.p_valid)
-         1.0 assumptions);
+    Columns.push b.bavalid (validity_product assumptions);
     if b.bchild_len + Array.length kids > Array.length b.bchild then begin
       let ncap =
         max (2 * Array.length b.bchild) (b.bchild_len + Array.length kids)
@@ -510,114 +513,118 @@ let check_dep = function
       invalid_arg "Graph.propagate: rho out of [0,1]"
   | Independent | Frechet_lower | Frechet_upper -> ()
 
+let dependence_of_string = function
+  | "independent" -> Some Independent
+  | "frechet-lower" -> Some Frechet_lower
+  | "frechet-upper" -> Some Frechet_upper
+  | s -> (
+    match float_of_string_opt s with
+    | Some rho when rho >= 0.0 && rho <= 1.0 -> Some (Correlated rho)
+    | _ -> None)
+
+(* The value of the child on edge [e].  The column type is spelled out so
+   the Bigarray read compiles to an inline load, not a generic call. *)
+let[@inline] child_value t (vdata : Columns.ba) e =
+  Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
+
 (* Combined (pre-assumption) value of goal [i] given its children's values
-   in [vdata].  Each branch replays the exact float operations (and order)
-   of the List folds in Propagate.and_combine / or_combine, so on trees
-   the result is bit-identical to Propagate.confidence.  The inlined
-   min/max mirror Stdlib.min/max: fold min keeps acc when acc <= c, fold
-   max keeps acc when acc >= c.  Shared between [compute] (concrete
-   propagation) and [propagate_bounds] (interval sweep): running the same
-   arithmetic over the lo and hi columns is what makes point intervals
-   collapse to the propagated bits exactly. *)
-let combine t dep vdata i =
-  let tag = Bytes.unsafe_get t.kinds i in
-  begin
-    let off = Array.unsafe_get t.child_off i in
-    let lim = Array.unsafe_get t.child_off (i + 1) in
-    let combined =
-      if tag = tag_all then
-        match dep with
-        | Independent ->
-          let acc = ref 1.0 in
-          for e = off to lim - 1 do
-            acc :=
-              !acc
-              *. Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-          done;
-          !acc
-        | Frechet_lower ->
-          let s = ref 0.0 in
-          for e = off to lim - 1 do
-            s :=
-              !s
-              +. Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-          done;
-          let v = !s -. (float_of_int (lim - off) -. 1.0) in
-          if 0.0 >= v then 0.0 else v
-        | Frechet_upper ->
-          let m = ref 1.0 in
-          for e = off to lim - 1 do
-            let c =
-              Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-            in
-            if not (!m <= c) then m := c
-          done;
-          !m
-        | Correlated rho ->
-          let ind = ref 1.0 and como = ref 1.0 in
-          for e = off to lim - 1 do
-            let c =
-              Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-            in
-            ind := !ind *. c;
-            if not (!como <= c) then como := c
-          done;
-          let ov = Columns.unsafe_get t.overlap i in
-          let rho = if ov > rho then ov else rho in
-          ((1.0 -. rho) *. !ind) +. (rho *. !como)
-      else
-        match dep with
-        | Independent ->
-          let acc = ref 1.0 in
-          for e = off to lim - 1 do
-            acc :=
-              !acc
-              *. (1.0
-                 -. Bigarray.Array1.unsafe_get vdata
-                      (Array.unsafe_get t.child e))
-          done;
-          1.0 -. !acc
-        | Frechet_lower ->
-          let m = ref 0.0 in
-          for e = off to lim - 1 do
-            let c =
-              Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-            in
-            if not (!m >= c) then m := c
-          done;
-          !m
-        | Frechet_upper ->
-          let s = ref 0.0 in
-          for e = off to lim - 1 do
-            s :=
-              !s
-              +. Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-          done;
-          if 1.0 <= !s then 1.0 else !s
-        | Correlated rho ->
-          let ind = ref 1.0 and como = ref 0.0 in
-          for e = off to lim - 1 do
-            let c =
-              Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
-            in
-            ind := !ind *. (1.0 -. c);
-            if not (!como >= c) then como := c
-          done;
-          (* Shared-evidence discount: legs citing the same evidence are
-             at least that correlated, so floor rho at the overlap. *)
-          let ov = Columns.unsafe_get t.overlap i in
-          let rho = if ov > rho then ov else rho in
-          ((1.0 -. rho) *. (1.0 -. !ind)) +. (rho *. !como)
-    in
-    combined
-  end
+   in [vdata], leaving out the child at position [skip] (0-based; -1
+   leaves none out).  This is the one copy of the eight transfer
+   functions: [compute] (concrete propagation), [propagate_bounds]
+   (interval sweep) and the vacuous-leg probe all call it, so running
+   the same arithmetic over the lo and hi columns is what makes point
+   intervals collapse to the propagated bits exactly, and a leg that
+   cannot affect the fold (a factor of exactly 1.0 under a product, a
+   dominated value under min/max) leaves the probe bitwise equal to the
+   stored value.  The folds run left to right from the usual inits; the
+   inlined min/max mirror Stdlib.min/max: fold min keeps acc when
+   acc <= c, fold max keeps acc when acc >= c. *)
+let combine_skip t dep vdata i skip =
+  let off = Array.unsafe_get t.child_off i in
+  let lim = Array.unsafe_get t.child_off (i + 1) in
+  (* An edge index; off - 1 when nothing is skipped, which no e reaches. *)
+  let skip = off + skip in
+  if Bytes.unsafe_get t.kinds i = tag_all then
+    match dep with
+    | Independent ->
+      let acc = ref 1.0 in
+      for e = off to lim - 1 do
+        if e <> skip then acc := !acc *. child_value t vdata e
+      done;
+      !acc
+    | Frechet_lower ->
+      let s = ref 0.0 in
+      for e = off to lim - 1 do
+        if e <> skip then s := !s +. child_value t vdata e
+      done;
+      let count = if skip >= off then lim - off - 1 else lim - off in
+      let v = !s -. (float_of_int count -. 1.0) in
+      if 0.0 >= v then 0.0 else v
+    | Frechet_upper ->
+      let m = ref 1.0 in
+      for e = off to lim - 1 do
+        if e <> skip then begin
+          let c = child_value t vdata e in
+          if not (!m <= c) then m := c
+        end
+      done;
+      !m
+    | Correlated rho ->
+      let ind = ref 1.0 and como = ref 1.0 in
+      for e = off to lim - 1 do
+        if e <> skip then begin
+          let c = child_value t vdata e in
+          ind := !ind *. c;
+          if not (!como <= c) then como := c
+        end
+      done;
+      let ov = Columns.unsafe_get t.overlap i in
+      let rho = if ov > rho then ov else rho in
+      ((1.0 -. rho) *. !ind) +. (rho *. !como)
+  else
+    match dep with
+    | Independent ->
+      let acc = ref 1.0 in
+      for e = off to lim - 1 do
+        if e <> skip then acc := !acc *. (1.0 -. child_value t vdata e)
+      done;
+      1.0 -. !acc
+    | Frechet_lower ->
+      let m = ref 0.0 in
+      for e = off to lim - 1 do
+        if e <> skip then begin
+          let c = child_value t vdata e in
+          if not (!m >= c) then m := c
+        end
+      done;
+      !m
+    | Frechet_upper ->
+      let s = ref 0.0 in
+      for e = off to lim - 1 do
+        if e <> skip then s := !s +. child_value t vdata e
+      done;
+      if 1.0 <= !s then 1.0 else !s
+    | Correlated rho ->
+      let ind = ref 1.0 and como = ref 0.0 in
+      for e = off to lim - 1 do
+        if e <> skip then begin
+          let c = child_value t vdata e in
+          ind := !ind *. (1.0 -. c);
+          if not (!como >= c) then como := c
+        end
+      done;
+      (* Shared-evidence discount: legs citing the same evidence are at
+         least that correlated, so floor rho at the overlap. *)
+      let ov = Columns.unsafe_get t.overlap i in
+      let rho = if ov > rho then ov else rho in
+      ((1.0 -. rho) *. (1.0 -. !ind)) +. (rho *. !como)
 
 (* Value of node [i] given its children's values in [vdata]: evidence
    reads its base confidence, a goal combines its children and applies
    the assumption-validity product. *)
 let compute t dep vdata i =
   if Bytes.unsafe_get t.kinds i = tag_evidence then Columns.unsafe_get t.base i
-  else combine t dep vdata i *. Columns.unsafe_get t.avalid i
+  else combine_skip t dep vdata i (-1) *. Columns.unsafe_get t.avalid i
 
 let propagate dep t =
   check_dep dep;
@@ -690,11 +697,7 @@ let set_assumption t ~id ~p_valid =
         (fun (a : Node.assumption) ->
           if a.aid = id then { a with p_valid } else a)
         t.assumption_lists.(gi);
-    Columns.set t.avalid gi
-      (List.fold_left
-         (fun acc (a : Node.assumption) -> acc *. a.p_valid)
-         1.0
-         t.assumption_lists.(gi));
+    Columns.set t.avalid gi (validity_product t.assumption_lists.(gi));
     mark_dirty t gi;
     if t.hash_valid then mark_hash_dirty t gi
 
@@ -857,105 +860,28 @@ let propagate_bounds ?(leaf_bounds = fun _ -> (0.0, 1.0))
     end
     else begin
       let av = if with_assumptions then Columns.unsafe_get t.avalid i else 1.0 in
-      Bigarray.Array1.unsafe_set lod i (combine t dep lod i *. av);
-      Bigarray.Array1.unsafe_set hid i (combine t dep hid i *. av)
+      Bigarray.Array1.unsafe_set lod i (combine_skip t dep lod i (-1) *. av);
+      Bigarray.Array1.unsafe_set hid i (combine_skip t dep hid i (-1) *. av)
     end
   done;
   (lo, hi)
 
-(* Goal [i]'s value with its [skip]-th child removed, over an arbitrary
-   value column — the vacuous-leg probe.  Replays the same fold shapes as
-   [combine] (left to right, same inits) so that when the skipped child
-   genuinely cannot affect the fold (a factor of exactly 1.0 under a
-   product, a dominated value under min/max) the result is bitwise equal
-   to the stored value. *)
-let compute_excluding dep t i ~skip ~values =
+let combine ?skip dep t i values =
   check_dep dep;
-  if i < 0 || i >= t.n then
-    invalid_arg "Graph.compute_excluding: index out of range";
-  let tag = Bytes.get t.kinds i in
-  if tag = tag_evidence then
-    invalid_arg "Graph.compute_excluding: not a goal";
-  let off = t.child_off.(i) and lim = t.child_off.(i + 1) in
-  if skip < 0 || skip >= lim - off then
-    invalid_arg "Graph.compute_excluding: child position out of range";
-  let skip = off + skip in
-  let vdata = Columns.unsafe_data values in
-  let get e = Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e) in
-  let combined =
-    if tag = tag_all then
-      match dep with
-      | Independent ->
-        let acc = ref 1.0 in
-        for e = off to lim - 1 do
-          if e <> skip then acc := !acc *. get e
-        done;
-        !acc
-      | Frechet_lower ->
-        let s = ref 0.0 in
-        for e = off to lim - 1 do
-          if e <> skip then s := !s +. get e
-        done;
-        let v = !s -. (float_of_int (lim - off - 1) -. 1.0) in
-        if 0.0 >= v then 0.0 else v
-      | Frechet_upper ->
-        let m = ref 1.0 in
-        for e = off to lim - 1 do
-          if e <> skip then begin
-            let c = get e in
-            if not (!m <= c) then m := c
-          end
-        done;
-        !m
-      | Correlated rho ->
-        let ind = ref 1.0 and como = ref 1.0 in
-        for e = off to lim - 1 do
-          if e <> skip then begin
-            let c = get e in
-            ind := !ind *. c;
-            if not (!como <= c) then como := c
-          end
-        done;
-        let ov = Columns.unsafe_get t.overlap i in
-        let rho = if ov > rho then ov else rho in
-        ((1.0 -. rho) *. !ind) +. (rho *. !como)
-    else
-      match dep with
-      | Independent ->
-        let acc = ref 1.0 in
-        for e = off to lim - 1 do
-          if e <> skip then acc := !acc *. (1.0 -. get e)
-        done;
-        1.0 -. !acc
-      | Frechet_lower ->
-        let m = ref 0.0 in
-        for e = off to lim - 1 do
-          if e <> skip then begin
-            let c = get e in
-            if not (!m >= c) then m := c
-          end
-        done;
-        !m
-      | Frechet_upper ->
-        let s = ref 0.0 in
-        for e = off to lim - 1 do
-          if e <> skip then s := !s +. get e
-        done;
-        if 1.0 <= !s then 1.0 else !s
-      | Correlated rho ->
-        let ind = ref 1.0 and como = ref 0.0 in
-        for e = off to lim - 1 do
-          if e <> skip then begin
-            let c = get e in
-            ind := !ind *. (1.0 -. c);
-            if not (!como >= c) then como := c
-          end
-        done;
-        let ov = Columns.unsafe_get t.overlap i in
-        let rho = if ov > rho then ov else rho in
-        ((1.0 -. rho) *. (1.0 -. !ind)) +. (rho *. !como)
+  if i < 0 || i >= t.n then invalid_arg "Graph.combine: index out of range";
+  if Bytes.get t.kinds i = tag_evidence then
+    invalid_arg "Graph.combine: not a goal";
+  if Columns.length values < t.n then
+    invalid_arg "Graph.combine: value column shorter than the graph";
+  let skip =
+    match skip with
+    | None -> -1
+    | Some k ->
+      if k < 0 || k >= t.child_off.(i + 1) - t.child_off.(i) then
+        invalid_arg "Graph.combine: child position out of range";
+      k
   in
-  combined *. Columns.unsafe_get t.avalid i
+  combine_skip t dep (Columns.unsafe_data values) i skip
 
 (* Single points of failure: evidence whose individual refutation defeats
    the root no matter what the rest of the case does.  Under the boolean
@@ -1089,3 +1015,57 @@ let max_overlap t =
     if ov > !m then m := ov
   done;
   !m
+
+(* --- sensitivity rankings ---------------------------------------------------- *)
+
+let central_difference perturb current =
+  let h = 1e-4 in
+  let lo = max 1e-6 (current -. h) and hi = min 1.0 (current +. h) in
+  (perturb hi -. perturb lo) /. (hi -. lo)
+
+(* Each probe edits one input, re-propagates only its ancestor cone, and
+   puts the input back; [refresh] returns exactly the bits a full
+   propagation would, so the ranking costs O(edges touched), not
+   O(n * inputs). *)
+let leaf_sensitivities dep t =
+  ignore (propagate dep t);
+  evidence_indices t |> Array.to_list
+  |> List.map (fun i ->
+         let c = Columns.get t.base i in
+         let perturb x =
+           set_evidence t i x;
+           refresh dep t
+         in
+         let s = central_difference perturb c in
+         set_evidence t i c;
+         ignore (refresh dep t);
+         (t.ids.(i), s))
+
+let assumption_sensitivities dep t =
+  (* Preorder from the root, each goal's assumptions ahead of its
+     children's: the order a walk of the authored tree lists them in.
+     A node shared by several goals is visited once. *)
+  let seen = Bytes.make t.n '\000' in
+  let rec walk found = function
+    | [] -> List.rev found
+    | i :: rest when Bytes.get seen i <> '\000' -> walk found rest
+    | i :: rest ->
+      Bytes.set seen i '\001';
+      let rest = ref rest in
+      for e = t.child_off.(i + 1) - 1 downto t.child_off.(i) do
+        rest := t.child.(e) :: !rest
+      done;
+      walk (List.rev_append t.assumption_lists.(i) found) !rest
+  in
+  let assumptions = walk [] [ t.root ] in
+  ignore (propagate dep t);
+  assumptions
+  |> List.map (fun (a : Node.assumption) ->
+         let perturb p =
+           set_assumption t ~id:a.aid ~p_valid:p;
+           refresh dep t
+         in
+         let s = central_difference perturb a.p_valid in
+         set_assumption t ~id:a.aid ~p_valid:a.p_valid;
+         ignore (refresh dep t);
+         (a.aid, s))

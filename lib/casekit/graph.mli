@@ -20,10 +20,11 @@
 
     {2 Bit-identity contract}
 
-    On a tree, [propagate dep (of_node t)] returns exactly the bits of
-    [Propagate.confidence dep t] for every dependence model: the kernels
-    replay the same float operations in the same order as the [List]
-    folds in {!Propagate}.  {!propagate_par} computes every node from the
+    Each goal's value is one left-to-right fold over its children in
+    emission order ({!combine}), so on a tree [propagate dep (of_node t)]
+    returns exactly the bits of the textbook recursive evaluation — the
+    [List]-fold tree evaluator the test suite keeps as its oracle — for
+    every dependence model.  {!propagate_par} computes every node from the
     same inputs as the sequential kernel (levels only order the schedule,
     writes are disjoint), so it is bit-identical at any domain count.
 
@@ -47,6 +48,12 @@ type dependence =
           (rho = 0) and comonotone (rho = 1) values; on goals with
           shared-evidence overlap the effective rho is floored at the
           overlap fraction. *)
+
+(** [dependence_of_string s] — the model named by [s]: [independent],
+    [frechet-lower], [frechet-upper], or a correlation rho in [0,1]
+    written as a float ([Correlated rho]).  [None] for anything else,
+    including a rho outside [0,1] or [nan]. *)
+val dependence_of_string : string -> dependence option
 
 type t
 
@@ -214,17 +221,20 @@ val propagate_bounds :
   t ->
   Numerics.Columns.t * Numerics.Columns.t
 
-(** [compute_excluding dep t i ~skip ~values] — goal [i]'s value (with
-    its assumption product applied) recomputed over the column [values]
-    with its [skip]-th child (0-based position) removed, replaying the
-    same fold shapes as propagation.  The vacuous-leg probe: when the
-    result is bitwise equal to the stored value, removing that leg
-    cannot change the node — and by monotonicity cannot change the root.
-    Shared-evidence overlap fractions are structural and held fixed.
-    @raise Invalid_argument if [i] is not a goal or [skip] is out of
-    range. *)
-val compute_excluding :
-  dependence -> t -> int -> skip:int -> values:Numerics.Columns.t -> float
+(** [combine ?skip dep t i values] — goal [i]'s children, read from the
+    column [values], folded under [dep] and its combinator: the value
+    {!propagate} stores at [i] before the assumption-validity product.
+    {!propagate}, {!refresh} and {!propagate_bounds} run this same fold
+    per (combinator, model).  [~skip:k] leaves the [k]-th child (0-based
+    position) out — the vacuous-leg probe: when the result times
+    {!assumption_validity} is bitwise equal to the stored value, removing
+    that leg cannot change the node, and by monotonicity cannot change
+    the root.  Shared-evidence overlap fractions are structural and held
+    fixed.
+    @raise Invalid_argument if [i] is not a goal, [skip] is out of range,
+    [values] is shorter than the graph, or [dep] is malformed. *)
+val combine :
+  ?skip:int -> dependence -> t -> int -> Numerics.Columns.t -> float
 
 (** [spof_evidence t] — indices (ascending) of every evidence node whose
     lone refutation defeats the root under the boolean abstraction:
@@ -269,8 +279,7 @@ val parent_count : t -> int -> int
 (** [values t] — the live value column written by {!propagate} /
     {!refresh} (the same storage [value] reads).  Read-only by
     convention: it exists so analysis passes can hand the concrete
-    values to {!compute_excluding} without copying a million-entry
-    column. *)
+    values to {!combine} without copying a million-entry column. *)
 val values : t -> Numerics.Columns.t
 
 (** [assumption_validity t i] — the assumption-validity product applied
@@ -289,3 +298,22 @@ val overlap_fraction : t -> int -> float
 
 (** [max_overlap t] — the largest overlap fraction in the graph. *)
 val max_overlap : t -> float
+
+(** {1 Sensitivity rankings}
+
+    Both rankings answer the ACARP question "which input is worth
+    strengthening?" with central differences of the root value.  Each
+    probe edits one input through the incremental engine and puts it
+    back, so a ranking costs O(edges touched), not O(n * inputs); the
+    graph's inputs are left as they were, and its value column holds a
+    propagation under [dep]. *)
+
+(** [leaf_sensitivities dep t] — for each evidence node, in index order,
+    its id and the derivative of the root value with respect to its
+    confidence. *)
+val leaf_sensitivities : dependence -> t -> (string * float) list
+
+(** [assumption_sensitivities dep t] — the same for each assumption's
+    validity, in preorder from the root: each goal's assumptions ahead of
+    its children's. *)
+val assumption_sensitivities : dependence -> t -> (string * float) list

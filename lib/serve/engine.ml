@@ -184,25 +184,18 @@ let opt_bool obj k =
 (* Same spellings as the CLI's --dependence flag; a bare number is
    accepted as rho for JSON convenience. *)
 let decode_dependence obj =
-  match P.member "dependence" obj with
-  | None -> G.Independent
-  | Some (P.Str "independent") -> G.Independent
-  | Some (P.Str "frechet-lower") -> G.Frechet_lower
-  | Some (P.Str "frechet-upper") -> G.Frechet_upper
-  | Some (P.Str s) ->
-    (match float_of_string_opt s with
-    | Some rho when rho >= 0.0 && rho <= 1.0 -> G.Correlated rho
-    | _ ->
-      raise
-        (Err
-           "\"dependence\" must be independent | frechet-lower | \
-            frechet-upper | rho in [0,1]"))
-  | Some (P.Num rho) when rho >= 0.0 && rho <= 1.0 -> G.Correlated rho
-  | Some _ ->
+  let bad () =
     raise
       (Err
          "\"dependence\" must be independent | frechet-lower | \
           frechet-upper | rho in [0,1]")
+  in
+  match P.member "dependence" obj with
+  | None -> G.Independent
+  | Some (P.Str s) -> (
+    match G.dependence_of_string s with Some d -> d | None -> bad ())
+  | Some (P.Num rho) when rho >= 0.0 && rho <= 1.0 -> G.Correlated rho
+  | Some _ -> bad ()
 
 let decode_stream_spec obj =
   let pair ka kb =

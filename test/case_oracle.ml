@@ -1,4 +1,12 @@
-(* The case-document pipeline as it was before the one-pass loader, kept
+(* Reference implementations the differential tests compare against.
+
+   The tree evaluator: confidence as a recursive [List] fold over a boxed
+   [Node.t] tree, with the what-if edits that rebuild the tree.  It is
+   the textbook reading of the propagation semantics, and
+   [Graph.propagate] (with [Graph.combine] under it) must reproduce its
+   bits on every tree and dependence model.
+
+   The case-document pipeline as it was before the one-pass loader, kept
    as the differential oracle for it:
 
    - [parse_raw]: the lexer that split the text into a line list, trimmed
@@ -17,6 +25,112 @@ module F = Casekit.Case_format
 module N = Casekit.Node
 module G = Casekit.Graph
 module D = Analysis.Diagnostic
+
+(* --- tree evaluator ---------------------------------------------------------- *)
+
+let check_conf c =
+  if not (c >= 0.0 && c <= 1.0) then
+    invalid_arg "Case_oracle: confidence out of [0,1]"
+
+let check_rho rho =
+  if not (rho >= 0.0 && rho <= 1.0) then
+    invalid_arg "Case_oracle: rho out of [0,1]"
+
+let and_independent = List.fold_left ( *. ) 1.0
+let and_comonotone confidences = List.fold_left min 1.0 confidences
+
+let and_frechet_lower confidences =
+  let n = float_of_int (List.length confidences) in
+  let s = List.fold_left ( +. ) 0.0 confidences in
+  max 0.0 (s -. (n -. 1.0))
+
+let or_independent confidences =
+  1.0 -. List.fold_left (fun acc c -> acc *. (1.0 -. c)) 1.0 confidences
+
+let or_comonotone confidences = List.fold_left max 0.0 confidences
+
+let or_frechet_upper confidences =
+  min 1.0 (List.fold_left ( +. ) 0.0 confidences)
+
+(* P(all hold) for the given marginal confidences. *)
+let and_combine dependence confidences =
+  List.iter check_conf confidences;
+  match dependence with
+  | G.Independent -> and_independent confidences
+  | G.Frechet_lower -> and_frechet_lower confidences
+  | G.Frechet_upper -> and_comonotone confidences
+  | G.Correlated rho ->
+    check_rho rho;
+    ((1.0 -. rho) *. and_independent confidences)
+    +. (rho *. and_comonotone confidences)
+
+(* P(at least one holds). *)
+let or_combine dependence confidences =
+  List.iter check_conf confidences;
+  match dependence with
+  | G.Independent -> or_independent confidences
+  | G.Frechet_lower -> or_comonotone confidences
+  | G.Frechet_upper -> or_frechet_upper confidences
+  | G.Correlated rho ->
+    check_rho rho;
+    ((1.0 -. rho) *. or_independent confidences)
+    +. (rho *. or_comonotone confidences)
+
+let assumption_factor assumptions =
+  List.fold_left (fun acc (a : N.assumption) -> acc *. a.p_valid) 1.0
+    assumptions
+
+let rec confidence dependence node =
+  match node with
+  | N.Evidence e -> e.confidence
+  | N.Goal g ->
+    let child_confidences = List.map (confidence dependence) g.supported_by in
+    let combined =
+      match g.combinator with
+      | N.All -> and_combine dependence child_confidences
+      | N.Any -> or_combine dependence child_confidences
+    in
+    combined *. assumption_factor g.assumptions
+
+(* The same case with evidence [id] at a new confidence.
+   @raise Not_found if no evidence has that id. *)
+let what_if node ~id ~confidence:new_confidence =
+  let found = ref false in
+  let rec go = function
+    | N.Evidence e when e.id = id ->
+      found := true;
+      N.evidence ~id:e.id ~statement:e.statement ~confidence:new_confidence
+    | N.Evidence _ as leaf -> leaf
+    | N.Goal g -> N.Goal { g with supported_by = List.map go g.supported_by }
+  in
+  let updated = go node in
+  if not !found then raise Not_found;
+  updated
+
+(* The same case with assumption [id] at a new validity.
+   @raise Not_found if no assumption has that id. *)
+let what_if_assumption node ~id ~p_valid:new_p =
+  let found = ref false in
+  let rec go = function
+    | N.Evidence _ as leaf -> leaf
+    | N.Goal g ->
+      let assumptions =
+        List.map
+          (fun (a : N.assumption) ->
+            if a.aid = id then begin
+              found := true;
+              { a with p_valid = new_p }
+            end
+            else a)
+          g.assumptions
+      in
+      N.Goal { g with assumptions; supported_by = List.map go g.supported_by }
+  in
+  let updated = go node in
+  if not !found then raise Not_found;
+  updated
+
+(* --- case-document pipeline ------------------------------------------------- *)
 
 let fail ?(col = 1) ?(token = "") line message =
   raise (F.Parse_error { line; col; token; message })

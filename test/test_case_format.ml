@@ -34,7 +34,7 @@ let test_parse_confidence_used () =
     (1.0 -. ((1.0 -. (0.99 *. 0.97)) *. (1.0 -. 0.9))) *. 0.97
   in
   check_close ~eps:1e-12 "propagated confidence" expected
-    (Casekit.Propagate.confidence Casekit.Propagate.Independent case)
+    (Case_oracle.confidence Casekit.Graph.Independent case)
 
 let test_roundtrip () =
   let case = F.parse sample_text in

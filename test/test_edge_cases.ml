@@ -142,7 +142,7 @@ let test_shipped_files_parse () =
   let case = Casekit.Case_format.parse (read_file "examples/shutdown.case") in
   Alcotest.(check string) "case root" "G0" (Casekit.Node.id case);
   check_in_range "case confidence plausible" ~lo:0.9 ~hi:1.0
-    (Casekit.Propagate.confidence Casekit.Propagate.Independent case);
+    (Case_oracle.confidence Casekit.Graph.Independent case);
   let belief = Elicit.Belief_format.parse (read_file "examples/sis.belief") in
   check_close "belief perfection atom" 0.05
     (Dist.Mixture.atom_weight belief 0.0);

@@ -2,7 +2,7 @@ open Helpers
 module N = Casekit.Node
 module G = Casekit.Graph
 module Gen = Casekit.Generate
-module P = Casekit.Propagate
+module O = Case_oracle
 
 let bits = Int64.bits_of_float
 let same_bits a b = Int64.equal (bits a) (bits b)
@@ -14,51 +14,74 @@ let models =
     ("correlated 0.37", G.Correlated 0.37);
     ("correlated 1.0", G.Correlated 1.0) ]
 
-(* A random case tree with unique ids ("n0", "n1", ...; assumptions
-   "a0", "a1", ...), driven by one deterministic Rng so every qcheck
-   counterexample is a reproducible (seed, depth) pair. *)
-let random_tree rng ~depth =
-  let next = ref 0 and anext = ref 0 in
-  let fresh p r =
-    let i = !r in
-    incr r;
-    Printf.sprintf "%s%d" p i
-  in
-  let rec build d =
-    if d = 0 || Numerics.Rng.bernoulli rng 0.3 then
-      N.evidence ~id:(fresh "n" next) ~statement:"leaf"
-        ~confidence:(Numerics.Rng.uniform rng 0.05 0.999)
-    else begin
-      let n = 1 + Numerics.Rng.int rng 4 in
-      let kids = ref [] in
-      for _ = 1 to n do
-        kids := build (d - 1) :: !kids
-      done;
-      let combinator = if Numerics.Rng.bernoulli rng 0.3 then N.Any else N.All in
-      let assumptions =
-        if Numerics.Rng.bernoulli rng 0.3 then
-          [ N.assumption ~id:(fresh "a" anext) ~statement:"assume"
-              ~p_valid:(Numerics.Rng.uniform rng 0.5 0.999) ]
-        else []
-      in
-      N.goal ~id:(fresh "n" next) ~statement:"goal" ~combinator ~assumptions
-        (List.rev !kids)
-    end
-  in
-  (* Force at least one goal so edits always have an ancestor to dirty. *)
-  let child = build depth in
-  N.goal ~id:(fresh "n" next) ~statement:"root" [ child ]
-
-let gen_seed_depth = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 4))
-
 let test_bitwise_identity_property =
-  qcheck ~count:150 "propagate (of_node t) == Propagate.confidence, bitwise"
+  qcheck ~count:150 "propagate (of_node t) == oracle confidence, bitwise"
     gen_seed_depth (fun (seed, depth) ->
       let t = random_tree (rng_of_seed seed) ~depth in
       let g = G.of_node t in
       List.for_all
-        (fun (_, dep) -> same_bits (G.propagate dep g) (P.confidence dep t))
+        (fun (_, dep) -> same_bits (G.propagate dep g) (O.confidence dep t))
         models)
+
+(* The one fold kernel against the oracle's list folds: at every goal,
+   with no child skipped and with each child position skipped in turn,
+   [combine] must equal the oracle fold over the children's values with
+   that child removed, bit for bit, for both combinators and every
+   model.  Skipping under Frechet_lower on an All goal is where the
+   n - 1 count goes wrong if the kernel counts the skipped child. *)
+let test_skip_kernel_property =
+  qcheck ~count:150 "combine ~skip == oracle fold without that child, bitwise"
+    gen_seed_depth (fun (seed, depth) ->
+      let g = G.of_node (random_tree (rng_of_seed seed) ~depth) in
+      List.for_all
+        (fun (_, dep) ->
+          ignore (G.propagate dep g);
+          let vals = G.values g in
+          let ok = ref true in
+          for i = 0 to G.size g - 1 do
+            let fold =
+              match G.kind_of g i with
+              | G.Evidence -> None
+              | G.All_goal -> Some O.and_combine
+              | G.Any_goal -> Some O.or_combine
+            in
+            match fold with
+            | None -> ()
+            | Some fold ->
+              let kids = Array.to_list (G.children g i) |> List.map (G.value g) in
+              if not (same_bits (G.combine dep g i vals) (fold dep kids)) then
+                ok := false;
+              List.iteri
+                (fun k _ ->
+                  let rest = List.filteri (fun j _ -> j <> k) kids in
+                  if
+                    not
+                      (same_bits (G.combine ~skip:k dep g i vals) (fold dep rest))
+                  then ok := false)
+                kids
+          done;
+          !ok)
+        models)
+
+let test_skip_kernel_frechet_lower () =
+  (* All of (0.9, 0.8, 0.7) under Frechet_lower: 0.4 with every child,
+     0.7 without the third (two children: 0.9 + 0.8 - 1).  Counting the
+     skipped child would give 0.9 + 0.8 - 2 < 0, clamped to 0. *)
+  let b = G.Builder.create () in
+  let kids =
+    Array.map (fun c -> G.Builder.evidence b ~confidence:c ()) [| 0.9; 0.8; 0.7 |]
+  in
+  let g = G.Builder.build b ~root:(G.Builder.goal b ~combinator:N.All kids) in
+  let dep = G.Frechet_lower in
+  ignore (G.propagate dep g);
+  let r = G.root g in
+  check_close ~eps:1e-12 "no skip" 0.4 (G.combine dep g r (G.values g));
+  check_close ~eps:1e-12 "third child skipped" 0.7
+    (G.combine ~skip:2 dep g r (G.values g));
+  check_raises_invalid "skip out of range" (fun () ->
+      ignore (G.combine ~skip:3 dep g r (G.values g)));
+  check_raises_invalid "not a goal" (fun () ->
+      ignore (G.combine dep g kids.(0) (G.values g)))
 
 let test_incremental_identity_property =
   qcheck ~count:100 "refresh after random edits == full propagate, bitwise"
@@ -74,11 +97,11 @@ let test_incremental_identity_property =
         let i = evs.(Numerics.Rng.int rng (Array.length evs)) in
         let c = Numerics.Rng.uniform rng 0.1 0.999 in
         G.set_evidence g i c;
-        t := P.what_if !t ~id:(G.id_of g i) ~confidence:c;
+        t := O.what_if !t ~id:(G.id_of g i) ~confidence:c;
         let inc = G.refresh dep g in
         (* The incremental value must match both a full re-propagation of
            the same graph and the boxed-tree reference, bit for bit. *)
-        if not (same_bits inc (P.confidence dep !t)) then ok := false;
+        if not (same_bits inc (O.confidence dep !t)) then ok := false;
         if not (same_bits inc (G.propagate dep g)) then ok := false
       done;
       !ok)
@@ -161,11 +184,11 @@ let test_assumption_edit_identity () =
   let g = G.of_node t in
   let dep = G.Correlated 0.5 in
   ignore (G.propagate dep g);
-  let t' = P.what_if_assumption t ~id:"a0" ~p_valid:0.6 in
+  let t' = O.what_if_assumption t ~id:"a0" ~p_valid:0.6 in
   G.set_assumption g ~id:"a0" ~p_valid:0.6;
   let inc = G.refresh dep g in
   check_true "assumption edit matches boxed tree"
-    (same_bits inc (P.confidence dep t'));
+    (same_bits inc (O.confidence dep t'));
   check_true "assumption edit matches full propagate"
     (same_bits inc (G.propagate dep g))
 
@@ -362,60 +385,69 @@ let test_id_namespace () =
            ~assumptions:[ N.assumption ~id:"X" ~statement:"x" ~p_valid:0.9 ]
            ~combinator:N.All [| e |]))
 
-(* The sensitivity rankings now run on the incremental engine; this pins
-   them to the old definition — a central difference of the boxed-tree
-   re-evaluation — within 1e-12. *)
-let old_central_difference f current =
+(* The sensitivity rankings run on the incremental engine; this pins
+   them to their definition — a central difference of the oracle's
+   re-evaluation of the edited tree — within 1e-12, and pins their order:
+   evidence in index order (the tree's leaves left to right), assumptions
+   in preorder with each goal's ahead of its children's. *)
+let tree_central_difference f current =
   let h = 1e-4 in
   let lo = max 1e-6 (current -. h) and hi = min 1.0 (current +. h) in
   (f hi -. f lo) /. (hi -. lo)
 
 let test_sensitivities_match_tree_path () =
   let t = random_tree (rng_of_seed 11) ~depth:3 in
+  let assumptions =
+    List.rev
+      (N.fold
+         (fun acc n ->
+           match n with
+           | N.Goal g -> List.rev_append g.assumptions acc
+           | N.Evidence _ -> acc)
+         [] t)
+  in
   List.iter
     (fun (mname, dep) ->
-      let sens = P.leaf_sensitivities dep t in
-      List.iter
-        (fun leaf ->
+      let g = G.of_node t in
+      let sens = G.leaf_sensitivities dep g in
+      let leaves = N.leaves t in
+      Alcotest.(check (list string))
+        (mname ^ " evidence in index order")
+        (List.map N.id leaves) (List.map fst sens);
+      List.iter2
+        (fun leaf (id, s) ->
           match leaf with
-          | N.Evidence { id; confidence; _ } ->
+          | N.Evidence { confidence; _ } ->
             let expected =
-              old_central_difference
-                (fun x -> P.confidence dep (P.what_if t ~id ~confidence:x))
+              tree_central_difference
+                (fun x -> O.confidence dep (O.what_if t ~id ~confidence:x))
                 confidence
             in
             check_close ~eps:1e-12
               (Printf.sprintf "%s leaf %s sensitivity" mname id)
-              expected (List.assoc id sens)
+              expected s
           | N.Goal _ -> ())
-        (N.leaves t);
-      let asens = P.assumption_sensitivities dep t in
-      List.iter
-        (fun (aid, s) ->
-          let a =
-            N.fold
-              (fun acc n ->
-                match n with
-                | N.Goal g -> (
-                  match List.find_opt (fun a -> a.N.aid = aid) g.assumptions with
-                  | Some a -> Some a
-                  | None -> acc)
-                | N.Evidence _ -> acc)
-              None t
+        leaves sens;
+      let asens = G.assumption_sensitivities dep g in
+      Alcotest.(check (list string))
+        (mname ^ " assumptions in preorder")
+        (List.map (fun (a : N.assumption) -> a.aid) assumptions)
+        (List.map fst asens);
+      List.iter2
+        (fun (a : N.assumption) (_, s) ->
+          let expected =
+            tree_central_difference
+              (fun x ->
+                O.confidence dep (O.what_if_assumption t ~id:a.aid ~p_valid:x))
+              a.p_valid
           in
-          match a with
-          | None -> Alcotest.failf "unknown assumption %s" aid
-          | Some a ->
-            let expected =
-              old_central_difference
-                (fun x ->
-                  P.confidence dep (P.what_if_assumption t ~id:aid ~p_valid:x))
-                a.N.p_valid
-            in
-            check_close ~eps:1e-12
-              (Printf.sprintf "%s assumption %s sensitivity" mname aid)
-              expected s)
-        asens)
+          check_close ~eps:1e-12
+            (Printf.sprintf "%s assumption %s sensitivity" mname a.aid)
+            expected s)
+        assumptions asens;
+      check_true (mname ^ " inputs left as they were")
+        (G.to_node g = t
+        && same_bits (G.value g (G.root g)) (O.confidence dep t)))
     models
 
 let suite =
@@ -432,6 +464,8 @@ let suite =
     case "one id namespace for nodes and assumptions" test_id_namespace;
     test_children_before_parents_property;
     case "sensitivities match the boxed-tree path" test_sensitivities_match_tree_path;
+    case "skip kernel counts the remaining children" test_skip_kernel_frechet_lower;
     test_bitwise_identity_property;
+    test_skip_kernel_property;
     test_incremental_identity_property;
     test_edit_order_convergence_property ]

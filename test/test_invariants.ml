@@ -121,9 +121,9 @@ let test_propagation_what_if_roundtrip =
           [ Casekit.Node.evidence ~id:"E" ~statement:"e" ~confidence:c;
             Casekit.Node.evidence ~id:"F" ~statement:"f" ~confidence:0.5 ]
       in
-      let same = Casekit.Propagate.what_if tree ~id:"E" ~confidence:c in
-      Casekit.Propagate.confidence Casekit.Propagate.Independent same
-      = Casekit.Propagate.confidence Casekit.Propagate.Independent tree)
+      let same = Case_oracle.what_if tree ~id:"E" ~confidence:c in
+      Case_oracle.confidence Casekit.Graph.Independent same
+      = Case_oracle.confidence Casekit.Graph.Independent tree)
 
 let suite =
   [ test_expect_linearity;

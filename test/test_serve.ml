@@ -349,6 +349,21 @@ let test_engine_errors () =
     "{\"op\":\"evaluate\",\"case\":\"g\",\"node\":\"nope\"}";
   expect_error "unreadable load path"
     "{\"op\":\"load\",\"case\":\"x\",\"path\":\"/does/not/exist.case\"}";
+  (* A bad dependence model, as a string or a number, gets this exact
+     error text. *)
+  List.iter
+    (fun dep ->
+      let r =
+        handle eng
+          (Printf.sprintf "{\"op\":\"evaluate\",\"case\":\"g\",\"dependence\":%s}"
+             dep)
+      in
+      Alcotest.(check string)
+        ("dependence " ^ dep ^ " rejected verbatim")
+        "\"dependence\" must be independent | frechet-lower | frechet-upper \
+         | rho in [0,1]"
+        (Option.value ~default:"" (P.get_string (field r "error"))))
+    [ "\"1.5\""; "\"Independent\""; "\"\""; "1.5"; "true" ];
   (* The id member is echoed even on errors. *)
   let r = handle eng "{\"op\":\"frobnicate\",\"id\":\"req-9\"}" in
   check_true "id echoed on error" (field r "id" = P.Str "req-9")
