@@ -20,10 +20,11 @@ lint-src:
 # The static analyser over the shipped fixtures: good ones must be clean
 # even under --strict, the deliberately-bad ones must exit 2, and the
 # --json report must parse in both cases (guards the hand-rolled
-# emitter).  Then `confcase case` on shutdown.case must print exactly the
-# checked-in goldens (plain, --sensitivities, --dependence 0.5), and a
-# bad --dependence must be a usage error (exit 124) with nothing on
-# stdout.
+# emitter).  A case read from a pipe (no extension, no length) must
+# check as clean as the file.  Then `confcase case` on shutdown.case must
+# print exactly the checked-in goldens (plain, --sensitivities,
+# --dependence 0.5), and a bad --dependence must be a usage error (exit
+# 124) with nothing on stdout.
 check-fixtures: build
 	dune exec bin/confcase.exe -- check \
 	  examples/shutdown.case examples/sis.belief --strict
@@ -33,6 +34,8 @@ check-fixtures: build
 	dune exec bin/confcase.exe -- check \
 	  examples/bad_shutdown.case examples/bad_sis.belief; \
 	  code=$$?; test "$$code" -eq 2
+	cat examples/shutdown.case | \
+	  dune exec bin/confcase.exe -- check /dev/stdin --strict
 	out=$$(dune exec bin/confcase.exe -- check \
 	  examples/bad_shutdown.case examples/bad_sis.belief --json); \
 	  code=$$?; test "$$code" -eq 2 && \

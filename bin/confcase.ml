@@ -27,8 +27,6 @@ let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
 
-let read_file path = In_channel.with_open_text path In_channel.input_all
-
 (* --dependence for case, propagate and audit.  A bad model is a usage
    error the command reports before it prints anything. *)
 let dependence_arg =
@@ -526,7 +524,7 @@ let case_cmd =
     match dep with
     | Error msg -> `Error (false, msg)
     | Ok dep -> (
-      match Casekit.Case_format.graph (read_file file) with
+      match Casekit.Case_format.graph (Analysis.Check.read_file file) with
       | exception Casekit.Case_format.Parse_error e ->
         `Error (false, Printf.sprintf "%s:%d: %s" file e.line e.message)
       | exception Invalid_argument msg -> `Error (false, msg)
@@ -590,7 +588,7 @@ let propagate_cmd =
       | None, Some generate -> (
         try Ok (generate ()) with Invalid_argument msg -> Error msg)
       | Some path, None -> (
-        match Casekit.Case_format.graph (read_file path) with
+        match Casekit.Case_format.graph (Analysis.Check.read_file path) with
         | exception Casekit.Case_format.Parse_error e ->
           Error (Printf.sprintf "%s:%d: %s" path e.line e.message)
         | g -> Ok g)
@@ -843,7 +841,7 @@ let audit_cmd =
         let reports =
           List.map
             (fun path ->
-              match read_file path with
+              match Analysis.Check.read_file path with
               | exception Sys_error msg ->
                 ( path,
                   [ D.make ~file:path ~code:"F000" ~severity:D.Error ~line:0

@@ -31,6 +31,16 @@ val codes : (string * Diagnostic.severity * string) list
     design. *)
 val check_raw : Casekit.Case_format.raw_node list -> Diagnostic.t list
 
+(** [statement_hash s] — a hash of C009's normalised statement,
+    [String.lowercase_ascii (String.trim s)], computed without the copy:
+    equal normalised statements hash equal. *)
+val statement_hash : string -> int
+
+(** [same_statement a b] — [normalise a = normalise b] for C009's
+    normalisation, compared in place (blanks skipped, ASCII case
+    folded byte by byte). *)
+val same_statement : string -> string -> bool
+
 (** [lex text] — [parse_raw text], or the [C000] diagnostic [check]
     reports when the document does not lex or is empty.  For callers that
     share one raw list between {!check_raw} and the strict loader. *)

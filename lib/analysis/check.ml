@@ -10,21 +10,30 @@ let kind_of_path path =
   | ".belief" -> Some Belief
   | _ -> None
 
+module F = Casekit.Case_format
+
+(* [first_meaningful text 0] — the trimmed span [(start, stop)] of the
+   first line the case lexer reads as a node, found by offsets without
+   splitting or copying the document. *)
+let rec first_meaningful text start =
+  let len = String.length text in
+  if start > len then None
+  else
+    let stop = F.line_end text len start in
+    if F.is_node_line text start stop then
+      let k = F.skip_blanks text stop start in
+      Some (k, F.trim_end text k stop)
+    else first_meaningful text (stop + 1)
+
 (* A case document's first meaningful line starts with a node kind; anything
    else is taken for a belief (whose checker will complain precisely). *)
 let sniff text =
-  let first_meaningful =
-    String.split_on_char '\n' text
-    |> List.find_map (fun raw ->
-           let t = String.trim raw in
-           if t = "" || t.[0] = '#' then None else Some t)
-  in
-  match first_meaningful with
-  | Some t
+  match first_meaningful text 0 with
+  | Some (start, stop)
     when List.exists
            (fun prefix ->
-             String.length t >= String.length prefix
-             && String.sub t 0 (String.length prefix) = prefix)
+             let n = String.length prefix in
+             stop - start >= n && String.sub text start n = prefix)
            [ "goal "; "evidence "; "assume " ] ->
     Case
   | _ -> Belief
@@ -37,12 +46,9 @@ let check_string ?file kind text =
   in
   match file with Some f -> D.with_file f diags | None -> diags
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
+(* [input_all], not [in_channel_length]: a pipe or /dev/stdin has no
+   length to seek to. *)
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let check_file path =
   match read_file path with

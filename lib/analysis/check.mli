@@ -17,6 +17,11 @@ val sniff : string -> kind
     attached to every diagnostic. *)
 val check_string : ?file:string -> kind -> string -> Diagnostic.t list
 
+(** [read_file path] — the whole file.  Reads pipes and [/dev/stdin]
+    too: it never asks for the length.
+    @raise Sys_error when the file cannot be read. *)
+val read_file : string -> string
+
 (** [check_file path] — read, classify (extension, then {!sniff}) and
     check.  An unreadable file yields a single [F000] error diagnostic
     rather than raising, so one bad path does not abort a multi-file

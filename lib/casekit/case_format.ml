@@ -35,100 +35,125 @@ type raw_node = {
    and they are trimmed off the trailing value token. *)
 let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
+(* The lexer's scans are top-level functions of the text and offsets, so
+   lexing a line allocates no closures.  Each returns the first offset in
+   [j, stop) where its condition fails, or [stop]. *)
+let rec skip_spaces s stop j =
+  if j < stop && s.[j] = ' ' then skip_spaces s stop (j + 1) else j
+
+let rec word_end s stop j =
+  if j < stop && s.[j] <> ' ' then word_end s stop (j + 1) else j
+
+let rec skip_blanks s stop j =
+  if j < stop && is_blank s.[j] then skip_blanks s stop (j + 1) else j
+
+let rec quote_at s stop j =
+  if j < stop && s.[j] <> '"' then quote_at s stop (j + 1) else j
+
+let rec line_end s len j =
+  if j < len && s.[j] <> '\n' then line_end s len (j + 1) else j
+
+(* [trim_end s start j] — [j] moved left past the blanks that end
+   [s.[start..j)]. *)
+let rec trim_end s start j =
+  if j > start && is_blank s.[j - 1] then trim_end s start (j - 1) else j
+
 (* [span_is s i j lit] — [s.[i..j)] spells [lit], without a copy. *)
-let span_is s i j lit =
-  let n = String.length lit in
-  j - i = n
-  &&
-  let rec go k = k = n || (s.[i + k] = lit.[k] && go (k + 1)) in
-  go 0
+let rec spells s i lit k n = k = n || (s.[i + k] = lit.[k] && spells s i lit (k + 1) n)
+let span_is s i j lit = j - i = String.length lit && spells s i lit 0 (j - i)
+
+(* A line is skipped when it is blank or its first non-blank character is
+   [#]. *)
+let is_node_line s start stop =
+  let k = skip_blanks s stop start in
+  k < stop && s.[k] <> '#'
+
+(* The value token [s.[r0..r1)] of an evidence or assumption line. *)
+let value s number r0 r1 value_col what =
+  let token = String.sub s r0 (r1 - r0) in
+  match float_of_string_opt token with
+  | Some v -> v
+  | None ->
+    fail ~col:value_col ~token number
+      (if r0 = r1 then what else Printf.sprintf "%s, got %S" what token)
 
 (* The line [s.[start..stop)] (no newline inside), numbered [number].
    Columns are 1-based from [start].  Words are separated by spaces only,
    so a tab is part of the token it touches. *)
 let parse_line s number start stop =
-  let col j = j - start + 1 in
-  let rec skip_spaces j = if j < stop && s.[j] = ' ' then skip_spaces (j + 1) else j in
-  let rec word_end j = if j < stop && s.[j] <> ' ' then word_end (j + 1) else j in
-  let i0 = skip_spaces start in
+  let i0 = skip_spaces s stop start in
   let spaces = i0 - start in
   if spaces mod 2 <> 0 then
     fail ~col:(spaces + 1) number "odd indentation (use 2 spaces)";
-  let i1 = word_end i0 in
-  if i0 = i1 then fail ~col:(col i0) number "empty line slipped through";
-  let i2 = skip_spaces i1 in
-  let i3 = word_end i2 in
-  if i2 = i3 then fail ~col:(col i2) number "missing node id";
-  let id = String.sub s i2 (i3 - i2) in
-  let id_col = col i2 in
-  let i4 = skip_spaces i3 in
+  let i1 = word_end s stop i0 in
+  if i0 = i1 then fail ~col:(i0 - start + 1) number "empty line slipped through";
+  let i2 = skip_spaces s stop i1 in
+  let i3 = word_end s stop i2 in
+  if i2 = i3 then fail ~col:(i2 - start + 1) number "missing node id";
+  let id_col = i2 - start + 1 in
+  let i4 = skip_spaces s stop i3 in
   if i4 >= stop || s.[i4] <> '"' then
-    fail ~col:(col i4)
-      ~token:(String.sub s i4 (word_end i4 - i4))
+    fail ~col:(i4 - start + 1)
+      ~token:(String.sub s i4 (word_end s stop i4 - i4))
       number "expected a quoted statement";
-  let rec find_close j =
-    if j >= stop then
-      fail ~col:(col i4) ~token:(String.sub s i4 (stop - i4)) number
-        "unterminated statement quote"
-    else if s.[j] = '"' then j
-    else find_close (j + 1)
-  in
-  let close = find_close (i4 + 1) in
-  let statement = String.sub s (i4 + 1) (close - i4 - 1) in
+  let close = quote_at s stop (i4 + 1) in
+  if close = stop then
+    fail ~col:(i4 - start + 1) ~token:(String.sub s i4 (stop - i4)) number
+      "unterminated statement quote";
   (* The trailing token: trimmed like [String.trim], but its column is
      where the spaces after the closing quote end. *)
-  let rest_col = col (skip_spaces (close + 1)) in
-  let rec first j = if j < stop && is_blank s.[j] then first (j + 1) else j in
-  let r0 = first (close + 1) in
-  let rec last j = if j > r0 && is_blank s.[j - 1] then last (j - 1) else j in
-  let r1 = last stop in
-  let rest () = String.sub s r0 (r1 - r0) in
+  let rest_col = skip_spaces s stop (close + 1) - start + 1 in
+  let r0 = skip_blanks s stop (close + 1) in
+  let r1 = trim_end s r0 stop in
   let value_col = if r0 = r1 then id_col else rest_col in
-  let value what =
-    match float_of_string_opt (rest ()) with
-    | Some v -> v
-    | None ->
-      fail ~col:value_col ~token:(rest ()) number
-        (if r0 = r1 then what
-         else Printf.sprintf "%s, got %S" what (rest ()))
-  in
   let item =
     if span_is s i0 i1 "goal" then
       if r0 = r1 || span_is s r0 r1 "all" then Raw_goal { combinator = Node.All }
       else if span_is s r0 r1 "any" then Raw_goal { combinator = Node.Any }
       else
-        fail ~col:rest_col ~token:(rest ()) number
-          (Printf.sprintf "unknown combinator %S" (rest ()))
+        let token = String.sub s r0 (r1 - r0) in
+        fail ~col:rest_col ~token number
+          (Printf.sprintf "unknown combinator %S" token)
     else if span_is s i0 i1 "evidence" then
-      Raw_evidence { confidence = value "evidence needs a confidence value" }
+      Raw_evidence
+        { confidence =
+            value s number r0 r1 value_col "evidence needs a confidence value" }
     else if span_is s i0 i1 "assume" then
-      Raw_assume { p_valid = value "assume needs a validity probability" }
+      Raw_assume
+        { p_valid =
+            value s number r0 r1 value_col "assume needs a validity probability" }
     else
       let kind = String.sub s i0 (i1 - i0) in
-      fail ~col:(col i0) ~token:kind number
+      fail ~col:(i0 - start + 1) ~token:kind number
         (Printf.sprintf "unknown node kind %S" kind)
   in
-  { line = number; indent = spaces / 2; id; id_col; statement; value_col; item }
+  { line = number;
+    indent = spaces / 2;
+    id = String.sub s i2 (i3 - i2);
+    id_col;
+    statement = String.sub s (i4 + 1) (close - i4 - 1);
+    value_col;
+    item }
 
-(* One scan over the text by offsets: no line list, no trimmed copies.  A
-   line is skipped when it is blank or its first non-blank character is
-   [#]. *)
-let parse_raw text =
-  let len = String.length text in
-  let[@tail_mod_cons] rec lines start number =
-    if start > len then []
-    else
-      let stop =
-        match String.index_from_opt text start '\n' with
-        | Some j -> j
-        | None -> len
-      in
-      let rec first j = if j < stop && is_blank text.[j] then first (j + 1) else j in
-      let k = first start in
-      if k = stop || text.[k] = '#' then lines (stop + 1) (number + 1)
-      else parse_line text number start stop :: lines (stop + 1) (number + 1)
-  in
-  lines 0 1
+(* One scan over the text by offsets: no line list, no trimmed copies. *)
+let[@tail_mod_cons] rec raw_lines s len start number =
+  if start > len then []
+  else
+    let stop = line_end s len start in
+    if is_node_line s start stop then
+      parse_line s number start stop :: raw_lines s len (stop + 1) (number + 1)
+    else raw_lines s len (stop + 1) (number + 1)
+
+let parse_raw text = raw_lines text (String.length text) 0 1
+
+(* [iter_lines f text (String.length text) 0 1] is
+   [List.iter f (parse_raw text)] without the list. *)
+let rec iter_lines f s len start number =
+  if start <= len then begin
+    let stop = line_end s len start in
+    if is_node_line s start stop then f (parse_line s number start stop);
+    iter_lines f s len (stop + 1) (number + 1)
+  end
 
 (* --- the strict loader ------------------------------------------------------
 
@@ -136,7 +161,9 @@ let parse_raw text =
    emitted into the builder when the first line that is not deeper than it
    arrives (or at the end), after all its children: postorder, so children
    precede parents and the node indices, CSR arrays and every derived
-   column are those [Graph.of_node] gives the same tree.
+   column are those [Graph.of_node] gives the same tree.  The pass is a
+   [step] per line over a [loader], so it runs the same over a raw list
+   ([load]) and straight off the lexer ([graph]).
 
    Errors come in a fixed order: the first line, then duplicate ids
    anywhere in the document, then the first structural or range fault in
@@ -144,7 +171,9 @@ let parse_raw text =
    are found by the builder's own id table as ids are interned; since a
    structural fault may stop the pass before a duplicate further down is
    interned, any failure re-scans the lines for the first duplicate,
-   which then takes precedence. *)
+   which then takes precedence.  A streamed [graph] that fails reruns
+   [load] over [parse_raw] for its error, so lexical faults still come
+   first. *)
 
 type positions = { lines : int array; cols : int array }
 
@@ -172,107 +201,127 @@ type frame = {
   mutable assumptions : Node.assumption list; (* reversed *)
 }
 
-let build raw root rest =
-  let count = List.length raw in
-  let b = Graph.Builder.create ~capacity:count ~ids:count () in
-  let lines = Array.make count 0 and cols = Array.make count 0 in
-  let placed (rn : raw_node) i =
-    lines.(i) <- rn.line;
-    cols.(i) <- rn.id_col;
-    i
-  in
-  let evidence (rn : raw_node) confidence =
-    if not (in_unit confidence) then
-      fail ~col:rn.value_col rn.line "Node.evidence: confidence must be in (0,1]";
-    placed rn
-      (Graph.Builder.evidence b ~id:rn.id ~statement:rn.statement ~confidence ())
-  in
-  let root_index =
-    match root.item with
+type loader = {
+  b : Graph.Builder.b;
+  positions : bool; (* whether to record [lines] and [cols] *)
+  mutable lines : int array; (* source position of each emitted node *)
+  mutable cols : int array;
+  mutable kids : int array; (* children of the open goals, innermost last *)
+  mutable top : int;
+  mutable frames : frame list; (* open goals, innermost first *)
+  mutable leaf_root : (raw_node * float) option; (* an evidence root *)
+}
+
+let loader ~positions ?ids capacity =
+  let capacity = max capacity 16 in
+  let column () = Array.make (if positions then capacity else 0) 0 in
+  { b = Graph.Builder.create ~capacity ?ids ();
+    positions;
+    lines = column ();
+    cols = column ();
+    kids = Array.make 64 0;
+    top = 0;
+    frames = [];
+    leaf_root = None }
+
+let grown a n = if n < Array.length a then a else Array.append a (Array.make n 0)
+
+let placed ld (rn : raw_node) i =
+  if ld.positions then begin
+    ld.lines <- grown ld.lines i;
+    ld.cols <- grown ld.cols i;
+    ld.lines.(i) <- rn.line;
+    ld.cols.(i) <- rn.id_col
+  end;
+  i
+
+let push ld i =
+  ld.kids <- grown ld.kids ld.top;
+  ld.kids.(ld.top) <- i;
+  ld.top <- ld.top + 1
+
+let evidence ld (rn : raw_node) confidence =
+  if not (in_unit confidence) then
+    fail ~col:rn.value_col rn.line "Node.evidence: confidence must be in (0,1]";
+  placed ld rn
+    (Graph.Builder.evidence ld.b ~id:rn.id ~statement:rn.statement ~confidence ())
+
+let close ld f =
+  let n = ld.top - f.base in
+  if n = 0 then fail ~col:f.goal.id_col f.goal.line "Node.goal: a goal needs support";
+  ld.top <- f.base;
+  placed ld f.goal
+    (Graph.Builder.goal ld.b ~id:f.goal.id ~statement:f.goal.statement
+       ~assumptions:(List.rev f.assumptions) ~combinator:f.combinator
+       (Array.sub ld.kids f.base n))
+
+(* Close the open goals no shallower than [rn]. *)
+let rec pop ld rn =
+  match ld.frames with
+  | f :: outer when f.goal.indent >= rn.indent ->
+    if outer = [] then fail ~col:rn.id_col rn.line "multiple root nodes";
+    ld.frames <- outer;
+    push ld (close ld f);
+    pop ld rn
+  | _ -> ()
+
+let open_goal ld rn combinator =
+  ld.frames <- { goal = rn; combinator; base = ld.top; assumptions = [] } :: ld.frames
+
+let step ld rn =
+  match (ld.frames, ld.leaf_root) with
+  | [], None -> (
+    if rn.indent <> 0 then fail ~col:1 rn.line "root must not be indented";
+    match rn.item with
     | Raw_assume _ ->
-      fail ~col:root.id_col ~token:root.id root.line
-        "an assumption cannot be the root"
-    | Raw_evidence { confidence } ->
-      (match rest with
-      | next :: _ -> fail ~col:next.id_col next.line "content after evidence root"
-      | [] -> ());
-      evidence root confidence
-    | Raw_goal { combinator } ->
-      (* Children of the open goals, innermost last. *)
-      let kids = ref (Array.make 64 0) and top = ref 0 in
-      let push i =
-        if !top = Array.length !kids then begin
-          let bigger = Array.make (2 * !top) 0 in
-          Array.blit !kids 0 bigger 0 !top;
-          kids := bigger
-        end;
-        !kids.(!top) <- i;
-        incr top
-      in
-      let close f =
-        let n = !top - f.base in
-        if n = 0 then
-          fail ~col:f.goal.id_col f.goal.line "Node.goal: a goal needs support";
-        top := f.base;
-        placed f.goal
-          (Graph.Builder.goal b ~id:f.goal.id ~statement:f.goal.statement
-             ~assumptions:(List.rev f.assumptions) ~combinator:f.combinator
-             (Array.sub !kids f.base n))
-      in
-      let stack =
-        ref [ { goal = root; combinator; base = 0; assumptions = [] } ]
-      in
-      List.iter
-        (fun rn ->
-          let rec pop () =
-            match !stack with
-            | f :: outer when f.goal.indent >= rn.indent ->
-              if outer = [] then fail ~col:rn.id_col rn.line "multiple root nodes";
-              stack := outer;
-              push (close f);
-              pop ()
-            | _ -> ()
-          in
-          pop ();
-          let parent = List.hd !stack in
-          if rn.indent > parent.goal.indent + 1 then
-            fail ~col:(2 * rn.indent) rn.line
-              "indentation jumps more than one level";
-          match rn.item with
-          | Raw_assume { p_valid } ->
-            if not (in_unit p_valid) then
-              fail ~col:rn.value_col rn.line
-                "Node.assumption: p_valid must be in (0,1]";
-            parent.assumptions <-
-              { Node.aid = rn.id; a_statement = rn.statement; p_valid }
-              :: parent.assumptions
-          | Raw_evidence { confidence } -> push (evidence rn confidence)
-          | Raw_goal { combinator } ->
-            stack := { goal = rn; combinator; base = !top; assumptions = [] } :: !stack)
-        rest;
-      let rec drain () =
-        match !stack with
-        | [ f ] -> close f
-        | f :: outer ->
-          stack := outer;
-          push (close f);
-          drain ()
-        | [] -> assert false
-      in
-      drain ()
+      fail ~col:rn.id_col ~token:rn.id rn.line "an assumption cannot be the root"
+    | Raw_evidence { confidence } -> ld.leaf_root <- Some (rn, confidence)
+    | Raw_goal { combinator } -> open_goal ld rn combinator)
+  | _, Some _ -> fail ~col:rn.id_col rn.line "content after evidence root"
+  | _ :: _, None -> (
+    pop ld rn;
+    let parent = List.hd ld.frames in
+    if rn.indent > parent.goal.indent + 1 then
+      fail ~col:(2 * rn.indent) rn.line "indentation jumps more than one level";
+    match rn.item with
+    | Raw_assume { p_valid } ->
+      if not (in_unit p_valid) then
+        fail ~col:rn.value_col rn.line "Node.assumption: p_valid must be in (0,1]";
+      parent.assumptions <-
+        { Node.aid = rn.id; a_statement = rn.statement; p_valid } :: parent.assumptions
+    | Raw_evidence { confidence } -> push ld (evidence ld rn confidence)
+    | Raw_goal { combinator } -> open_goal ld rn combinator)
+
+let rec drain ld =
+  match ld.frames with
+  | [ f ] -> close ld f
+  | f :: outer ->
+    ld.frames <- outer;
+    push ld (close ld f);
+    drain ld
+  | [] -> assert false
+
+let finish ld =
+  let root =
+    match (ld.leaf_root, ld.frames) with
+    | Some (rn, confidence), _ -> evidence ld rn confidence
+    | None, [] -> fail 0 "empty case"
+    | None, _ :: _ -> drain ld
   in
-  let g = Graph.Builder.build b ~root:root_index in
-  let n = Graph.size g in
-  (g, { lines = Array.sub lines 0 n; cols = Array.sub cols 0 n })
+  Graph.Builder.build ld.b ~root
 
 let load raw =
-  match raw with
-  | [] -> fail 0 "empty case"
-  | root :: _ when root.indent <> 0 ->
-    fail ~col:1 root.line "root must not be indented"
-  | root :: rest -> (
-    try build raw root rest
-    with (Parse_error _ | Invalid_argument _) as e -> (
+  let n = List.length raw in
+  let ld = loader ~positions:true ~ids:n n in
+  try
+    List.iter (step ld) raw;
+    let g = finish ld in
+    let size = Graph.size g in
+    (g, { lines = Array.sub ld.lines 0 size; cols = Array.sub ld.cols 0 size })
+  with (Parse_error _ | Invalid_argument _) as e -> (
+    match raw with
+    | root :: _ when root.indent <> 0 -> raise e (* reported before duplicates *)
+    | _ -> (
       match first_duplicate raw with
       | Some (rn, first) ->
         fail ~col:rn.id_col ~token:rn.id rn.line
@@ -280,8 +329,21 @@ let load raw =
              first)
       | None -> raise e))
 
+(* Without the raw list the line count is unknown: size the builder's
+   columns for lines of about 64 bytes, and let its id table, which the
+   graph keeps, grow from the default to fit.  No positions are recorded:
+   only [load]'s callers read them. *)
+let graph text =
+  let len = String.length text in
+  let ld = loader ~positions:false (len / 64) in
+  match
+    iter_lines (step ld) text len 0 1;
+    finish ld
+  with
+  | g -> g
+  | exception (Parse_error _ | Invalid_argument _) -> fst (load (parse_raw text))
+
 let graph_of_raw raw = fst (load raw)
-let graph text = graph_of_raw (parse_raw text)
 let parse text = Graph.to_node (graph text)
 
 (* --- printing --------------------------------------------------------------- *)

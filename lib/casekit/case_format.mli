@@ -50,6 +50,27 @@ type raw_node = {
   item : raw_item;
 }
 
+(** [is_blank c] — [c] is one of the characters [String.trim] strips:
+    space, tab, newline, carriage return, form feed.  A line of only
+    these is blank. *)
+val is_blank : char -> bool
+
+(** The lexer's offset scans, shared with the lint and the file sniffer
+    so that they skip and trim exactly as the lexer does, without
+    copying.  [skip_blanks s stop j] — the first offset in [j, stop)
+    that is not blank, or [stop].  [trim_end s start j] — [j] moved left
+    past the blanks that end [s.[start..j)].  [line_end s len j] — the
+    offset of the first newline at or after [j], or [len]. *)
+val skip_blanks : string -> int -> int -> int
+
+val trim_end : string -> int -> int -> int
+val line_end : string -> int -> int -> int
+
+(** [is_node_line s start stop] — the line [s.[start..stop)] is read as
+    a node: it is not blank and its first non-blank character is not
+    [#]. *)
+val is_node_line : string -> int -> int -> bool
+
 (** [parse_raw text] — the document as a flat list of raw nodes in source
     order.  Accepts structurally broken documents (duplicate ids, dangling
     assumptions, out-of-range values, bad indentation).  A single scan of
@@ -73,7 +94,9 @@ val parse_raw : string -> raw_node list
     A caller that needs both the lint and the graph lexes once and shares
     the raw list: [Analysis.Audit.case] and [Analysis.Check.case] hand
     one {!parse_raw} result to the rules, to {!load} and (for the audit)
-    to its source locations. *)
+    to its source locations.  A caller that needs only the graph uses
+    {!graph}, which feeds each lexed line straight to the loader and
+    never builds the raw list. *)
 
 (** Source position of every graph node: [lines.(i)] and [cols.(i)] are
     the line and column of the id token of node [i]. *)
@@ -89,7 +112,11 @@ val load : raw_node list -> Graph.t * positions
 (** [graph_of_raw raw] — [fst (load raw)]. *)
 val graph_of_raw : raw_node list -> Graph.t
 
-(** [graph text] — [graph_of_raw (parse_raw text)].
+(** [graph text] — [graph_of_raw (parse_raw text)], streamed: each line
+    goes to the loader as it is lexed, so no raw list is built, and no
+    positions are recorded.  On any fault it reruns
+    [load (parse_raw text)] for the error, so errors and their order
+    (lexical first, then duplicate id, then structural) are {!load}'s.
     @raise Parse_error with position information on malformed input. *)
 val graph : string -> Graph.t
 

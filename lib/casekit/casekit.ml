@@ -9,4 +9,5 @@ module Generate = Generate
 module Multileg = Multileg
 module Bbn = Bbn
 module Case_format = Case_format
+module Intern = Intern
 module Two_leg = Two_leg

@@ -68,6 +68,45 @@ module Iheap = struct
     top
 end
 
+(* Interned ids: [Intern] keeps positions in [keys]/[vals], so interning
+   an id allocates no bucket and costs one hash and one probe sequence (a
+   [Hashtbl] adds a bucket per id, and the 10^5 ids of a large case then
+   cost more than hashing them). *)
+module Ids = struct
+  type t = {
+    table : Intern.t;
+    mutable keys : string array;
+    mutable vals : int array;
+    mutable count : int;
+  }
+
+  let create n =
+    { table = Intern.create n;
+      keys = Array.make (max n 1) "";
+      vals = Array.make (max n 1) 0;
+      count = 0 }
+
+  let find_opt t id =
+    let j = Intern.find t.table (Hashtbl.hash id) (fun j -> String.equal t.keys.(j) id) in
+    if j < 0 then None else Some t.vals.(j)
+
+  (* [add t id v] — [false], and no change, when [id] is already in. *)
+  let add t id v =
+    let n = Array.length t.keys in
+    if t.count = n then begin
+      t.keys <- Array.append t.keys (Array.make n "");
+      t.vals <- Array.append t.vals (Array.make n 0)
+    end;
+    let k = t.count in
+    Intern.intern t.table (Hashtbl.hash id) (fun j -> String.equal t.keys.(j) id) k = k
+    && begin
+      t.keys.(k) <- id;
+      t.vals.(k) <- v;
+      t.count <- k + 1;
+      true
+    end
+end
+
 type t = {
   n : int;
   root : int;
@@ -84,7 +123,7 @@ type t = {
   statements : string array;
   (* One namespace for node and assumption ids: a node id maps to its
      index (>= 0), an assumption id to [lnot] of its owning goal (< 0). *)
-  index : (string, int) Hashtbl.t;
+  index : Ids.t;
   assumption_lists : Node.assumption list array;
   base : Columns.t; (* evidence confidence (0 for goals) *)
   avalid : Columns.t; (* product of assumption validities *)
@@ -236,7 +275,7 @@ module Builder = struct
     mutable bchild_off : int array; (* capacity + 1 entries *)
     mutable bchild : int array;
     mutable bchild_len : int;
-    bindex : (string, int) Hashtbl.t;
+    bindex : Ids.t;
   }
 
   (* [ids] sizes the id table apart from [capacity]: a generated graph of
@@ -254,7 +293,7 @@ module Builder = struct
       bchild_off = Array.make (cap + 1) 0;
       bchild = Array.make (max cap 16) 0;
       bchild_len = 0;
-      bindex = Hashtbl.create (max ids 1);
+      bindex = Ids.create ids;
     }
 
   let grow_nodes b =
@@ -279,11 +318,8 @@ module Builder = struct
 
   (* [slot] is the node index, or [lnot owner] for an assumption id. *)
   let intern b id slot =
-    if id <> "" then begin
-      if Hashtbl.mem b.bindex id then
-        invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" id);
-      Hashtbl.add b.bindex id slot
-    end
+    if id <> "" && not (Ids.add b.bindex id slot) then
+      invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" id)
 
   let evidence b ?(id = "") ?(statement = "") ~confidence () =
     if not (confidence > 0.0 && confidence <= 1.0) then
@@ -687,7 +723,7 @@ let set_evidence t i confidence =
 let set_assumption t ~id ~p_valid =
   if not (p_valid > 0.0 && p_valid <= 1.0) then
     invalid_arg "Graph.set_assumption: p_valid must be in (0,1]";
-  match Hashtbl.find_opt t.index id with
+  match Ids.find_opt t.index id with
   | None -> raise Not_found
   | Some slot when slot >= 0 -> raise Not_found
   | Some slot ->
@@ -972,7 +1008,7 @@ let kind_of t i =
 
 let id_of t i = t.ids.(i)
 let find t id =
-  match Hashtbl.find_opt t.index id with
+  match Ids.find_opt t.index id with
   | Some i when i >= 0 -> Some i
   | _ -> None
 let value t i = Columns.get t.value i

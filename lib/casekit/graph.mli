@@ -74,7 +74,8 @@ module Builder : sig
       and assumption ids.  The two are separate hints on purpose: a
       loader of 10^5 named nodes passes its line count so the table never
       rehashes, while a generated graph of anonymous nodes interns
-      nothing and keeps the small default. *)
+      nothing and keeps the small default.  The table grows to fit
+      either way, and the graph keeps it. *)
   val create : ?capacity:int -> ?ids:int -> unit -> b
 
   (** [evidence b ?id ?statement ~confidence ()] — new leaf, confidence

@@ -14,7 +14,9 @@
    - [parse]: the recursive-descent strict parser that built a [Node.t]
      tree from the raw lines (duplicate ids checked first, then
      [Node.validate]);
-   - [shared_evidence]: the list-based C009 rule over the lenient forest,
+   - [check_raw]: the lint over a forest of boxed nodes built from the
+     raw lines, with the shape rules as recursive folds over it, and
+     [shared_evidence], the list-based C009 rule over that forest,
      re-normalising and re-hashing every statement once per enclosing
      [any] goal;
    - [case_rules_check], [audit_case], [check_case]: the compositions
@@ -309,19 +311,28 @@ let parse text =
       fail ~col:root.id_col ~token:root.id root.line
         "an assumption cannot be the root")
 
-(* --- C009 over the lenient forest -------------------------------------------- *)
+(* --- the lint over the lenient forest ------------------------------------------
+
+   [Case_rules] as it was before its rules became sweeps over one array:
+   a forest of boxed nodes, each line under the nearest enclosing
+   shallower non-assumption line, with the shape rules as recursive
+   folds over it. *)
 
 type tree = { rn : F.raw_node; mutable kids : tree list (* reversed *) }
 
 let is_assume (rn : F.raw_node) =
   match rn.item with F.Raw_assume _ -> true | _ -> false
 
-(* The forest [Case_rules] attaches lines to: each line under the nearest
-   enclosing shallower non-assumption line. *)
-let forest (nodes : F.raw_node list) =
+(* The forest, and the structural diagnostics (C006, C010, C011, C012)
+   found while building it. *)
+let build_forest (nodes : F.raw_node list) =
+  let diags = ref [] in
+  let emit ~code ~severity ~line ?col msg =
+    diags := D.make ~code ~severity ~line ?col msg :: !diags
+  in
   let roots = ref [] and stack = ref [] in
-  List.iter
-    (fun (rn : F.raw_node) ->
+  List.iteri
+    (fun i (rn : F.raw_node) ->
       let rec pop () =
         match !stack with
         | top :: rest when top.rn.indent >= rn.indent ->
@@ -331,14 +342,133 @@ let forest (nodes : F.raw_node list) =
       in
       pop ();
       let t = { rn; kids = [] } in
-      if not (is_assume rn) then begin
-        (match !stack with
-        | [] -> roots := t :: !roots
-        | parent :: _ -> parent.kids <- t :: parent.kids);
-        stack := t :: !stack
-      end)
+      (match !stack with
+      | [] ->
+        if !roots <> [] then
+          emit ~code:"C011" ~severity:D.Error ~line:rn.line ~col:rn.id_col
+            (Printf.sprintf
+               "node %s is a second root: a case document holds one argument"
+               rn.id)
+        else if i = 0 && rn.indent > 0 then
+          emit ~code:"C010" ~severity:D.Error ~line:rn.line
+            "root must not be indented";
+        if is_assume rn then
+          emit ~code:"C006" ~severity:D.Error ~line:rn.line ~col:rn.id_col
+            (Printf.sprintf
+               "assumption %s is attached to no goal (it is at top level)" rn.id);
+        roots := t :: !roots
+      | parent :: _ ->
+        if rn.indent > parent.rn.indent + 1 then
+          emit ~code:"C010" ~severity:D.Error ~line:rn.line
+            (Printf.sprintf "indentation jumps more than one level (%d to %d)"
+               parent.rn.indent rn.indent);
+        (match parent.rn.item with
+        | F.Raw_evidence _ ->
+          if is_assume rn then
+            emit ~code:"C006" ~severity:D.Error ~line:rn.line ~col:rn.id_col
+              (Printf.sprintf
+                 "assumption %s is attached to evidence %s, not a goal" rn.id
+                 parent.rn.id)
+          else
+            emit ~code:"C012" ~severity:D.Error ~line:rn.line ~col:rn.id_col
+              (Printf.sprintf "evidence %s cannot support child %s"
+                 parent.rn.id rn.id)
+        | _ -> ());
+        if not (is_assume rn) then parent.kids <- t :: parent.kids);
+      if not (is_assume rn) then stack := t :: !stack)
     nodes;
-  List.rev !roots
+  (List.rev !roots, List.rev !diags)
+
+let forest nodes = fst (build_forest nodes)
+
+let check_duplicates (nodes : F.raw_node list) =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun (rn : F.raw_node) ->
+      match Hashtbl.find_opt seen rn.id with
+      | Some first ->
+        Some
+          (D.make ~code:"C001" ~severity:D.Error ~line:rn.line ~col:rn.id_col
+             (Printf.sprintf "duplicate node id %s (first declared at line %d)"
+                rn.id first))
+      | None ->
+        Hashtbl.add seen rn.id rn.line;
+        None)
+    nodes
+
+let check_values (nodes : F.raw_node list) =
+  List.concat_map
+    (fun (rn : F.raw_node) ->
+      let value =
+        match rn.item with
+        | F.Raw_evidence { confidence } -> Some ("confidence", confidence)
+        | F.Raw_assume { p_valid } -> Some ("validity probability", p_valid)
+        | F.Raw_goal _ -> None
+      in
+      match value with
+      | None -> []
+      | Some (what, v) ->
+        if not (v > 0.0 && v <= 1.0) then
+          [ D.make ~code:"C002" ~severity:D.Error ~line:rn.line ~col:rn.value_col
+              (Printf.sprintf "%s %g of %s is outside (0,1]" what v rn.id) ]
+        else if v = 1.0 then
+          [ D.make ~code:"C003" ~severity:D.Warning ~line:rn.line
+              ~col:rn.value_col
+              (Printf.sprintf
+                 "%s 1.0 of %s claims certainty; the paper's point is that \
+                  doubt never vanishes — use a value below 1"
+                 what rn.id) ]
+        else [])
+    nodes
+
+let max_fan_out = Analysis.Case_rules.max_fan_out
+let max_depth = Analysis.Case_rules.max_depth
+
+let rec check_shape t =
+  let own =
+    match t.rn.item with
+    | F.Raw_goal { combinator } ->
+      let n = List.length t.kids in
+      if n = 0 then
+        [ D.make ~code:"C004" ~severity:D.Error ~line:t.rn.line ~col:t.rn.id_col
+            (Printf.sprintf "goal %s has no supporting children" t.rn.id) ]
+      else if n = 1 then
+        [ D.make ~code:"C005" ~severity:D.Warning ~line:t.rn.line
+            ~col:t.rn.id_col
+            (match combinator with
+            | N.Any ->
+              Printf.sprintf
+                "`any` goal %s has a single leg: the alternative is vacuous"
+                t.rn.id
+            | N.All ->
+              Printf.sprintf
+                "goal %s has a single child: it adds a layer without adding \
+                 an argument"
+                t.rn.id) ]
+      else if n > max_fan_out then
+        [ D.make ~code:"C008" ~severity:D.Warning ~line:t.rn.line
+            ~col:t.rn.id_col
+            (Printf.sprintf
+               "goal %s combines %d children (more than %d): consider \
+                grouping them into subgoals"
+               t.rn.id n max_fan_out) ]
+      else []
+    | _ -> []
+  in
+  own @ List.concat_map check_shape (List.rev t.kids)
+
+let rec depth t = 1 + List.fold_left (fun acc k -> max acc (depth k)) 0 t.kids
+
+let check_depth root =
+  let d = depth root in
+  if d > max_depth then
+    [ D.make ~code:"C007" ~severity:D.Warning ~line:root.rn.line
+        ~col:root.rn.id_col
+        (Printf.sprintf
+           "argument is %d levels deep (more than %d): deep chains multiply \
+            doubt and are hard to review"
+           d max_depth) ]
+  else []
 
 let normalise s = String.lowercase_ascii (String.trim s)
 
@@ -409,19 +539,21 @@ let shared_evidence nodes =
 let with_file file diags =
   match file with Some f -> D.with_file f diags | None -> diags
 
-(* [Case_rules.check]: the rules other than C009 are unchanged code, so
-   they come from the library; C009 and the lexer are the oracle's. *)
+(* [Case_rules.check_raw]: every rule over the lenient forest. *)
+let check_raw nodes =
+  let roots, structural = build_forest nodes in
+  D.sort
+    (structural @ check_duplicates nodes @ check_values nodes
+    @ List.concat_map check_shape roots
+    @ List.concat_map check_depth roots
+    @ shared_evidence nodes)
+
 let case_rules_check text =
   match parse_raw text with
   | exception F.Parse_error e ->
     [ D.make ~code:"C000" ~severity:D.Error ~line:e.line ~col:e.col e.message ]
   | [] -> [ D.make ~code:"C000" ~severity:D.Error ~line:0 "empty case document" ]
-  | nodes ->
-    D.sort
-      (List.filter
-         (fun (d : D.t) -> d.code <> "C009")
-         (Analysis.Case_rules.check_raw nodes)
-      @ shared_evidence nodes)
+  | nodes -> check_raw nodes
 
 let audit_case ?file ?(options = Analysis.Audit.default_options) text =
   let static = with_file file (case_rules_check text) in

@@ -288,6 +288,80 @@ let test_kind_detection () =
     (Check.sniff "# c\n\ngoal G \"g\" all\n" = Check.Case);
   check_true "sniffs a belief" (Check.sniff "atom 0 0.5\n" = Check.Belief)
 
+(* [sniff] as it was: split into lines, trim each, take the first one
+   that is not blank or a comment. *)
+let list_sniff text =
+  match
+    String.split_on_char '\n' text
+    |> List.find_map (fun raw ->
+           let t = String.trim raw in
+           if t = "" || t.[0] = '#' then None else Some t)
+  with
+  | Some t
+    when List.exists
+           (fun p ->
+             String.length t >= String.length p
+             && String.sub t 0 (String.length p) = p)
+           [ "goal "; "evidence "; "assume " ] ->
+    Check.Case
+  | _ -> Check.Belief
+
+let test_sniff_by_offsets () =
+  let is what kind text = check_true what (Check.sniff text = kind) in
+  is "after blank lines" Check.Case "\n \n\t\n\012\ngoal G \"g\" all\n";
+  is "after comments" Check.Case "# a\n   # b\n\t#c\nevidence E \"e\" 0.9";
+  is "CRLF" Check.Case "# c\r\n\r\n  assume A \"a\" 0.5\r\n";
+  is "CRLF belief" Check.Belief "# c\r\n\r\natom 0 0.5\r\n";
+  is "a kind alone" Check.Belief "goal\r\n";
+  is "a kind and blanks" Check.Belief "goal \t\r\n";
+  is "a kind and a tab" Check.Belief "goal\tG \"g\" all";
+  is "empty" Check.Belief "";
+  is "only comments" Check.Belief "# a\n\n#b";
+  (* 10^5 lines with no extension to go by: read, sniffed, checked as a
+     case (one goal over 99,999 leaves is only a C008 warning). *)
+  let buf = Buffer.create (30 * 100_000) in
+  Buffer.add_string buf "\n# generated\r\ngoal G \"root\" all\n";
+  for i = 1 to 99_999 do
+    Printf.bprintf buf "  evidence E%d \"leaf %d\" 0.9\n" i i
+  done;
+  let text = Buffer.contents buf in
+  is "10^5-line case" Check.Case text;
+  let path = Filename.temp_file "sniffed" "" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  let diags = Check.check_file path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "checked as a case" [ "C008" ] (codes diags)
+
+let test_sniff_matches_list_sniff =
+  let open QCheck2.Gen in
+  let piece =
+    oneofl
+      [ "goal "; "evidence "; "assume "; "goal"; "atom 0 0.5"; "#"; "\n"; "\r\n";
+        " "; "\t"; "\012"; "\r"; "x"; "G \"g\" all" ]
+  in
+  qcheck ~count:500 "sniff by offsets = sniff over trimmed lines"
+    (map (String.concat "") (list_size (int_range 0 12) piece))
+    (fun text -> Check.sniff text = list_sniff text)
+
+(* A pipe has no length: the file driver must read it to the end. *)
+let test_check_file_reads_a_pipe () =
+  let src = Filename.temp_file "piped" ".case" in
+  Out_channel.with_open_bin src (fun oc ->
+      Out_channel.output_string oc
+        "goal G \"g\" all\n  evidence E \"a\" 0.9\n  evidence F \"b\" 0.9\n");
+  let fifo = Filename.temp_file "pipe" "" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  let writer =
+    Unix.create_process "sh" [| "sh"; "-c"; "cat \"$0\" > \"$1\""; src; fifo |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let diags = Check.check_file fifo in
+  ignore (Unix.waitpid [] writer);
+  Sys.remove src;
+  Sys.remove fifo;
+  Alcotest.(check (list string)) "clean case through a pipe" [] (codes diags)
+
 let test_json_and_rendering () =
   let ds =
     Check.check_string ~file:"f.belief" Check.Belief
@@ -387,6 +461,9 @@ let suite =
     case "C009 overlap fraction golden" test_c009_overlap_fraction;
     case "parse + check API" test_check_api;
     case "kind detection" test_kind_detection;
+    case "sniff scans by offsets" test_sniff_by_offsets;
+    test_sniff_matches_list_sniff;
+    case "check_file reads a pipe" test_check_file_reads_a_pipe;
     case "json and rendering" test_json_and_rendering;
     case "json diagnostics carry their file" test_json_file_member;
     case "diagnostic sort is a total order" test_sort_total_order;

@@ -385,6 +385,56 @@ let test_id_namespace () =
            ~assumptions:[ N.assumption ~id:"X" ~statement:"x" ~p_valid:0.9 ]
            ~combinator:N.All [| e |]))
 
+(* The id table grows past its size hint, and works far below one:
+   every id interned is still found, still a duplicate when repeated,
+   and an unknown id is not found. *)
+let test_id_table_resizing () =
+  let leaves b n =
+    Array.init n (fun i ->
+        G.Builder.evidence b ~id:(Printf.sprintf "E%d" i) ~confidence:0.9 ())
+  in
+  let b = G.Builder.create ~capacity:2 ~ids:1 () in
+  ignore (leaves b 5_000);
+  check_raises_invalid "duplicate after growth" (fun () ->
+      ignore (G.Builder.evidence b ~id:"E17" ~confidence:0.9 ()));
+  List.iter
+    (fun (ids, n) ->
+      let b = G.Builder.create ~capacity:2 ~ids () in
+      let leaves = leaves b n in
+      let r = G.Builder.goal b ~id:"G" ~combinator:N.All leaves in
+      let g = G.Builder.build b ~root:r in
+      check_true "every id found"
+        (Array.for_all (fun i -> G.find g (Printf.sprintf "E%d" i) = Some i) leaves);
+      Alcotest.(check (option int)) "root found" (Some r) (G.find g "G");
+      Alcotest.(check (option int)) "unknown id" None (G.find g (Printf.sprintf "E%d" n)))
+    [ (1, 5_000); (100_000, 40) ]
+
+(* [Intern] under a hash with few values, so most probes meet equal
+   hashes of unequal keys, from a size hint of 1, so the table grows
+   several times: it interns each key to its first position, as a
+   [Hashtbl] of first positions does, and finds exactly those. *)
+let test_intern_property =
+  qcheck ~count:200 "Intern = first-position Hashtbl, colliding hashes"
+    QCheck2.Gen.(pair (int_range 1 7) (list_size (int_range 0 300) (int_range 0 60)))
+    (fun (buckets, keys) ->
+      let keys = Array.of_list keys in
+      let t = Casekit.Intern.create 1 and first = Hashtbl.create 16 in
+      let hash x = x mod buckets in
+      Array.for_all
+        (fun x -> x)
+        (Array.mapi
+           (fun k x ->
+             let got = Casekit.Intern.intern t (hash x) (fun j -> keys.(j) = x) k in
+             let want = Option.value (Hashtbl.find_opt first x) ~default:k in
+             if want = k then Hashtbl.add first x k;
+             got = want)
+           keys)
+      && List.for_all
+           (fun x ->
+             Casekit.Intern.find t (hash x) (fun j -> keys.(j) = x)
+             = Option.value (Hashtbl.find_opt first x) ~default:(-1))
+           (List.init 62 Fun.id))
+
 (* The sensitivity rankings run on the incremental engine; this pins
    them to their definition — a central difference of the oracle's
    re-evaluation of the edited tree — within 1e-12, and pins their order:
@@ -462,6 +512,8 @@ let suite =
       test_generator_edge_knobs;
     case "edit and builder validation" test_edit_validation;
     case "one id namespace for nodes and assumptions" test_id_namespace;
+    case "the id table grows past its size hint" test_id_table_resizing;
+    test_intern_property;
     test_children_before_parents_property;
     case "sensitivities match the boxed-tree path" test_sensitivities_match_tree_path;
     case "skip kernel counts the remaining children" test_skip_kernel_frechet_lower;

@@ -313,7 +313,7 @@ let gen_soup =
   let open QCheck2.Gen in
   let statements =
     [| "shared test"; "Shared Test"; "  shared test  "; "SHARED TEST\t"; "proof"; "Proof ";
-       "review"; "unique" |]
+       "review"; "unique"; "shared\012test"; "SHARED\012Test "; "\xC9tude"; "\xE9tude" |]
   in
   let line k prev =
     let* step = frequency [ (3, pure 1); (3, pure 0); (2, pure (-1)); (1, pure (-2)); (1, pure 2) ] in
@@ -356,10 +356,173 @@ let test_c009_direct =
       | None -> true
       | Some m -> QCheck2.Test.fail_reportf "%s\non document:\n%s" m text)
 
+(* --- hostile input -------------------------------------------------------------- *)
+
+(* Byte strings from an alphabet weighted toward the grammar and the bytes
+   that have broken hand-written lexers: quotes (often unterminated),
+   comment marks, CR, tab, form feed, NUL, high bytes, and float spellings
+   that [float_of_string] reads in surprising ways.  Each line is built
+   slot by slot (indent, kind, id, statement, value), and any slot may
+   instead draw from the hostile alphabet, so documents that load, and
+   faults deep inside ones that nearly do, both come up.  Nothing forces
+   a final newline. *)
+let gen_hostile =
+  let open QCheck2.Gen in
+  let hostile =
+    frequency
+      [ ( 4,
+          oneofl
+            [ "\""; "#"; "\r"; "\t"; "\012"; "\000"; "_"; "nan"; "1e309"; "0x1p-3"; " \"open";
+              "\"\""; "1_0e-1"; "" ] );
+        (1, map (fun b -> String.make 1 (Char.chr (0x80 + b))) (int_bound 127)) ]
+  in
+  let slot good = frequency [ (30, oneofl good); (1, hostile) ] in
+  let line first =
+    let* indent = slot (if first then [ "" ] else [ "  "; "  "; "    "; "    "; "" ]) in
+    let* kind, value =
+      oneofl
+        [ ("goal ", [ "any"; "all"; "" ]); ("goal ", [ "all" ]);
+          ("evidence ", [ "0.5"; "0.9"; "1.5"; "1.0" ]); ("evidence ", [ "0.9" ]);
+          ("assume ", [ "0.9"; "0.5" ]) ]
+    in
+    let* kind = slot [ kind ] in
+    let* id = slot [ "G1 "; "G2 "; "G3 "; "E1 "; "E2 "; "E3 "; "E4 "; "E5 "; "A1 "; "A2 " ] in
+    let* statement = slot [ "\"s\" "; "\"S \" "; "\"\" "; "\"a # b\" " ] in
+    let* value = slot value in
+    let* tail = slot [ ""; ""; " "; "\r" ] in
+    pure (indent ^ kind ^ id ^ statement ^ value ^ tail)
+  in
+  let* first = line true in
+  let* rest = list_size (int_range 0 10) (line false) in
+  let* last = oneofl [ ""; "\n" ] in
+  pure (String.concat "\n" (first :: rest) ^ last)
+
+let same_graph g h =
+  let n = G.size g in
+  G.size h = n && G.root g = G.root h
+  && List.for_all
+       (fun i ->
+         G.id_of g i = G.id_of h i
+         && G.kind_of g i = G.kind_of h i
+         && G.children g i = G.children h i
+         && same_float (G.base_confidence g i) (G.base_confidence h i)
+         && same_float (G.assumption_validity g i) (G.assumption_validity h i))
+       (List.init n Fun.id)
+  && Int64.equal (G.root_hash g) (G.root_hash h)
+
+let hostile text =
+  (match (outcome (fun () -> F.parse_raw text), outcome (fun () -> O.parse_raw text)) with
+  | Ok a, Ok b ->
+    if not (List.length a = List.length b && List.for_all2 same_raw a b) then
+      QCheck2.Test.fail_report "parse_raw lines differ from the oracle's"
+  | Error a, Error b ->
+    if a <> b then QCheck2.Test.fail_reportf "parse_raw error %s vs oracle %s" a b
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "parse_raw accepted; oracle: %s" e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "parse_raw rejected: %s" e);
+  (match (outcome (fun () -> F.graph text), outcome (fun () -> fst (F.load (F.parse_raw text)))) with
+  | Ok a, Ok b ->
+    if not (same_graph a b) then QCheck2.Test.fail_report "streamed graph differs from load's"
+  | Error a, Error b ->
+    if a <> b then QCheck2.Test.fail_reportf "streamed error %s vs load's %s" a b
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "streamed load accepted; load: %s" e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "streamed load rejected: %s" e);
+  (match Analysis.Case_rules.check text with
+  | _ -> ()
+  | exception e -> QCheck2.Test.fail_reportf "Case_rules.check raised %s" (Printexc.to_string e));
+  true
+
+let test_hostile =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"hostile bytes: lexer = oracle, streamed = load, lint total"
+       ~print:(Printf.sprintf "%S") gen_hostile hostile)
+
+(* --- C009's in-place normalisation --------------------------------------------- *)
+
+(* Mixed-case ASCII, the five blanks [String.trim] strips, and high bytes;
+   half the pairs are the same text re-cased and re-padded, so equal
+   normalisations are common. *)
+let gen_statement_pair =
+  let open QCheck2.Gen in
+  let byte =
+    frequency
+      [ (6, map Char.chr (int_range 0x41 0x5a));
+        (6, map Char.chr (int_range 0x61 0x7a));
+        (3, oneofl [ ' '; '\t'; '\n'; '\r'; '\012' ]);
+        (2, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  let text = string_size ~gen:byte (int_range 0 12) in
+  let blanks = string_size ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '\012' ]) (int_range 0 3) in
+  let variant s =
+    let* flips = list_repeat (String.length s) bool in
+    let* l = blanks and* r = blanks in
+    let flipped =
+      String.mapi
+        (fun i c ->
+          if List.nth flips i then
+            if Char.lowercase_ascii c = c then Char.uppercase_ascii c else Char.lowercase_ascii c
+          else c)
+        s
+    in
+    pure (l ^ flipped ^ r)
+  in
+  let* a = text in
+  let* b = oneof [ text; variant a ] in
+  pure (a, b)
+
+let test_normalisation =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"C009 in-place comparison = normalise, equal hashes"
+       ~print:(fun (a, b) -> Printf.sprintf "%S, %S" a b)
+       gen_statement_pair
+       (fun (a, b) ->
+         let equal = String.equal (O.normalise a) (O.normalise b) in
+         Analysis.Case_rules.same_statement a b = equal
+         && ((not equal)
+            || Analysis.Case_rules.statement_hash a = Analysis.Case_rules.statement_hash b)))
+
+(* One large `any` goal whose legs cite many spellings of a few
+   statements among many distinct ones: thousands of keys in C009's
+   table, most lookups landing on an occupied slot. *)
+let test_c009_many_spellings () =
+  let rng = Random.State.make [| 15 |] in
+  let bases = [| "proof of x"; "review"; "Tested on rig"; "\xC9tude"; "a\012b" |] in
+  let spelling () =
+    let b = bases.(Random.State.int rng (Array.length bases)) in
+    let pad () = List.nth [ ""; " "; "\t"; "  \r"; "\012" ] (Random.State.int rng 5) in
+    pad ()
+    ^ String.map (fun c -> if Random.State.bool rng then Char.uppercase_ascii c else c) b
+    ^ pad ()
+  in
+  let buf = Buffer.create 100_000 in
+  Buffer.add_string buf "goal G \"root\" any\n";
+  let line = ref 1 in
+  for leg = 0 to 39 do
+    Printf.bprintf buf "  goal L%d \"leg %d\" %s\n" leg leg (if leg mod 3 = 0 then "any" else "all");
+    incr line;
+    for e = 0 to 54 do
+      let statement =
+        if Random.State.int rng 3 = 0 then spelling () else Printf.sprintf "fact %d.%d" leg e
+      in
+      Printf.bprintf buf "    evidence E%d_%d \"%s\" 0.9\n" leg e statement;
+      incr line
+    done
+  done;
+  check_true "at least 2,000 lines" (!line >= 2_000);
+  let raw = F.parse_raw (Buffer.contents buf) in
+  let lib =
+    List.filter (fun (d : D.t) -> d.code = "C009") (Analysis.Case_rules.check_raw raw)
+  in
+  let oracle = O.shared_evidence raw in
+  check_true "C009 fires" (oracle <> []);
+  match diags_mismatch "C009" lib oracle with None -> () | Some m -> Alcotest.fail m
+
 let suite =
   [ case "examples agree with the oracle" test_examples;
     case "edge documents agree with the oracle" test_edge_documents;
     qcheck_doc ~count:300 "printed random trees agree with the oracle" gen_printed;
     qcheck_doc ~count:500 "mutated documents agree with the oracle" gen_mutated;
     qcheck_doc ~count:500 "line soups agree with the oracle" gen_soup;
-    test_c009_direct ]
+    test_c009_direct;
+    test_hostile;
+    test_normalisation;
+    case "C009 over many spellings of a few statements" test_c009_many_spellings ]
