@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json bench-vr-smoke bench-soa-smoke bench-graph-smoke bench-audit-smoke bench-serve-smoke bench-stream-smoke serve-smoke bench-compare experiment-vr examples csv clean lint-src check-fixtures audit-fixtures
+.PHONY: all build test check bench bench-json serve-smoke bench-compare experiment-vr examples csv clean lint-src check-fixtures audit-fixtures
 
 all: build
 
@@ -76,46 +76,12 @@ audit-fixtures: build
 bench:
 	dune exec bench/main.exe
 
-# Timings + sequential-vs-parallel MC speedup rows + variance-reduction
-# efficiency rows, written as JSON at the repo root (the perf trajectory
-# across PRs: BENCH_1.json, BENCH_2.json, ...).
+# Experiment, micro, variance-reduction and 10^6-node graph rows as JSON
+# in bench.json (not committed; BENCH_1..9.json are the recorded trail).
+# Exits non-zero if an incremental edit is not 10x faster than a cold
+# evaluate.  End-to-end numbers come from confbench (bench/e2e).
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_9.json
-
-# Fast variance-reduction rows only (the CI smoke step).
-bench-vr-smoke:
-	dune exec bench/main.exe -- --vr-smoke
-
-# Micro rows only: exercises every SoA/columnar path (column quantile,
-# mixture cum-column sampling, sketch merge_into, snapshot save/load).
-bench-soa-smoke:
-	dune exec bench/main.exe -- --soa-smoke
-
-# Graph rows only at depth 3 (~10^4 nodes): CSR build, full and DAG
-# propagation, 1/2/4-domain bit-identity and the incremental edit storm.
-# Exits non-zero only if determinism breaks; the ratios are informational.
-bench-graph-smoke:
-	dune exec bench/main.exe -- --graph-smoke
-
-# Lint/audit rows at depth 3 plus the interval-soundness gate: the
-# propagated root must lie inside the static bounds and point leaf
-# bounds must reproduce propagation bitwise, under all four models.
-bench-audit-smoke:
-	dune exec bench/main.exe -- --audit-smoke
-
-# Serve rows at depth 3: cold/memoised/incremental-edit request latency
-# through the in-process engine, gating that memo hits and the last
-# incremental edit are bit-identical to from-scratch evaluation.
-bench-serve-smoke:
-	dune exec bench/main.exe -- --serve-smoke
-
-# Streaming rows at CI size (10^5-event columns, 5x10^4 assessors):
-# column ingest throughput, serve-mode single-event ingest latency, the
-# population Delphi, gating that streamed posteriors equal the batch
-# update bitwise and parallel merge is identical across domain/chunk
-# counts.
-bench-stream-smoke:
-	dune exec bench/main.exe -- --stream-smoke
+	dune exec bench/main.exe -- --json bench.json
 
 # End-to-end pipe-mode daemon smoke: drive `confcase serve` over stdin/
 # stdout with NDJSON requests and assert the memoised answer is
@@ -127,10 +93,10 @@ serve-smoke: build
 # Regenerate the samples-to-target-error comparison recorded in
 # EXPERIMENTS.md (plain MC vs QMC vs importance sampling).
 experiment-vr:
-	dune exec bench/main.exe -- vr
+	dune exec bin/confcase.exe -- figures vr
 
-# Diff the two newest BENCH_*.json on shared rows (informational; pass
-# STRICT=1 to fail on a >20% regression).
+# Diff bench.json against BENCH_9.json on shared rows (informational;
+# pass STRICT=1 to fail on a >20% regression).
 bench-compare:
 	python3 scripts/bench_compare.py $(if $(STRICT),--strict)
 

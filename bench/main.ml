@@ -1,15 +1,14 @@
 (* Bench harness: regenerates every table and figure of the paper (the
    reproduction output recorded in EXPERIMENTS.md), then times each
-   generator with Bechamel.
+   generator with Bechamel.  End-to-end performance is measured by
+   confbench (bench/e2e); this harness keeps the in-process micro rows.
 
    Usage:
      main.exe                 reproduction output + timings
      main.exe --no-perf       reproduction output only
-     main.exe --json <path>   timings + MC-kernel speedup + VR rows as JSON
-     main.exe --vr-smoke      fast variance-reduction rows only (CI smoke)
-     main.exe --audit-smoke   semantic-audit soundness gate (CI smoke)
-     main.exe --serve-smoke   serve-daemon bitwise-identity gate (CI smoke)
-     main.exe <id>            one experiment (see the registry for ids) *)
+     main.exe --json <path>   experiment, micro, VR and graph rows as JSON;
+                              exits 1 if an incremental edit is not at least
+                              10x faster than a cold evaluate *)
 
 let print_experiment (id, anchor, f) =
   Printf.printf "################ [%s] %s ################\n\n%s\n" id anchor
@@ -96,201 +95,6 @@ let run_perf () =
   print_rows (time_experiments ())
 
 (* ------------------------------------------------------------------ *)
-(* MC kernel speedups: the n = 300,000 conservative-bound check, the
-   100,000-system survival curve, and the n = 300,000 pfd quantile
-   sketch, sequential vs the domain pool at 1, 2 and 4 domains.  The
-   parallel results must be bit-identical across domain counts (fixed
-   seed and chunk count). *)
-
-type kernel_row = {
-  kernel : string;
-  variant : string;
-  domains : int;  (** requested *)
-  pool_domains : int;  (** what [Domain.spawn] actually delivered *)
-  r : row;
-}
-
-let domain_counts = [ 1; 2; 4 ]
-
-let conservative_kernel () =
-  let n = 300_000 and chunks = 64 and seed = Repro.Paper.seed in
-  let claim = Confidence.Claim.make ~bound:1e-4 ~confidence:0.9991 in
-  let belief = Confidence.Conservative.worst_case_belief claim in
-  let seq =
-    ols_nanos ~name:"conservative_mc/seq" (fun () ->
-        let rng = Numerics.Rng.create seed in
-        Sim.Demand_sim.failure_probability ~n rng belief)
-  in
-  let par d =
-    Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-        let r =
-          ols_nanos ~name:(Printf.sprintf "conservative_mc/par%d" d) (fun () ->
-              Sim.Demand_sim.failure_probability_par ~pool ~n ~chunks ~seed
-                belief)
-        in
-        let estimate =
-          Sim.Demand_sim.failure_probability_par ~pool ~n ~chunks ~seed belief
-        in
-        (r, estimate, Numerics.Parallel.num_domains pool))
-  in
-  let runs = List.map (fun d -> (d, par d)) domain_counts in
-  let estimates = List.map (fun (_, (_, e, _)) -> e) runs in
-  let identical =
-    match estimates with
-    | first :: rest ->
-      List.for_all
-        (fun (e : Sim.Mc.estimate) ->
-          e.mean = first.Sim.Mc.mean
-          && e.std_error = first.Sim.Mc.std_error
-          && e.ci95_lo = first.Sim.Mc.ci95_lo
-          && e.ci95_hi = first.Sim.Mc.ci95_hi
-          && e.n = first.Sim.Mc.n)
-        rest
-    | [] -> true
-  in
-  let rows =
-    {
-      kernel = "conservative_mc";
-      variant = "sequential";
-      domains = 1;
-      pool_domains = 1;
-      r = seq;
-    }
-    :: List.map
-         (fun (d, (r, _, pool_domains)) ->
-           {
-             kernel = "conservative_mc";
-             variant = "parallel";
-             domains = d;
-             pool_domains;
-             r;
-           })
-         runs
-  in
-  (rows, identical)
-
-let survival_kernel () =
-  let n_systems = 100_000 and chunks = 64 and seed = Repro.Paper.seed + 41 in
-  let checkpoints = [ 0; 10; 100; 1000; 10000 ] in
-  let prior =
-    Dist.Mixture.of_dist
-      (Dist.Lognormal.of_mode_mean ~mode:Repro.Paper.mode ~mean:1e-2)
-  in
-  let seq =
-    ols_nanos ~name:"survival_mc/seq" (fun () ->
-        let rng = Numerics.Rng.create seed in
-        Sim.Demand_sim.survival_curve ~n_systems ~checkpoints rng prior)
-  in
-  let par d =
-    Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-        let r =
-          ols_nanos ~name:(Printf.sprintf "survival_mc/par%d" d) (fun () ->
-              Sim.Demand_sim.survival_curve_par ~pool ~n_systems ~chunks ~seed
-                ~checkpoints prior)
-        in
-        let curve =
-          Sim.Demand_sim.survival_curve_par ~pool ~n_systems ~chunks ~seed
-            ~checkpoints prior
-        in
-        (r, curve, Numerics.Parallel.num_domains pool))
-  in
-  let runs = List.map (fun d -> (d, par d)) domain_counts in
-  let identical =
-    match List.map (fun (_, (_, c, _)) -> c) runs with
-    | first :: rest -> List.for_all (fun c -> c = first) rest
-    | [] -> true
-  in
-  let rows =
-    {
-      kernel = "survival_mc";
-      variant = "sequential";
-      domains = 1;
-      pool_domains = 1;
-      r = seq;
-    }
-    :: List.map
-         (fun (d, (r, _, pool_domains)) ->
-           {
-             kernel = "survival_mc";
-             variant = "parallel";
-             domains = d;
-             pool_domains;
-             r;
-           })
-         runs
-  in
-  (rows, identical)
-
-(* The streaming-sketch kernel: summarise 300,000 pfd draws into a
-   t-digest without retaining the samples.  The sequential baseline is
-   the same batched sample-and-add loop without the pool or the chunked
-   RNG streams; the parallel rows must agree bitwise on the merged
-   sketch's quantiles and count at every domain count. *)
-let sketch_kernel () =
-  let n = 300_000 and chunks = 64 and seed = Repro.Paper.seed + 43 in
-  let prior =
-    Dist.Mixture.of_dist
-      (Dist.Lognormal.of_mode_mean ~mode:Repro.Paper.mode ~mean:1e-2)
-  in
-  let ps = [| 0.05; 0.5; 0.95 |] in
-  let fingerprint sk =
-    ( Numerics.Sketch.count sk,
-      Array.map
-        (fun p -> Int64.bits_of_float (Numerics.Sketch.quantile sk p))
-        ps )
-  in
-  let seq =
-    let batch = 4096 in
-    let buf = Stdlib.Float.Array.create batch in
-    ols_nanos ~name:"sketch_mc/seq" (fun () ->
-        let rng = Numerics.Rng.create seed in
-        let sk = Numerics.Sketch.create () in
-        let rem = ref n in
-        while !rem > 0 do
-          let len = min !rem batch in
-          Dist.Mixture.sample_into prior rng buf ~pos:0 ~len;
-          Numerics.Sketch.add_floatarray sk buf ~pos:0 ~len;
-          rem := !rem - len
-        done;
-        Numerics.Sketch.quantile sk 0.5)
-  in
-  let par d =
-    Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-        let r =
-          ols_nanos ~name:(Printf.sprintf "sketch_mc/par%d" d) (fun () ->
-              Sim.Demand_sim.pfd_sketch_par ~pool ~n ~chunks ~seed prior)
-        in
-        let sk = Sim.Demand_sim.pfd_sketch_par ~pool ~n ~chunks ~seed prior in
-        (r, fingerprint sk, Numerics.Parallel.num_domains pool))
-  in
-  let runs = List.map (fun d -> (d, par d)) domain_counts in
-  let identical =
-    match List.map (fun (_, (_, fp, _)) -> fp) runs with
-    | first :: rest -> List.for_all (fun fp -> fp = first) rest
-    | [] -> true
-  in
-  let rows =
-    {
-      kernel = "sketch_mc";
-      variant = "sequential";
-      domains = 1;
-      pool_domains = 1;
-      r = seq;
-    }
-    :: List.map
-         (fun (d, (r, _, pool_domains)) ->
-           {
-             kernel = "sketch_mc";
-             variant = "parallel";
-             domains = d;
-             pool_domains;
-             r;
-           })
-         runs
-  in
-  (rows, identical)
-
-(* ------------------------------------------------------------------ *)
 (* Variance-reduction rows: statistical efficiency of importance
    sampling and QMC against the plain parallel MC baseline at an equal
    sample budget.  Efficiency is work-normalised — variance x time per
@@ -311,8 +115,8 @@ type vr_row = {
           baseline rows. *)
 }
 
-let vr_rows ?(n = 65536) () =
-  let chunks = 64 and seed = Repro.Paper.seed + 91 in
+let vr_rows () =
+  let n = 65536 and chunks = 64 and seed = Repro.Paper.seed + 91 in
   let sigma = 1.2 in
   let target = Dist.Lognormal.make ~mu:(log 1e-5 +. (sigma *. sigma)) ~sigma in
   let y = 1e-3 in
@@ -550,783 +354,141 @@ let micro_rows () =
     sketch_merge; sketch_merge_into; columns_save; columns_load;
     columns_load_mmap; rng_scalar; rng_fill ]
 
-let speedups rows =
-  let nanos_of kernel variant domains =
-    List.find_opt
-      (fun k -> k.kernel = kernel && k.variant = variant && k.domains = domains)
-      rows
-    |> Option.map (fun k -> k.r.nanos)
-  in
-  List.filter_map
-    (fun k ->
-      if k.variant <> "parallel" || k.domains = 1 then None
-      else
-        let vs_one =
-          match nanos_of k.kernel "parallel" 1 with
-          | Some base when Float.is_finite base && k.r.nanos > 0.0 ->
-            base /. k.r.nanos
-          | _ -> nan
-        in
-        let vs_seq =
-          match nanos_of k.kernel "sequential" 1 with
-          | Some base when Float.is_finite base && k.r.nanos > 0.0 ->
-            base /. k.r.nanos
-          | _ -> nan
-        in
-        Some (k.kernel, k.domains, vs_one, vs_seq))
-    rows
-
 (* ------------------------------------------------------------------ *)
-(* Case-graph rows: the flat CSR propagation engine at the ROADMAP's
-   10^6-node scale.  The headline configuration (legs 9, fanout 10,
-   depth 5, no sharing) is exactly one million nodes; leaf confidences
-   are drawn from a band tight under 1.0 so the ~111k-leaf AND products
-   stay far from underflow — a product that collapsed to 0.0 would let
-   the incremental engine's bitwise early cut-off skip all real work and
-   fake the speedup.  A second propagation row runs the shared-evidence
-   DAG configuration, where the C009 overlap actually floors the
-   correlation.  Parallel propagation must be bit-identical to the
-   sequential kernel at 1, 2 and 4 domains, and the root after the edit
-   storm must match a full re-propagation bitwise. *)
+(* Case-graph rows at the ROADMAP's 10^6-node scale.  The headline
+   configuration (legs 9, fanout 10, depth 5, no sharing) is exactly one
+   million nodes; leaf confidences are drawn from a band tight under 1.0
+   so the ~111k-leaf AND products stay far from underflow — a product
+   that collapsed to 0.0 would let the incremental engine's bitwise early
+   cut-off skip all real work and fake the edit rows.  A second
+   propagation row runs the shared-evidence DAG configuration, where the
+   C009 overlap floors the correlation.  The bitwise contracts these
+   kernels keep are checked by dune runtest (test_graph, test_audit,
+   test_serve). *)
 
-type graph_summary = {
-  g_build : row;
-  g_prop : row;
-  g_prop_dag : row;
-  g_edit : row;
-  g_lint : row;
-  g_audit : row;
-  g_nodes : int;
-  g_edges : int;
-  g_dag_nodes : int;
-  g_dag_overlap : float;
-  g_deterministic : bool;
-  g_audit_sound : bool;
-}
+let case_seed = Repro.Paper.seed + 101
+let leaf_lo = 0.999998
+let leaf_hi = 0.9999999
 
-(* Soundness of the audit's interval pass against the propagation engine:
-   under every dependence model the propagated root must lie inside the
-   static [lo, hi] interval, and with point leaf bounds (base, base) the
-   interval sweep must reproduce the propagated value bitwise at every
-   node — it runs the same float operations in the same order. *)
-let audit_sound g =
+let headline_case ?shared () =
+  Casekit.Generate.case ~seed:case_seed ~legs:9 ~fanout:10 ~depth:5 ?shared
+    ~leaf:(leaf_lo, leaf_hi) ()
+
+(* [g] is the headline case, not yet propagated. *)
+let graph_rows g =
   let module G = Casekit.Graph in
-  List.for_all
-    (fun dep ->
-      let root_value = G.propagate dep g in
-      let lo, hi = G.propagate_bounds dep g in
-      let root = G.root g in
-      let within =
-        Numerics.Columns.get lo root <= root_value
-        && root_value <= Numerics.Columns.get hi root
-      in
-      let point =
-        G.propagate_bounds
-          ~leaf_bounds:(fun i -> (G.base_confidence g i, G.base_confidence g i))
-          dep g
-      in
-      let point_identical = ref true in
-      let plo, phi = point in
-      let vals = G.values g in
-      for i = 0 to G.size g - 1 do
-        let v = Int64.bits_of_float (Numerics.Columns.get vals i) in
-        if
-          Int64.bits_of_float (Numerics.Columns.get plo i) <> v
-          || Int64.bits_of_float (Numerics.Columns.get phi i) <> v
-        then point_identical := false
-      done;
-      within && !point_identical)
-    [ G.Independent; G.Frechet_lower; G.Frechet_upper; G.Correlated 0.3 ]
-
-let graph_rows ?(depth = 5) () =
-  let module G = Casekit.Graph in
-  let seed = Repro.Paper.seed + 101 in
-  let legs = 9 and fanout = 10 in
-  let leaf = (0.999998, 0.9999999) in
   let dep = G.Correlated 0.3 in
-  let build () = Casekit.Generate.case ~seed ~legs ~fanout ~depth ~leaf () in
-  let g = build () in
-  let n = G.size g in
-  (* Rows are suffixed with the node count (the headline depth-5 config is
-     exactly 10^6 nodes) so a smoke run at another depth cannot be mistaken
-     for — or compared against — the full-scale row. *)
-  let sized name =
-    if n = 1_000_000 then name ^ "_1e6" else Printf.sprintf "%s_%d" name n
+  let dag = headline_case ~shared:0.1 () in
+  let build = ols_nanos ~name:"graph_build_1e6" headline_case in
+  let prop = ols_nanos ~name:"graph_propagate_1e6" (fun () -> G.propagate dep g) in
+  let prop_dag =
+    ols_nanos ~name:"graph_propagate_dag_1e6" (fun () -> G.propagate dep dag)
   in
-  let r_build = ols_nanos ~name:(sized "graph_build") build in
-  let r_prop =
-    ols_nanos ~name:(sized "graph_propagate") (fun () -> G.propagate dep g)
-  in
-  let seq_bits = Int64.bits_of_float (G.propagate dep g) in
-  let dag =
-    Casekit.Generate.case ~seed ~legs ~fanout ~depth ~shared:0.1 ~leaf ()
-  in
-  let r_prop_dag =
-    ols_nanos ~name:(sized "graph_propagate_dag") (fun () ->
-        G.propagate dep dag)
-  in
-  let dag_bits = Int64.bits_of_float (G.propagate dep dag) in
-  let par_identical =
-    List.for_all
-      (fun d ->
-        Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-            Int64.bits_of_float (G.propagate_par ~pool ~chunks:64 dep g)
-            = seq_bits
-            && Int64.bits_of_float (G.propagate_par ~pool ~chunks:64 dep dag)
-               = dag_bits))
-      domain_counts
-  in
-  (* Lint and audit throughput: the structural rules as linear CSR sweeps,
-     then the full semantic audit (interval bounds, vacuity probes, SPOF
-     dominators) at a target the headline configuration attains. *)
-  let r_lint =
-    ols_nanos ~name:(sized "graph_lint") (fun () -> Analysis.Audit.lint g)
-  in
-  let audit_options =
-    {
-      Analysis.Audit.default_options with
-      target = Some 0.9;
-      dependence = dep;
-    }
-  in
-  let r_audit =
-    ols_nanos ~name:(sized "graph_audit") (fun () ->
-        Analysis.Audit.graph ~options:audit_options g)
-  in
-  let sound = audit_sound g in
-  (* Edit storm through the incremental engine; the post-storm root must
-     agree bitwise with a from-scratch propagation of the edited graph. *)
+  (* Edit storm through the incremental engine. *)
   ignore (G.propagate dep g);
   let leaves = G.evidence_indices g in
-  let rng = Numerics.Rng.create (seed + 1) in
-  let lo, hi = leaf in
-  let last = ref 0.0 in
-  let r_edit =
-    ols_nanos ~name:(sized "graph_incremental_edit") (fun () ->
+  let rng = Numerics.Rng.create (case_seed + 1) in
+  let edit =
+    ols_nanos ~name:"graph_incremental_edit_1e6" (fun () ->
         let i = leaves.(Numerics.Rng.int rng (Array.length leaves)) in
-        G.set_evidence g i (Numerics.Rng.uniform rng lo hi);
-        last := G.refresh dep g;
-        !last)
+        G.set_evidence g i (Numerics.Rng.uniform rng leaf_lo leaf_hi);
+        G.refresh dep g)
   in
-  let incremental_identical =
-    Int64.bits_of_float !last = Int64.bits_of_float (G.propagate dep g)
+  (* The structural rules as linear CSR sweeps, then the full semantic
+     audit (interval bounds, vacuity probes, SPOF dominators) at a
+     target the headline configuration attains. *)
+  let lint = ols_nanos ~name:"graph_lint_1e6" (fun () -> Analysis.Audit.lint g) in
+  let options =
+    { Analysis.Audit.default_options with target = Some 0.9; dependence = dep }
   in
-  {
-    g_build = r_build;
-    g_prop = r_prop;
-    g_prop_dag = r_prop_dag;
-    g_edit = r_edit;
-    g_lint = r_lint;
-    g_audit = r_audit;
-    g_nodes = n;
-    g_edges = G.edge_count g;
-    g_dag_nodes = G.size dag;
-    g_dag_overlap = G.max_overlap dag;
-    g_deterministic = par_identical && incremental_identical;
-    g_audit_sound = sound;
-  }
-
-let graph_throughput gs =
-  let per_sec (r : row) scale =
-    if Float.is_finite r.nanos && r.nanos > 0.0 then scale *. 1e9 /. r.nanos
-    else nan
+  let audit =
+    ols_nanos ~name:"graph_audit_1e6" (fun () -> Analysis.Audit.graph ~options g)
   in
-  ( per_sec gs.g_build (float_of_int gs.g_nodes),
-    per_sec gs.g_prop (float_of_int gs.g_nodes),
-    per_sec gs.g_edit 1.0,
-    (if Float.is_finite gs.g_edit.nanos && gs.g_edit.nanos > 0.0 then
-       gs.g_prop.nanos /. gs.g_edit.nanos
-     else nan),
-    per_sec gs.g_lint (float_of_int gs.g_nodes),
-    per_sec gs.g_audit (float_of_int gs.g_nodes) )
-
-let print_graph_summary gs =
-  print_rows
-    [ gs.g_build; gs.g_prop; gs.g_prop_dag; gs.g_edit; gs.g_lint; gs.g_audit ];
-  let build_nps, prop_nps, eps, speedup, lint_nps, audit_nps =
-    graph_throughput gs
-  in
-  Printf.printf
-    "graph: %d nodes, %d edges (dag config: %d nodes, max overlap %.3f)\n"
-    gs.g_nodes gs.g_edges gs.g_dag_nodes gs.g_dag_overlap;
-  Printf.printf "build: %.3g nodes/sec; propagate: %.3g nodes/sec\n" build_nps
-    prop_nps;
-  Printf.printf
-    "incremental: %.3g edits/sec, %.0fx vs full re-propagation\n" eps speedup;
-  Printf.printf "lint: %.3g nodes/sec; audit: %.3g nodes/sec\n" lint_nps
-    audit_nps;
-  Printf.printf
-    "graph results bit-identical (1/2/4 domains, incremental vs full): %b\n"
-    gs.g_deterministic;
-  Printf.printf
-    "audit interval sound (root within bounds, point bounds bit-identical, \
-     all 4 models): %b\n"
-    gs.g_audit_sound
+  [ build; prop; prop_dag; edit; lint; audit ]
 
 (* ------------------------------------------------------------------ *)
-(* Serve rows: the daemon's request path end-to-end — JSON decode,
-   memo lookup, graph work, JSON encode — measured per request with the
-   monotonic clock so the rows are latency percentiles, not OLS means
-   (a memo hit and a cold propagation differ by four orders of
-   magnitude; a mean over the mixture would describe neither).
+(* Engine rows: the daemon's request path on the headline case — JSON
+   decode, memo, graph work, JSON encode — timed per request with the
+   monotonic clock, so nanos_per_run is the p50 latency (a cold evaluate
+   and an incremental edit differ by orders of magnitude; a mean over a
+   mixture would describe neither).  Cold flushes before every evaluate,
+   so each pays the full propagation; edit sends random leaf values
+   through the dirty-cone refresh; [leaves] are the headline case's
+   evidence indices. *)
 
-   Three request classes against the headline 10^6-node graph:
-   cold (flush before every evaluate, so each pays the full
-   propagation), memoised (the same evaluate repeated — every request
-   after the first cold one hits the content-addressed memo), and
-   incremental edit (random leaf edits through the dirty-cone refresh).
-   Correctness is gated bitwise: memo-hit bits must equal cold bits,
-   and the last edit's bits must equal a from-scratch propagation of a
-   twin graph that mirrored every edit outside the engine. *)
-
-type serve_summary = {
-  s_cold : row;  (* nanos = p50 of per-request latency *)
-  s_cold_p99 : float;
-  s_memo : row;
-  s_memo_p99 : float;
-  s_edit : row;
-  s_edit_p99 : float;
-  s_nodes : int;
-  s_hit_ratio : float;
-  s_memo_identical : bool;
-  s_edit_identical : bool;
-  s_edit_speedup : float;  (* cold p50 / edit p50 *)
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else
-    let i = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    sorted.(max 0 (min (n - 1) i))
-
-(* Time [iters] requests through {!Serve.Engine.handle}; [prepare] runs
-   untimed before each (flush, twin mirroring).  Returns the p50 row,
-   the p99, and every response line for the bitwise gates. *)
-let serve_latency ~name ~iters ~prepare ~request eng =
-  let samples = Array.make iters nan in
-  let responses = Array.make iters "" in
-  for k = 0 to iters - 1 do
-    prepare k;
-    let line = request k in
-    let t0 = Monotonic_clock.now () in
-    let resp = Serve.Engine.handle eng line in
-    let t1 = Monotonic_clock.now () in
-    samples.(k) <- Int64.to_float (Int64.sub t1 t0);
-    responses.(k) <- resp
-  done;
-  Array.sort Float.compare samples;
-  ( { name; nanos = percentile samples 0.5; samples = iters },
-    percentile samples 0.99,
-    responses )
-
-(* The [bits] hex side-channel of a successful response. *)
-let serve_bits resp =
-  let open Serve.Protocol in
-  match parse resp with
-  | exception Parse_error _ -> None
-  | v -> (
-    match (member "ok" v, member "bits" v) with
-    | Some (Bool true), Some (Str s) -> bits_of_hex s
-    | _ -> None)
-
-let all_equal_bits resps =
-  match serve_bits resps.(0) with
-  | None -> None
-  | Some b0 ->
-    if
-      Array.for_all
-        (fun r ->
-          match serve_bits r with
-          | Some b -> Int64.equal b b0
-          | None -> false)
-        resps
-    then Some b0
-    else None
-
-let serve_rows ?(depth = 5) () =
-  let module G = Casekit.Graph in
-  let seed = Repro.Paper.seed + 101 in
-  let legs = 9 and fanout = 10 in
-  let leaf_lo = 0.999998 and leaf_hi = 0.9999999 in
+let engine_rows leaves =
   let eng = Serve.Engine.create () in
+  let num x = Serve.Protocol.print (Serve.Protocol.Num x) in
   ignore
     (Serve.Engine.handle eng
        (Printf.sprintf
-          "{\"op\":\"generate\",\"case\":\"bench\",\"seed\":%d,\"legs\":%d,\
-           \"fanout\":%d,\"depth\":%d,\"leaf_lo\":%s,\"leaf_hi\":%s}"
-          seed legs fanout depth
-          (Serve.Protocol.print (Serve.Protocol.Num leaf_lo))
-          (Serve.Protocol.print (Serve.Protocol.Num leaf_hi))));
-  (* Twin graph built outside the engine with identical parameters:
-     generation is seed-deterministic, so node indices coincide.  Every
-     edit sent to the daemon is mirrored here, and at the end a
-     from-scratch propagation of the twin must agree bitwise with the
-     daemon's last incremental answer. *)
-  let twin =
-    Casekit.Generate.case ~seed ~legs ~fanout ~depth
-      ~leaf:(leaf_lo, leaf_hi) ()
-  in
-  let n = G.size twin in
-  let dep = G.Correlated 0.3 in
-  let sized name =
-    if n = 1_000_000 then name ^ "_1e6" else Printf.sprintf "%s_%d" name n
+          "{\"op\":\"generate\",\"case\":\"bench\",\"seed\":%d,\"legs\":9,\
+           \"fanout\":10,\"depth\":5,\"leaf_lo\":%s,\"leaf_hi\":%s}"
+          case_seed (num leaf_lo) (num leaf_hi)));
+  let p50 ~name ~iters ~prepare request =
+    let samples = Array.make iters nan in
+    for k = 0 to iters - 1 do
+      prepare ();
+      let line = request k in
+      let t0 = Monotonic_clock.now () in
+      ignore (Sys.opaque_identity (Serve.Engine.handle eng line));
+      samples.(k) <- Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+    done;
+    Array.sort Float.compare samples;
+    { name; nanos = samples.(iters / 2); samples = iters }
   in
   let eval = "{\"op\":\"evaluate\",\"case\":\"bench\",\"dependence\":0.3}" in
-  let flush = "{\"op\":\"flush\"}" in
-  (* Cold: flush before each timed evaluate — the memo is emptied and
-     the graph invalidated, so every request pays the full propagation. *)
-  let cold_iters = if depth >= 5 then 15 else 50 in
-  let r_cold, cold_p99, cold_resps =
-    serve_latency ~name:(sized "serve_cold_eval") ~iters:cold_iters
-      ~prepare:(fun _ -> ignore (Serve.Engine.handle eng flush))
-      ~request:(fun _ -> eval)
-      eng
+  let cold =
+    p50 ~name:"serve_cold_eval_1e6" ~iters:15
+      ~prepare:(fun () -> ignore (Serve.Engine.handle eng "{\"op\":\"flush\"}"))
+      (fun _ -> eval)
   in
-  let cold_bits = all_equal_bits cold_resps in
-  (* Memoised: the state left by the last cold evaluate is in the memo;
-     every repeat must hit and return the stored bits. *)
-  let hits_before = Serve.Engine.hits eng in
-  let memo_iters = 2000 in
-  let r_memo, memo_p99, memo_resps =
-    serve_latency ~name:(sized "serve_memo_eval") ~iters:memo_iters
-      ~prepare:(fun _ -> ())
-      ~request:(fun _ -> eval)
-      eng
+  let rng = Numerics.Rng.create (case_seed + 7) in
+  let edits =
+    Array.init 2000 (fun _ ->
+        let i = leaves.(Numerics.Rng.int rng (Array.length leaves)) in
+        (i, Numerics.Rng.uniform rng leaf_lo leaf_hi))
   in
-  let memo_bits = all_equal_bits memo_resps in
-  let memo_hits = Serve.Engine.hits eng - hits_before in
-  let memo_identical =
-    match (cold_bits, memo_bits) with
-    | Some c, Some m -> Int64.equal c m && memo_hits = memo_iters
-    | _ -> false
-  in
-  (* Incremental edits: random leaf values in the same band, decided up
-     front so the twin mirrors the exact floats the daemon receives
-     (the request carries them through the round-trip-exact printer). *)
-  let leaves = G.evidence_indices twin in
-  let rng = Numerics.Rng.create (seed + 7) in
-  let edit_iters = 2000 in
-  let edit_idx = Array.make edit_iters 0 in
-  let edit_val = Array.make edit_iters 0.0 in
-  for k = 0 to edit_iters - 1 do
-    edit_idx.(k) <- leaves.(Numerics.Rng.int rng (Array.length leaves));
-    edit_val.(k) <- Numerics.Rng.uniform rng leaf_lo leaf_hi
-  done;
-  let r_edit, edit_p99, edit_resps =
-    serve_latency ~name:(sized "serve_edit") ~iters:edit_iters
-      ~prepare:(fun k -> G.set_evidence twin edit_idx.(k) edit_val.(k))
-      ~request:(fun k ->
+  let edit =
+    p50 ~name:"serve_edit_1e6" ~iters:(Array.length edits) ~prepare:ignore (fun k ->
+        let i, v = edits.(k) in
         Printf.sprintf
           "{\"op\":\"edit\",\"case\":\"bench\",\"node\":%d,\"value\":%s,\
            \"dependence\":0.3}"
-          edit_idx.(k)
-          (Serve.Protocol.print (Serve.Protocol.Num edit_val.(k))))
-      eng
+          i (num v))
   in
-  let twin_bits = Int64.bits_of_float (G.propagate dep twin) in
-  let edit_identical =
-    match serve_bits edit_resps.(edit_iters - 1) with
-    | Some b -> Int64.equal b twin_bits
-    | None -> false
-  in
-  let hits = float_of_int (Serve.Engine.hits eng) in
-  let misses = float_of_int (Serve.Engine.misses eng) in
-  let hit_ratio =
-    if hits +. misses > 0.0 then hits /. (hits +. misses) else nan
-  in
-  let edit_speedup =
-    if Float.is_finite r_edit.nanos && r_edit.nanos > 0.0 then
-      r_cold.nanos /. r_edit.nanos
-    else nan
-  in
-  {
-    s_cold = r_cold;
-    s_cold_p99 = cold_p99;
-    s_memo = r_memo;
-    s_memo_p99 = memo_p99;
-    s_edit = r_edit;
-    s_edit_p99 = edit_p99;
-    s_nodes = n;
-    s_hit_ratio = hit_ratio;
-    s_memo_identical = memo_identical;
-    s_edit_identical = edit_identical;
-    s_edit_speedup = edit_speedup;
-  }
-
-let print_serve_summary ss =
-  print_rows [ ss.s_cold; ss.s_memo; ss.s_edit ];
-  Printf.printf "serve: %d nodes; p99 cold %s, memoised %s, edit %s\n"
-    ss.s_nodes (time_string ss.s_cold_p99) (time_string ss.s_memo_p99)
-    (time_string ss.s_edit_p99);
-  Printf.printf "cache hit ratio: %.3f\n" ss.s_hit_ratio;
-  Printf.printf
-    "memoised bits == cold bits: %b; last edit bits == full re-propagation: \
-     %b\n"
-    ss.s_memo_identical ss.s_edit_identical;
-  Printf.printf "incremental edit p50 vs cold p50: %.0fx\n" ss.s_edit_speedup
+  [ cold; edit ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming evidence engine: column ingest throughput at 10^6-event
-   batches, serve-mode single-event ingest latency, the population-scale
-   Delphi, and the bitwise gates — streamed posterior identical to the
-   batch update on the pooled totals, and parallel merge identical
-   across 1/2/4 domains and several chunk counts. *)
+(* JSON: one fixed schema.  Rows are added and never renamed, so any two
+   files compare on the rows they share (scripts/bench_compare.py). *)
 
-type stream_summary = {
-  st_events : int;
-  st_ingest_demands : row;
-  st_demands_eps : float;  (* events per second *)
-  st_ingest_hours : row;
-  st_hours_eps : float;
-  st_serve_ingest : row;  (* nanos = p50 of per-request latency *)
-  st_serve_ingest_p99 : float;
-  st_pop : row;
-  st_pop_n : int;
-  st_pop_aps : float;  (* assessors per second, full four-phase protocol *)
-  st_stream_vs_batch : bool;  (* streamed == batch; serve == library *)
-  st_merge_identical : bool;  (* 1/2/4 domains x 1/4/16 chunks *)
-}
+let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
-let stream_rows ?(events = 1_000_000) ?(pop_n = 1_000_000) () =
-  let module S = Experience.Stream in
-  let module Cols = Numerics.Columns in
-  let seed = Repro.Paper.seed + 211 in
-  let truth = 3e-3 in
-  (* Synthetic event columns: one demand (or 0.5-1.5 operating hours)
-     per event, failures Bernoulli at the true rate — the shape the
-     [confcase stream] generator produces. *)
-  let demands = Cols.make events 1.0 in
-  let hours = Cols.create ~capacity:events () in
-  let fails = Cols.create ~capacity:events () in
-  let rng = Numerics.Rng.create seed in
-  for _ = 1 to events do
-    Cols.push hours (Numerics.Rng.uniform rng 0.5 1.5);
-    Cols.push fails (if Numerics.Rng.bernoulli rng truth then 1.0 else 0.0)
-  done;
-  let a = 1.5 and b = 100.0 in
-  let shape = 2.0 and rate = 1e6 in
-  let sized name n =
-    if n = 1_000_000 then name ^ "_1e6" else Printf.sprintf "%s_%d" name n
+(* Row names are fixed identifiers, so they need no escaping. *)
+let json_row r =
+  Printf.sprintf "{\"name\": \"%s\", \"nanos_per_run\": %s, \"samples\": %d"
+    r.name (json_float r.nanos) r.samples
+
+let json_vr v =
+  Printf.sprintf
+    "%s, \"method\": \"%s\", \"mean\": %s, \"std_error\": %s, \"n\": %d, \
+     \"efficiency_vs_plain\": %s"
+    (json_row { v.vr_r with name = v.vr_name })
+    v.vr_method (json_float v.vr_mean) (json_float v.vr_se) v.vr_n
+    (json_float v.vr_efficiency)
+
+let write_json oc ~experiments ~micro ~vr ~graph ~edit_speedup =
+  let section name rows =
+    Printf.sprintf "  \"%s\": [\n%s\n  ]" name
+      (String.concat ",\n" (List.map (fun r -> "    " ^ r ^ "}") rows))
   in
-  let bits = Int64.bits_of_float in
-  Numerics.Parallel.with_pool (fun pool ->
-      (* Throughput: a fresh conjugate accumulator absorbs the full
-         column batch in parallel, then answers one posterior query. *)
-      let r_demands =
-        ols_nanos ~name:(sized "stream_ingest_demands" events) (fun () ->
-            let acc = S.demand_beta ~a ~b in
-            S.ingest_demands_par ~pool acc ~demands ~failures:fails;
-            S.mean acc)
-      in
-      let r_hours =
-        ols_nanos ~name:(sized "stream_ingest_hours" events) (fun () ->
-            let acc = S.rate_gamma ~shape ~rate in
-            S.ingest_hours_par ~pool acc ~hours ~failures:fails;
-            S.mean acc)
-      in
-      let eps_of (r : row) =
-        if Float.is_finite r.nanos && r.nanos > 0.0 then
-          float_of_int events *. 1e9 /. r.nanos
-        else nan
-      in
-      (* Gate 1a: a mixture prior (the Section 4 belief) ingested in
-         parallel reproduces the one-shot batch update on the pooled
-         totals bitwise — mean and P(<= bound).  Run on a 2x10^4-event
-         sub-view: grid reweighting is bounded by likelihood underflow
-         (the weights annihilate once the evidence log-likelihood passes
-         float range), which is exactly why the conjugate paths carry
-         the traffic-scale rows above. *)
-      let gate_len = min events 20_000 in
-      let gd = Cols.sub_view demands ~pos:0 ~len:gate_len in
-      let gh = Cols.sub_view hours ~pos:0 ~len:gate_len in
-      let gf = Cols.sub_view fails ~pos:0 ~len:gate_len in
-      let prior_pfd =
-        Dist.Mixture.of_dist (Dist.Lognormal.of_mode_mean ~mode:3e-3 ~mean:1e-2)
-      in
-      let prior_rate =
-        Dist.Mixture.of_dist
-          (Dist.Lognormal.of_mode_sigma ~mode:3e-7 ~sigma:0.9)
-      in
-      let same_posterior streamed batch bound =
-        Int64.equal (bits (Dist.Mixture.mean streamed))
-          (bits (Dist.Mixture.mean batch))
-        && Int64.equal
-             (bits (Dist.Mixture.prob_le streamed bound))
-             (bits (Dist.Mixture.prob_le batch bound))
-      in
-      let acc_d = S.demand_of_belief prior_pfd in
-      S.ingest_demands_par ~pool acc_d ~demands:gd ~failures:gf;
-      let batch_d, _ =
-        Experience.Bayes.update_demands prior_pfd ~failures:(S.failures acc_d)
-          ~demands:(S.demands acc_d)
-      in
-      let acc_h = S.rate_of_belief prior_rate in
-      S.ingest_hours_par ~pool acc_h ~hours:gh ~failures:gf;
-      let batch_h, _ =
-        Experience.Bayes.update_time prior_rate ~failures:(S.failures acc_h)
-          ~time:(S.hours acc_h)
-      in
-      let batch_ok =
-        same_posterior (S.posterior acc_d) batch_d 1e-2
-        && same_posterior (S.posterior acc_h) batch_h 1e-6
-      in
-      (* Gate 2: merge identity — parallel ingestion at any domain and
-         chunk count reproduces sequential ingestion exactly. *)
-      let totals_of acc = (S.demands acc, S.failures acc, bits (S.mean acc)) in
-      let reference =
-        let acc = S.demand_beta ~a ~b in
-        S.ingest_demands_col acc ~demands ~failures:fails;
-        totals_of acc
-      in
-      let merge_ok =
-        List.for_all
-          (fun num_domains ->
-            Numerics.Parallel.with_pool ~num_domains (fun p ->
-                List.for_all
-                  (fun chunks ->
-                    let acc = S.demand_beta ~a ~b in
-                    S.ingest_demands_par ~pool:p ~chunks acc ~demands
-                      ~failures:fails;
-                    totals_of acc = reference)
-                  [ 1; 4; 16 ]))
-          domain_counts
-      in
-      (* Serve-mode ingest: single-event requests through the daemon's
-         request path, p50/p99 per request. *)
-      let eng = Serve.Engine.create () in
-      ignore
-        (Serve.Engine.handle eng
-           (Printf.sprintf
-              "{\"op\":\"stream\",\"stream\":\"bench\",\"beta_a\":%s,\
-               \"beta_b\":%s}"
-              (Serve.Protocol.print (Serve.Protocol.Num a))
-              (Serve.Protocol.print (Serve.Protocol.Num b))));
-      let ingest_iters = 2000 in
-      let r_serve, serve_p99, _ =
-        serve_latency ~name:"stream_serve_ingest" ~iters:ingest_iters
-          ~prepare:(fun _ -> ())
-          ~request:(fun _ ->
-            "{\"op\":\"ingest\",\"stream\":\"bench\",\"demands\":1,\
-             \"failures\":0}")
-          eng
-      in
-      (* Gate 1b: the daemon's posterior after those events matches a
-         library accumulator holding the same totals bitwise (sufficient
-         statistics — one observe call with the pooled count). *)
-      let twin = S.demand_beta ~a ~b in
-      S.observe_demands twin ~demands:ingest_iters ~failures:0;
-      let posterior_resp =
-        Serve.Engine.handle eng "{\"op\":\"posterior\",\"stream\":\"bench\"}"
-      in
-      let serve_ok =
-        match serve_bits posterior_resp with
-        | Some bv -> Int64.equal bv (bits (S.mean twin))
-        | None -> false
-      in
-      (* Population Delphi: one full four-phase protocol over [pop_n]
-         synthetic assessors through the batched column kernels. *)
-      let r_pop =
-        ols_nanos ~name:(sized "population_delphi" pop_n) (fun () ->
-            Elicit.Population.run ~pool Elicit.Delphi.default_config ~n:pop_n)
-      in
-      let pop_aps =
-        if Float.is_finite r_pop.nanos && r_pop.nanos > 0.0 then
-          float_of_int pop_n *. 1e9 /. r_pop.nanos
-        else nan
-      in
-      {
-        st_events = events;
-        st_ingest_demands = r_demands;
-        st_demands_eps = eps_of r_demands;
-        st_ingest_hours = r_hours;
-        st_hours_eps = eps_of r_hours;
-        st_serve_ingest = r_serve;
-        st_serve_ingest_p99 = serve_p99;
-        st_pop = r_pop;
-        st_pop_n = pop_n;
-        st_pop_aps = pop_aps;
-        st_stream_vs_batch = batch_ok && serve_ok;
-        st_merge_identical = merge_ok;
-      })
-
-let print_stream_summary st =
-  print_rows [ st.st_ingest_demands; st.st_ingest_hours; st.st_pop ];
-  Printf.printf
-    "ingest: %.2fM demand events/s, %.2fM hour events/s (%d-event batches)\n"
-    (st.st_demands_eps /. 1e6) (st.st_hours_eps /. 1e6) st.st_events;
-  Printf.printf "serve ingest: p50 %s, p99 %s\n"
-    (time_string st.st_serve_ingest.nanos)
-    (time_string st.st_serve_ingest_p99);
-  Printf.printf "population delphi: %d assessors, %.2fM assessors/s\n"
-    st.st_pop_n (st.st_pop_aps /. 1e6);
-  Printf.printf "streamed posterior == batch (and serve == library): %b\n"
-    st.st_stream_vs_batch;
-  Printf.printf "merge identity across 1/2/4 domains x 1/4/16 chunks: %b\n"
-    st.st_merge_identical
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                               *)
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json oc ~experiments ~micro ~kernels ~vr ~graph ~serve ~stream
-    ~deterministic =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"confcase-bench-9\",\n";
-  add "  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\"name\": \"%s\", \"nanos_per_run\": %s, \"samples\": %d}%s\n"
-        (json_escape r.name) (json_float r.nanos) r.samples
-        (if i = List.length experiments - 1 then "" else ","))
-    experiments;
-  add "  ],\n  \"micro\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\"name\": \"%s\", \"nanos_per_run\": %s, \"samples\": %d}%s\n"
-        (json_escape r.name) (json_float r.nanos) r.samples
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  add "  ],\n  \"mc_kernels\": [\n";
-  List.iteri
-    (fun i k ->
-      add
-        "    {\"name\": \"%s\", \"variant\": \"%s\", \"domains\": %d, \
-         \"pool_domains\": %d, \"nanos_per_run\": %s, \"samples\": %d}%s\n"
-        (json_escape k.kernel) k.variant k.domains k.pool_domains
-        (json_float k.r.nanos) k.r.samples
-        (if i = List.length kernels - 1 then "" else ","))
-    kernels;
-  add "  ],\n  \"vr\": [\n";
-  List.iteri
-    (fun i v ->
-      add
-        "    {\"name\": \"%s\", \"method\": \"%s\", \"mean\": %s, \
-         \"std_error\": %s, \"n\": %d, \"nanos_per_run\": %s, \"samples\": \
-         %d, \"efficiency_vs_plain\": %s}%s\n"
-        (json_escape v.vr_name) (json_escape v.vr_method) (json_float v.vr_mean)
-        (json_float v.vr_se) v.vr_n (json_float v.vr_r.nanos) v.vr_r.samples
-        (json_float v.vr_efficiency)
-        (if i = List.length vr - 1 then "" else ","))
-    vr;
-  add "  ],\n  \"graph\": {\n";
-  let build_nps, prop_nps, eps, speedup, lint_nps, audit_nps =
-    graph_throughput graph
-  in
-  add "    \"nodes\": %d,\n    \"edges\": %d,\n" graph.g_nodes graph.g_edges;
-  add "    \"dag_nodes\": %d,\n    \"dag_max_overlap\": %s,\n"
-    graph.g_dag_nodes (json_float graph.g_dag_overlap);
-  add "    \"rows\": [\n";
-  let grows =
-    [ graph.g_build; graph.g_prop; graph.g_prop_dag; graph.g_edit;
-      graph.g_lint; graph.g_audit ]
-  in
-  List.iteri
-    (fun i r ->
-      add "      {\"name\": \"%s\", \"nanos_per_run\": %s, \"samples\": %d}%s\n"
-        (json_escape r.name) (json_float r.nanos) r.samples
-        (if i = List.length grows - 1 then "" else ","))
-    grows;
-  add "    ],\n";
-  add "    \"build_nodes_per_sec\": %s,\n" (json_float build_nps);
-  add "    \"propagate_nodes_per_sec\": %s,\n" (json_float prop_nps);
-  add "    \"edits_per_sec\": %s,\n" (json_float eps);
-  add "    \"incremental_speedup_vs_full\": %s,\n" (json_float speedup);
-  add "    \"lint_nodes_per_sec\": %s,\n" (json_float lint_nps);
-  add "    \"audit_nodes_per_sec\": %s,\n" (json_float audit_nps);
-  add "    \"audit_interval_sound\": %b,\n" graph.g_audit_sound;
-  add "    \"deterministic_across_domains\": %b\n  },\n"
-    graph.g_deterministic;
-  add "  \"serve\": {\n";
-  add "    \"nodes\": %d,\n" serve.s_nodes;
-  add "    \"rows\": [\n";
-  let srows =
-    [
-      (serve.s_cold, serve.s_cold_p99);
-      (serve.s_memo, serve.s_memo_p99);
-      (serve.s_edit, serve.s_edit_p99);
-    ]
-  in
-  List.iteri
-    (fun i ((r : row), p99) ->
-      let eps =
-        if Float.is_finite r.nanos && r.nanos > 0.0 then 1e9 /. r.nanos
-        else nan
-      in
-      add
-        "      {\"name\": \"%s\", \"nanos_per_run\": %s, \"p99_nanos\": %s, \
-         \"samples\": %d, \"evals_per_sec\": %s}%s\n"
-        (json_escape r.name) (json_float r.nanos) (json_float p99) r.samples
-        (json_float eps)
-        (if i = List.length srows - 1 then "" else ","))
-    srows;
-  add "    ],\n";
-  add "    \"hit_ratio\": %s,\n" (json_float serve.s_hit_ratio);
-  add "    \"memo_bits_identical\": %b,\n" serve.s_memo_identical;
-  add "    \"edit_bits_identical\": %b,\n" serve.s_edit_identical;
-  add "    \"edit_speedup_vs_cold\": %s,\n" (json_float serve.s_edit_speedup);
-  add "    \"edit_speedup_ok\": %b\n  },\n"
-    (serve.s_edit_speedup >= 10.0);
-  add "  \"stream\": {\n";
-  add "    \"events\": %d,\n" stream.st_events;
-  add "    \"rows\": [\n";
-  let strows =
-    [ (stream.st_ingest_demands, stream.st_demands_eps);
-      (stream.st_ingest_hours, stream.st_hours_eps) ]
-  in
-  List.iteri
-    (fun i ((r : row), eps) ->
-      add
-        "      {\"name\": \"%s\", \"nanos_per_run\": %s, \"samples\": %d, \
-         \"events_per_sec\": %s}%s\n"
-        (json_escape r.name) (json_float r.nanos) r.samples (json_float eps)
-        (if i = List.length strows - 1 then "" else ","))
-    strows;
-  add "    ],\n";
-  add
-    "    \"serve_ingest\": {\"name\": \"%s\", \"p50_nanos\": %s, \
-     \"p99_nanos\": %s, \"samples\": %d},\n"
-    (json_escape stream.st_serve_ingest.name)
-    (json_float stream.st_serve_ingest.nanos)
-    (json_float stream.st_serve_ingest_p99)
-    stream.st_serve_ingest.samples;
-  add
-    "    \"population\": {\"name\": \"%s\", \"n\": %d, \"nanos_per_run\": %s, \
-     \"samples\": %d, \"assessors_per_sec\": %s},\n"
-    (json_escape stream.st_pop.name) stream.st_pop_n
-    (json_float stream.st_pop.nanos) stream.st_pop.samples
-    (json_float stream.st_pop_aps);
-  add "    \"streamed_equals_batch\": %b,\n" stream.st_stream_vs_batch;
-  add "    \"merge_bits_identical\": %b\n  },\n" stream.st_merge_identical;
-  let sp = speedups kernels in
-  add "  \"speedups\": [\n";
-  List.iteri
-    (fun i (kernel, domains, vs_one, vs_seq) ->
-      add
-        "    {\"name\": \"%s\", \"domains\": %d, \"speedup_vs_one_domain\": \
-         %s, \"speedup_vs_sequential\": %s}%s\n"
-        (json_escape kernel) domains (json_float vs_one) (json_float vs_seq)
-        (if i = List.length sp - 1 then "" else ","))
-    sp;
-  add "  ],\n  \"deterministic_across_domains\": %b\n}\n" deterministic;
-  Buffer.output_buffer oc buf;
+  Printf.fprintf oc "{\n  \"schema\": \"confcase-bench\",\n%s,\n%s,\n%s,\n%s,\n"
+    (section "experiments" (List.map json_row experiments))
+    (section "micro" (List.map json_row micro))
+    (section "vr" (List.map json_vr vr))
+    (section "graph" (List.map json_row graph));
+  Printf.fprintf oc "  \"edit_speedup_vs_cold\": %s\n}\n" (json_float edit_speedup);
   close_out oc
 
 let run_json path =
@@ -1338,143 +500,43 @@ let run_json path =
       Printf.eprintf "cannot write %s\n" msg;
       exit 1
   in
-  print_endline "################ Bechamel timings ################\n";
-  let experiments = time_experiments () in
-  print_rows experiments;
-  print_endline "\n################ Micro regressions ################\n";
-  let micro = micro_rows () in
-  print_rows micro;
+  let section title rows =
+    Printf.printf "\n################ %s ################\n\n" title;
+    print_rows rows;
+    rows
+  in
+  let experiments = section "Bechamel timings" (time_experiments ()) in
+  let g = headline_case () in
+  let micro =
+    section "Micro regressions"
+      (micro_rows () @ engine_rows (Casekit.Graph.evidence_indices g))
+  in
   print_endline
     "\n################ Variance reduction (equal sample budget) \
      ################\n";
   let vr = vr_rows () in
   print_vr_rows vr;
-  print_endline "\n################ MC kernels (seq vs domain pool) ################\n";
-  let conservative_rows, conservative_id = conservative_kernel () in
-  let survival_rows, survival_id = survival_kernel () in
-  let sketch_rows, sketch_id = sketch_kernel () in
-  let kernels = conservative_rows @ survival_rows @ sketch_rows in
-  print_rows (List.map (fun k -> k.r) kernels);
-  let kernels_id = conservative_id && survival_id && sketch_id in
-  List.iter
-    (fun (kernel, domains, vs_one, vs_seq) ->
-      Printf.printf
-        "%s: %d domains -> %.2fx vs 1-domain pool, %.2fx vs sequential\n"
-        kernel domains vs_one vs_seq)
-    (speedups kernels);
-  Printf.printf "parallel results bit-identical across domain counts: %b\n"
-    kernels_id;
-  print_endline
-    "\n################ Case graphs (CSR propagate, 10^6 nodes) \
-     ################\n";
-  let graph = graph_rows () in
-  print_graph_summary graph;
-  print_endline
-    "\n################ Serve daemon (hot evaluation path) ################\n";
-  let serve = serve_rows () in
-  print_serve_summary serve;
-  let serve_ok =
-    serve.s_memo_identical && serve.s_edit_identical
-    && serve.s_edit_speedup >= 10.0
-  in
-  print_endline
-    "\n################ Streaming evidence (ingest, population Delphi) \
-     ################\n";
-  let stream = stream_rows () in
-  print_stream_summary stream;
-  let stream_ok = stream.st_stream_vs_batch && stream.st_merge_identical in
-  let deterministic =
-    kernels_id && graph.g_deterministic && graph.g_audit_sound && serve_ok
-    && stream_ok
-  in
-  write_json oc ~experiments ~micro ~kernels ~vr ~graph ~serve ~stream
-    ~deterministic;
-  Printf.printf "\nwrote %s\n" path;
-  if not deterministic then exit 1
+  let graph = section "Case graphs (10^6 nodes)" (graph_rows g) in
+  let nanos name = (List.find (fun r -> r.name = name) micro).nanos in
+  let edit_speedup = nanos "serve_cold_eval_1e6" /. nanos "serve_edit_1e6" in
+  write_json oc ~experiments ~micro ~vr ~graph ~edit_speedup;
+  Printf.printf "\nincremental edit p50 vs cold evaluate p50: %.0fx\nwrote %s\n"
+    edit_speedup path;
+  if not (edit_speedup >= 10.0) then begin
+    prerr_endline "bench: an incremental edit is less than 10x faster than a cold evaluate";
+    exit 1
+  end
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | [ "--no-perf" ] -> run_reproductions ()
-  | [ "--json"; path ] -> run_json path
-  | [ "--json" ] ->
-    prerr_endline "--json requires an output path, e.g. --json BENCH_7.json";
-    exit 1
-  | [ "--vr-smoke" ] ->
-    (* A fast CI-sized pass over the variance-reduction rows only: a
-       quarter of the sample budget, no JSON.  Informational — the exit
-       code only reflects whether the rows computed at all. *)
-    print_endline
-      "################ Variance reduction (smoke, n = 2^14) \
-       ################\n";
-    print_vr_rows (vr_rows ~n:16384 ())
-  | [ "--soa-smoke" ] ->
-    (* The micro rows only — exercises every SoA path (column quantile,
-       cum-column mixture sampling, columnar sketch add/merge/merge_into,
-       snapshot save/load incl. mmap) without the slow experiment and
-       kernel sections.  Informational: CI gates on completion, not on
-       the ratios. *)
-    print_endline "################ Micro regressions (SoA smoke) ################\n";
-    print_rows (micro_rows ())
-  | [ "--graph-smoke" ] ->
-    (* A CI-sized pass over the graph rows at depth 3 (~10^4 nodes):
-       exercises build, full and DAG propagation, 1/2/4-domain identity
-       and the incremental edit storm without the 10^6-node cost.
-       Gates on determinism only — the ratios are informational. *)
-    print_endline
-      "################ Case graphs (smoke, depth 3) ################\n";
-    let graph = graph_rows ~depth:3 () in
-    print_graph_summary graph;
-    if not graph.g_deterministic then exit 1
-  | [ "--audit-smoke" ] ->
-    (* A CI-sized pass gating the semantic audit: runs the lint and audit
-       rows at depth 3 and verifies the interval pass is sound against the
-       propagation engine — the root lies within the static bounds and
-       point leaf bounds reproduce the propagated values bitwise, under
-       all four dependence models.  Exit 1 on any violation. *)
-    print_endline
-      "################ Semantic audit (smoke, depth 3) ################\n";
-    let graph = graph_rows ~depth:3 () in
-    print_graph_summary graph;
-    if not (graph.g_deterministic && graph.g_audit_sound) then exit 1
-  | [ "--serve-smoke" ] ->
-    (* A CI-sized pass over the serve rows at depth 3: exercises the
-       full request path (generate, cold/memoised evaluate, incremental
-       edits mirrored onto a twin graph) and gates on the bitwise
-       identities only — latency ratios at this scale are
-       informational. *)
-    print_endline
-      "################ Serve daemon (smoke, depth 3) ################\n";
-    let serve = serve_rows ~depth:3 () in
-    print_serve_summary serve;
-    if not (serve.s_memo_identical && serve.s_edit_identical) then exit 1
-  | [ "--stream-smoke" ] ->
-    (* A CI-sized pass over the streaming rows: 10^5-event columns and a
-       5x10^4-assessor population.  Gates on the bitwise identities only
-       — streamed == batch on the pooled totals, serve == library, and
-       merge identity across domain and chunk counts; throughput at this
-       scale is informational. *)
-    print_endline
-      "################ Streaming evidence (smoke, 10^5 events) \
-       ################\n";
-    let st = stream_rows ~events:100_000 ~pop_n:50_000 () in
-    print_stream_summary st;
-    if not (st.st_stream_vs_batch && st.st_merge_identical) then exit 1
+  match List.tl (Array.to_list Sys.argv) with
   | [] ->
     run_reproductions ();
     run_perf ()
-  | [ id ] ->
-    (match Repro.Experiments.run_one id with
-    | output -> print_string output
-    | exception Not_found ->
-      Printf.eprintf "unknown experiment %s; known ids:\n" id;
-      List.iter
-        (fun (i, anchor, _) -> Printf.eprintf "  %-14s %s\n" i anchor)
-        Repro.Experiments.all;
-      exit 1)
+  | [ "--no-perf" ] -> run_reproductions ()
+  | [ "--json"; path ] -> run_json path
+  | [ "--json" ] ->
+    prerr_endline "--json requires an output path, e.g. --json bench.json";
+    exit 1
   | _ ->
-    prerr_endline
-      "usage: main.exe [--no-perf | --json <path> | --vr-smoke | \
-       --soa-smoke | --graph-smoke | --audit-smoke | --serve-smoke | \
-       --stream-smoke | <experiment-id>]";
+    prerr_endline "usage: main.exe [--no-perf | --json <path>]";
     exit 1

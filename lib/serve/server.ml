@@ -82,41 +82,51 @@ let execute_batch config eng parseds =
 
 (* --- line-framed IO over raw descriptors -------------------------------------- *)
 
+(* Complete lines wait in a queue; the bytes after the last newline wait
+   in [partial].  Each read scans only its own bytes for newlines, so a
+   line spanning many reads costs time linear in its length. *)
 type reader = {
   fd : Unix.file_descr;
   chunk : Bytes.t;
-  mutable residual : string;  (* bytes after the last complete line *)
-  mutable lines : string list;  (* complete lines, FIFO *)
+  partial : Buffer.t;  (* bytes after the last complete line *)
+  lines : string Queue.t;  (* complete lines, FIFO *)
   mutable eof : bool;
 }
 
 let reader fd =
-  { fd; chunk = Bytes.create 65536; residual = ""; lines = []; eof = false }
+  {
+    fd;
+    chunk = Bytes.create 65536;
+    partial = Buffer.create 256;
+    lines = Queue.create ();
+    eof = false;
+  }
+
+(* Index of the first newline in [b] at or after [i] and before [n]. *)
+let rec newline b i n =
+  if i >= n then None else if Bytes.get b i = '\n' then Some i else newline b (i + 1) n
 
 let rec fill r =
   match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
   | 0 -> r.eof <- true
   | n ->
-    let data = r.residual ^ Bytes.sub_string r.chunk 0 n in
-    (match String.split_on_char '\n' data with
-    | [] -> assert false
-    | parts ->
-      let rec split_last acc = function
-        | [ last ] -> (List.rev acc, last)
-        | x :: rest -> split_last (x :: acc) rest
-        | [] -> assert false
-      in
-      let complete, rest = split_last [] parts in
-      r.lines <- r.lines @ complete;
-      r.residual <- rest)
+    let rec split start =
+      match newline r.chunk start n with
+      | Some i ->
+        if Buffer.length r.partial = 0 then
+          Queue.push (Bytes.sub_string r.chunk start (i - start)) r.lines
+        else begin
+          Buffer.add_subbytes r.partial r.chunk start (i - start);
+          Queue.push (Buffer.contents r.partial) r.lines;
+          Buffer.reset r.partial
+        end;
+        split (i + 1)
+      | None -> Buffer.add_subbytes r.partial r.chunk start (n - start)
+    in
+    split 0
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill r
 
-let take_line r =
-  match r.lines with
-  | l :: rest ->
-    r.lines <- rest;
-    Some l
-  | [] -> None
+let take_line r = Queue.take_opt r.lines
 
 let readable fd timeout =
   match Unix.select [ fd ] [] [] timeout with
@@ -131,9 +141,9 @@ let rec next_line r =
   | Some l -> Some l
   | None ->
     if r.eof then
-      if r.residual <> "" then begin
-        let l = r.residual in
-        r.residual <- "";
+      if Buffer.length r.partial > 0 then begin
+        let l = Buffer.contents r.partial in
+        Buffer.reset r.partial;
         Some l
       end
       else None

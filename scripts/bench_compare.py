@@ -1,58 +1,33 @@
 #!/usr/bin/env python3
-"""Compare the two newest BENCH_*.json files at the repo root.
+"""Compare bench.json (written by `make bench-json`) with BENCH_9.json.
 
-Rows are matched by name across the shared sections (``experiments``,
-``micro``, and ``mc_kernels`` keyed by name/variant/domains) and diffed
-on ``nanos_per_run``.  A row that got more than THRESHOLD slower is
-flagged as a regression; more than THRESHOLD faster is reported as an
-improvement.  Schema changes between generations are expected — only
-rows present in both files are compared, and added/removed rows are
-listed informationally.
+Rows are matched by name (VR rows by name and method) and diffed on
+``nanos_per_run``.  The bench writes one fixed schema whose rows are
+added and never renamed, so only rows present in both files are
+compared; the rest are listed informationally.  Older files kept some
+rows under ``graph.rows`` and ``serve.rows``; those are read too.
 
-Exit status is 0 unless ``--strict`` is given, in which case any flagged
-regression exits 1 (CI runs this as a non-blocking informational step;
---strict is for local use).
+A row that got more than THRESHOLD slower is flagged as a regression;
+more than THRESHOLD faster is reported as an improvement.  Exit status is
+0 unless ``--strict`` is given, in which case any flagged regression
+exits 1 (CI runs this as a non-blocking informational step).
 """
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 THRESHOLD = 0.20  # +/-20%
-
-# Rows renamed across schema generations: {old_key: new_key}.  Applied to
-# the *older* file's keys so a renamed row is still compared instead of
-# showing up as one removal plus one addition.  confcase-bench-5 renamed
-# the sketch micro rows when the t-digest moved to SoA centroid columns;
-# confcase-bench-6 renamed the snapshot micro rows (columns_* -> snapshot_*)
-# when the graph section landed (same workload — only the name changed);
-# confcase-bench-7 suffixed the graph DAG/edit rows with their node count
-# (the headline configuration is 10^6 nodes) when the audit rows landed;
-# confcase-bench-8 suffixed graph_build the same way (it was the one graph
-# row still unsized) when the serve section landed.  confcase-bench-9
-# added the stream section without renaming any existing row.
-RENAMES = {
-    "micro/sketch_add_1e6": "micro/sketch_add_soa_1e6",
-    "micro/sketch_merge_64x16k": "micro/sketch_merge_soa_64x16k",
-    "micro/columns_save_1e6": "micro/snapshot_save_1e6",
-    "micro/columns_load_1e6": "micro/snapshot_load_1e6",
-    "micro/columns_load_mmap_1e6": "micro/snapshot_load_mmap_1e6",
-    "graph/graph_propagate_dag": "graph/graph_propagate_dag_1e6",
-    "graph/graph_incremental_edit": "graph/graph_incremental_edit_1e6",
-    "graph/graph_build": "graph/graph_build_1e6",
-}
+ROOT = Path(__file__).resolve().parent.parent
+NEW = ROOT / "bench.json"
+BASE = ROOT / "BENCH_9.json"
 
 
-def find_bench_files(root: Path):
-    """BENCH_*.json ordered by numeric suffix (BENCH_2 before BENCH_10)."""
-    found = []
-    for p in root.glob("BENCH_*.json"):
-        m = re.fullmatch(r"BENCH_(\d+)\.json", p.name)
-        if m:
-            found.append((int(m.group(1)), p))
-    return [p for _, p in sorted(found)]
+def section_rows(doc, key):
+    """A section's rows: a list, or an object carrying them under "rows"."""
+    section = doc.get(key, [])
+    return section.get("rows", []) if isinstance(section, dict) else section
 
 
 def load_rows(path: Path):
@@ -60,60 +35,28 @@ def load_rows(path: Path):
     with path.open() as f:
         doc = json.load(f)
     rows = {}
-    for section in ("experiments", "micro"):
-        for row in doc.get(section, []):
-            rows[f"{section}/{row['name']}"] = row.get("nanos_per_run")
-    for row in doc.get("mc_kernels", []):
-        key = f"mc_kernels/{row['name']}/{row['variant']}/{row['domains']}"
-        rows[key] = row.get("nanos_per_run")
+    for key in ("experiments", "micro", "graph", "serve"):
+        for row in section_rows(doc, key):
+            rows[row["name"]] = row.get("nanos_per_run")
     for row in doc.get("vr", []):
-        key = f"vr/{row['name']}/{row['method']}"
-        rows[key] = row.get("nanos_per_run")
-    for row in doc.get("graph", {}).get("rows", []):
-        rows[f"graph/{row['name']}"] = row.get("nanos_per_run")
-    for row in doc.get("serve", {}).get("rows", []):
-        # serve rows record latency percentiles: nanos_per_run is the p50.
-        rows[f"serve/{row['name']}"] = row.get("nanos_per_run")
-    stream = doc.get("stream", {})
-    for row in stream.get("rows", []):
-        rows[f"stream/{row['name']}"] = row.get("nanos_per_run")
-    si = stream.get("serve_ingest")
-    if si:
-        # Latency percentiles again: compare on the p50.
-        rows[f"stream/{si['name']}"] = si.get("p50_nanos")
-    pop = stream.get("population")
-    if pop:
-        rows[f"stream/{pop['name']}"] = pop.get("nanos_per_run")
+        rows[f"{row['name']}/{row['method']}"] = row.get("nanos_per_run")
     return doc.get("schema", "?"), rows
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                    help="directory holding the BENCH_*.json files")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 if any regression exceeds the threshold")
     args = ap.parse_args()
 
-    files = find_bench_files(args.root)
-    if len(files) < 2:
-        print(f"bench-compare: need >=2 BENCH_*.json files under {args.root}, "
-              f"found {len(files)} — nothing to compare yet (run "
-              f"`make bench-json` to record a baseline); exiting 0")
+    if not NEW.exists():
+        print(f"bench-compare: {NEW.name} not found (run `make bench-json` "
+              f"first); exiting 0")
         return 0
-
-    old_path, new_path = files[-2], files[-1]
-    old_schema, old = load_rows(old_path)
-    new_schema, new = load_rows(new_path)
-    print(f"bench-compare: {old_path.name} ({old_schema}) -> "
-          f"{new_path.name} ({new_schema})")
-
-    # Carry renamed rows across the schema bump (only where the old file
-    # still uses the old name and the new file the new one).
-    for old_key, new_key in RENAMES.items():
-        if old_key in old and new_key not in old and new_key in new:
-            old[new_key] = old.pop(old_key)
-            print(f"  (rename) {old_key} -> {new_key}")
+    old_schema, old = load_rows(BASE)
+    new_schema, new = load_rows(NEW)
+    print(f"bench-compare: {BASE.name} ({old_schema}) -> "
+          f"{NEW.name} ({new_schema})")
 
     shared = sorted(set(old) & set(new))
     added = sorted(set(new) - set(old))
@@ -135,22 +78,14 @@ def main():
             regressions.append((key, ratio))
         elif ratio < -THRESHOLD:
             marker = "  (improved)"
-        print(f"  {key:58s} {a:14.6g} -> {b:14.6g} ns  {ratio:+7.1%}{marker}")
+        print(f"  {key:44s} {a:14.6g} -> {b:14.6g} ns  {ratio:+7.1%}{marker}")
 
-    # Rows present only in the newer file are informational by design: a
-    # schema bump that introduces a section (e.g. serve in bench-8) has no
-    # baseline to regress against.  They are listed, counted, and never
-    # flagged — the first comparison *between* two files carrying them is
-    # where the threshold starts to apply.
     for key in added:
-        print(f"  {key:58s} {'new row (informational)':>24s}")
+        print(f"  {key:44s} {'new row (informational)':>24s}")
     for key in removed:
-        print(f"  {key:58s} {'row removed':>14s}")
+        print(f"  {key:44s} {'not in the new file':>20s}")
     for key in skipped:
-        print(f"  {key:58s} {'skipped (null/zero baseline)':>28s}")
-    if added:
-        print(f"  ({len(added)} new row(s) have no baseline and are not "
-              f"compared)")
+        print(f"  {key:44s} {'skipped (null/zero baseline)':>28s}")
 
     if regressions:
         print(f"\nbench-compare: {len(regressions)} row(s) regressed more "

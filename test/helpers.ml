@@ -67,3 +67,51 @@ let random_tree rng ~depth =
   N.goal ~id:(fresh "n" next) ~statement:"root" [ child ]
 
 let gen_seed_depth = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 4))
+
+(* Hostile input for the hand-written parsers: arbitrary bytes, or one to
+   three mutations of a valid fixture — truncation, a flipped byte, a
+   duplicated line, or a NaN/overflow/underflow literal spliced in. *)
+let gen_hostile_text fixtures =
+  let open QCheck2.Gen in
+  let literals = [ "NaN"; "nan"; "-nan"; "inf"; "1e309"; "-1e309"; "1e-400"; "0x1p3"; "" ] in
+  let mutation text =
+    let n = String.length text in
+    let* op = int_bound 3 and* pos = int_bound n and* byte = int_range 1 255 in
+    let* lit = oneofl literals in
+    pure
+      (match op with
+      | 0 -> String.sub text 0 pos
+      | 1 when n > 0 ->
+        let b = Bytes.of_string text in
+        let i = min pos (n - 1) in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor byte));
+        Bytes.to_string b
+      | 2 ->
+        let lines = String.split_on_char '\n' text in
+        let k = pos mod List.length lines in
+        List.concat_map (fun (i, l) -> if i = k then [ l; l ] else [ l ])
+          (List.mapi (fun i l -> (i, l)) lines)
+        |> String.concat "\n"
+      | _ -> String.sub text 0 pos ^ lit ^ String.sub text pos (n - pos))
+  in
+  let mutated =
+    let* base = oneofl fixtures and* rounds = int_range 1 3 in
+    let rec go text k = if k = 0 then pure text else mutation text >>= fun t -> go t (k - 1) in
+    go base rounds
+  in
+  frequency [ (1, string_size (int_bound 64)); (4, mutated) ]
+
+(* [total_parser ~parses ~expected text] — a qcheck predicate: [parses text]
+   returns a value or raises the parser's own error; anything else fails. *)
+let total_parser ~parses ~expected text =
+  match parses text with
+  | _ -> true
+  | exception e when expected e -> true
+  | exception e ->
+    QCheck2.Test.fail_reportf "uncaught %s" (Printexc.to_string e)
+
+(* 10^6 unclosed and then balanced brackets: deep nesting must end in a
+   value or the parser's error, never a stack overflow. *)
+let deep_brackets = String.make 1_000_000 '['
+
+let deep_balanced = deep_brackets ^ String.make 1_000_000 ']'

@@ -27,49 +27,59 @@ let models =
    at every node — it runs the same float operations in the same order.
    Parallel propagation must agree bitwise at 1, 2 and 4 domains, so the
    interval also contains every parallel result. *)
+let bounds_sound g =
+  let root = G.root g in
+  List.for_all
+    (fun (_, dep) ->
+      let value = G.propagate dep g in
+      let lo, hi = G.propagate_bounds dep g in
+      let well_formed = ref true in
+      for i = 0 to G.size g - 1 do
+        let l = Columns.get lo i and h = Columns.get hi i in
+        if not (0.0 <= l && l <= h && h <= 1.0) then well_formed := false
+      done;
+      let vals = G.values g in
+      let plo, phi =
+        G.propagate_bounds
+          ~leaf_bounds:(fun i ->
+            (G.base_confidence g i, G.base_confidence g i))
+          dep g
+      in
+      let point_identical = ref true in
+      for i = 0 to G.size g - 1 do
+        let v = Columns.get vals i in
+        if
+          not
+            (same_bits (Columns.get plo i) v
+            && same_bits (Columns.get phi i) v)
+        then point_identical := false
+      done;
+      let par_identical =
+        List.for_all
+          (fun d ->
+            Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
+                same_bits (G.propagate_par ~pool ~chunks:8 dep g) value))
+          [ 1; 2; 4 ]
+      in
+      !well_formed
+      && Columns.get lo root <= value
+      && value <= Columns.get hi root
+      && !point_identical && par_identical)
+    models
+
 let test_bounds_soundness_property =
   qcheck ~count:100 "propagated value within static bounds, all models"
     gen_seed_depth (fun (seed, depth) ->
-      let t = random_tree (rng_of_seed seed) ~depth in
-      let g = G.of_node t in
-      let root = G.root g in
-      List.for_all
-        (fun (_, dep) ->
-          let value = G.propagate dep g in
-          let lo, hi = G.propagate_bounds dep g in
-          let well_formed = ref true in
-          for i = 0 to G.size g - 1 do
-            let l = Columns.get lo i and h = Columns.get hi i in
-            if not (0.0 <= l && l <= h && h <= 1.0) then well_formed := false
-          done;
-          let vals = G.values g in
-          let plo, phi =
-            G.propagate_bounds
-              ~leaf_bounds:(fun i ->
-                (G.base_confidence g i, G.base_confidence g i))
-              dep g
-          in
-          let point_identical = ref true in
-          for i = 0 to G.size g - 1 do
-            let v = Columns.get vals i in
-            if
-              not
-                (same_bits (Columns.get plo i) v
-                && same_bits (Columns.get phi i) v)
-            then point_identical := false
-          done;
-          let par_identical =
-            List.for_all
-              (fun d ->
-                Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-                    same_bits (G.propagate_par ~pool ~chunks:8 dep g) value))
-              [ 1; 2; 4 ]
-          in
-          !well_formed
-          && Columns.get lo root <= value
-          && value <= Columns.get hi root
-          && !point_identical && par_identical)
-        models)
+      bounds_sound (G.of_node (random_tree (rng_of_seed seed) ~depth)))
+
+(* The same soundness on generated cases, shared-evidence DAGs included,
+   where the overlap floor on rho enters the correlated model. *)
+let test_bounds_soundness_generated =
+  qcheck ~count:40 "static bounds sound on generated cases and DAGs"
+    QCheck2.Gen.(
+      triple (int_bound 1_000_000) (int_range 1 3) (oneofl [ 0.0; 0.1; 0.5 ]))
+    (fun (seed, depth, shared) ->
+      bounds_sound (Gen.case ~seed ~legs:4 ~fanout:3 ~depth ~shared ()))
 
 (* Random non-trivial leaf intervals: any evidence assignment drawn from
    within them must propagate to a root inside the static interval. *)
@@ -424,6 +434,7 @@ let suite =
     case "correlated blend monotone in rho" test_rho_monotonicity;
     case "unattainable.case fixture" test_unattainable_fixture;
     test_bounds_soundness_property;
+    test_bounds_soundness_generated;
     test_custom_leaf_bounds_property;
     test_spof_brute_force_property;
     test_spof_brute_force_dag ]

@@ -86,10 +86,33 @@ let test_print_foreign_rejected () =
   check_raises_invalid "foreign component" (fun () ->
       ignore (F.print (M.of_dist d)))
 
+let belief_fixtures =
+  [ "# belief about the SIS pfd\natom 0 0.05\nlognormal mode 3e-3 sigma 0.9 weight 0.95\n";
+    "lognormal mu -6 sigma 1.2\n";
+    "gamma shape 2 rate 1e6 weight 0.5\nbeta a 1.5 b 100 weight 0.25\n\
+     uniform lo 0 hi 1e-2 weight 0.25\n";
+    "atom 1e-3 weight 0.1\nlognormal mode 1e-4 sigma 0.5\n" ]
+
+let belief_total =
+  total_parser ~parses:Elicit.Belief_format.parse ~expected:(function
+    | Elicit.Belief_format.Parse_error _ -> true
+    | _ -> false)
+
+let test_hostile_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~name:"belief parse is total on hostile bytes"
+       ~print:(Printf.sprintf "%S") (gen_hostile_text belief_fixtures) belief_total)
+
+let test_deep_brackets () =
+  check_true "10^6 open brackets" (belief_total deep_brackets);
+  check_true "10^6 balanced brackets" (belief_total deep_balanced)
+
 let suite =
   [ case "basic parsing" test_parse_basic;
     case "implicit weights" test_implicit_weight;
     case "all families" test_all_families;
     case "error reporting" test_errors;
     case "print/parse roundtrip" test_roundtrip;
-    case "foreign components rejected on print" test_print_foreign_rejected ]
+    case "foreign components rejected on print" test_print_foreign_rejected;
+    case "bracket runs of 10^6 bytes" test_deep_brackets;
+    test_hostile_property ]

@@ -260,6 +260,11 @@ let test_dag_incremental () =
 let test_parallel_identity () =
   let tree = Gen.case ~seed:9 ~legs:3 ~fanout:4 ~depth:3 () in
   let dag = Gen.case ~seed:9 ~legs:3 ~fanout:4 ~depth:3 ~shared:0.3 () in
+  let dag_01 = Gen.case ~seed:9 ~legs:3 ~fanout:4 ~depth:3 ~shared:0.1 () in
+  (* 9000 leaves: a level wide enough for propagate_par to split it over
+     the pool rather than evaluate it inline. *)
+  let wide = Gen.case ~seed:9 ~legs:9 ~fanout:10 ~depth:3 () in
+  let wide_dag = Gen.case ~seed:9 ~legs:9 ~fanout:10 ~depth:3 ~shared:0.1 () in
   List.iter
     (fun (name, g) ->
       List.iter
@@ -277,7 +282,35 @@ let test_parallel_identity () =
                 (same_bits seq par))
             [ 1; 2; 4 ])
         models)
-    [ ("tree", tree); ("dag", dag) ]
+    [ ("tree", tree); ("dag", dag); ("dag 0.1", dag_01); ("wide tree", wide);
+      ("wide dag 0.1", wide_dag) ]
+
+(* An edit storm through the incremental engine on generated cases: a
+   refresh after every random leaf edit, then the last refreshed root
+   must equal a from-scratch propagation of the edited graph, bitwise.
+   The leaf band sits tight under 1.0 so the AND products stay far from
+   0.0, where the engine's bitwise early cut-off would skip real work. *)
+let test_edit_storm () =
+  let leaf = (0.999998, 0.9999999) in
+  List.iter
+    (fun (name, shared) ->
+      let g = Gen.case ~seed:11 ~legs:9 ~fanout:10 ~depth:3 ~shared ~leaf () in
+      let leaves = G.evidence_indices g in
+      let rng = rng_of_seed 12 in
+      List.iter
+        (fun (mname, dep) ->
+          ignore (G.propagate dep g);
+          let last = ref nan in
+          for _ = 1 to 500 do
+            let i = leaves.(Numerics.Rng.int rng (Array.length leaves)) in
+            G.set_evidence g i (Numerics.Rng.uniform rng (fst leaf) (snd leaf));
+            last := G.refresh dep g
+          done;
+          check_true
+            (Printf.sprintf "%s/%s storm root == full propagate" name mname)
+            (same_bits !last (G.propagate dep g)))
+        models)
+    [ ("tree", 0.0); ("dag 0.1", 0.1) ]
 
 let test_generator () =
   Alcotest.(check int) "9/10/5 is exactly a million"
@@ -507,6 +540,7 @@ let suite =
     case "tree bridge round-trip" test_round_trip;
     case "assumption edit identity" test_assumption_edit_identity;
     case "parallel bit-identity (1/2/4 domains)" test_parallel_identity;
+    case "edit storm == full propagate" test_edit_storm;
     case "generator determinism and node counts" test_generator;
     case "generator edge knobs (legs=1, depth=1, shared=1)"
       test_generator_edge_knobs;

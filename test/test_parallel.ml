@@ -208,6 +208,28 @@ let test_conservative_bound_par () =
   check_true "sequential mean inside parallel CI" (Mc.within est_par est_seq.mean);
   check_true "parallel mean inside sequential CI" (Mc.within est_seq est_par.mean)
 
+(* The estimate, CI and bound of the worst-case check are a pure
+   function of (seed, chunks): bit-identical at 1, 2 and 4 domains. *)
+let test_conservative_bound_par_determinism () =
+  let claim = Confidence.Claim.make ~bound:1e-4 ~confidence:0.9991 in
+  let run d =
+    P.with_pool ~num_domains:d (fun pool ->
+        Ds.check_conservative_bound_par ~pool ~n:100_000 ~chunks:16 ~seed:57
+          claim)
+  in
+  let fingerprint ((e : Mc.estimate), bound) =
+    ( List.map Int64.bits_of_float
+        [ e.mean; e.std_error; e.ci95_lo; e.ci95_hi; bound ],
+      e.n )
+  in
+  let reference = fingerprint (run 1) in
+  List.iter
+    (fun d ->
+      check_true
+        (Printf.sprintf "estimate and bound bit-identical at %d domains" d)
+        (fingerprint (run d) = reference))
+    [ 2; 4 ]
+
 let test_survival_curve_par () =
   let belief = Dist.Mixture.of_dist (Dist.Beta_d.make ~a:2.0 ~b:100.0) in
   let run d =
@@ -215,8 +237,13 @@ let test_survival_curve_par () =
         Ds.survival_curve_par ~pool ~n_systems:30_000 ~chunks:16 ~seed:56
           ~checkpoints:[ 0; 10; 100; 500 ] belief)
   in
-  let a = run 1 and b = run 4 in
-  check_true "curve bit-identical across domain counts" (a = b);
+  let a = run 1 in
+  List.iter
+    (fun d ->
+      check_true
+        (Printf.sprintf "curve bit-identical at 1 and %d domains" d)
+        (run d = a))
+    [ 2; 4 ];
   check_close "all survive zero demands" 1.0 (List.assoc 0 a);
   let analytic = Experience.Tail_cutoff.survival_probability belief ~n:100 in
   check_in_range "matches E[(1-p)^100]"
@@ -276,6 +303,8 @@ let suite =
     case "chunk count is part of the contract" test_estimate_par_chunk_sensitivity;
     case "probability_par" test_probability_par;
     case "conservative bound on the parallel path" test_conservative_bound_par;
+    case "check_conservative_bound_par bit-identical across domains"
+      test_conservative_bound_par_determinism;
     case "survival_curve_par determinism" test_survival_curve_par;
     case "default domain count" test_default_num_domains;
     case "default chunk count" test_default_chunks;

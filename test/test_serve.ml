@@ -203,21 +203,47 @@ let test_engine_memo_contract () =
   check_true "bypass bits still identical"
     (Int64.equal (resp_bits bypass) expected);
   Alcotest.(check int) "one hit" 1 (E.hits eng);
-  Alcotest.(check int) "one miss" 1 (E.misses eng)
+  Alcotest.(check int) "one miss" 1 (E.misses eng);
+  (* Every further repeat hits and carries the cold bits. *)
+  let repeats = 200 in
+  let all_hit = ref true in
+  for _ = 1 to repeats do
+    let r = handle eng eval_line in
+    if not (resp_cached r && Int64.equal (resp_bits r) expected) then
+      all_hit := false
+  done;
+  check_true "every repeat hits with the cold bits" !all_hit;
+  Alcotest.(check int) "hits = repeated requests" (1 + repeats) (E.hits eng)
+
+let edit_line node v =
+  Printf.sprintf
+    "{\"op\":\"edit\",\"case\":\"g\",\"node\":%d,\"value\":%s,\
+     \"dependence\":0.3}"
+    node
+    (P.print (P.Num v))
 
 let test_engine_edit_identity () =
   let eng = E.create () in
   ignore (E.handle eng gen_line);
   ignore (E.handle eng eval_line);
   let twin = Gen.case ~seed:3 ~legs:3 ~fanout:4 ~depth:3 () in
-  let i = (G.evidence_indices twin).(1) in
-  let edited =
-    handle eng
-      (Printf.sprintf
-         "{\"op\":\"edit\",\"case\":\"g\",\"node\":%d,\"value\":0.77,\
-          \"dependence\":0.3}"
-         i)
-  in
+  let leaves = G.evidence_indices twin in
+  (* An edit storm mirrored onto the twin: after every edit the
+     daemon's incremental bits must equal a from-scratch propagation of
+     the twin. *)
+  let rng = rng_of_seed 17 in
+  let mismatches = ref 0 in
+  for _ = 1 to 300 do
+    let i = leaves.(Numerics.Rng.int rng (Array.length leaves)) in
+    let v = Numerics.Rng.uniform rng 0.5 0.999 in
+    G.set_evidence twin i v;
+    let r = handle eng (edit_line i v) in
+    if not (Int64.equal (resp_bits r) (bits (G.propagate (G.Correlated 0.3) twin)))
+    then incr mismatches
+  done;
+  Alcotest.(check int) "storm edits that differ from the twin" 0 !mismatches;
+  let i = leaves.(1) in
+  let edited = handle eng (edit_line i 0.77) in
   check_true "edit ok" (resp_ok edited);
   G.set_evidence twin i 0.77;
   let expected = bits (G.propagate (G.Correlated 0.3) twin) in
@@ -440,6 +466,20 @@ let test_engine_stream_ops () =
         (Int64.equal (resp_bits p2) (resp_bits post)));
   let stats = handle eng "{\"op\":\"stats\"}" in
   check_true "stats counts streams" (field stats "streams" = P.Num 2.0);
+  (* Single-event ingests through the request path equal one library
+     observe of the pooled count. *)
+  ignore
+    (E.handle eng "{\"op\":\"stream\",\"stream\":\"one\",\"beta_a\":1.5,\"beta_b\":100}");
+  for _ = 1 to 500 do
+    ignore
+      (E.handle eng "{\"op\":\"ingest\",\"stream\":\"one\",\"demands\":1,\"failures\":0}")
+  done;
+  let pooled = Experience.Stream.demand_beta ~a:1.5 ~b:100.0 in
+  Experience.Stream.observe_demands pooled ~demands:500 ~failures:0;
+  check_true "500 single-event ingests == one pooled observe"
+    (Int64.equal
+       (resp_bits (handle eng "{\"op\":\"posterior\",\"stream\":\"one\"}"))
+       (bits (Experience.Stream.mean pooled)));
   (* Group keys: stream traffic is groupable per stream; creation and
      restore are barriers. *)
   let key line = E.group_key (E.parse eng line) in
@@ -569,6 +609,75 @@ let test_pipe_server_eof_without_shutdown () =
   check_true "one response then clean exit"
     (resp_ok (P.parse (String.trim (Bytes.sub_string chunk 0 n))))
 
+(* --- hostile input ------------------------------------------------------ *)
+
+let protocol_fixtures =
+  [ gen_line; eval_line; "{\"op\":\"stats\",\"id\":\"st\"}";
+    "{\"a\": 1, \"b\": [true, false, null], \"s\": \"x\\u00e9\"}";
+    "[[],{},[{\"k\":[-1.5e-3, 0.1, 1e300]}]]";
+    "\"\\ud83d\\ude00\"";
+    gen_line ^ "\n" ^ eval_line ]
+
+let parse_total =
+  total_parser ~parses:P.parse ~expected:(function
+    | P.Parse_error _ -> true
+    | _ -> false)
+
+let test_protocol_hostile_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~name:"protocol parse is total on hostile bytes"
+       ~print:(Printf.sprintf "%S") (gen_hostile_text protocol_fixtures) parse_total)
+
+let test_protocol_deep_nesting () =
+  check_true "10^6 open brackets" (parse_total deep_brackets);
+  check_true "10^6 balanced brackets" (parse_total deep_balanced)
+
+(* --- line framing ------------------------------------------------------- *)
+
+(* [run_pipe] over [input] read from a file, so lines longer than a pipe
+   buffer need no writer thread; returns the response lines. *)
+let pipe_responses input =
+  let path = Filename.temp_file "confcase_pipe" ".in" in
+  let out = Filename.temp_file "confcase_pipe" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; out ])
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc input);
+      let i = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      let o = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      Serve.Server.run_pipe (Serve.Server.config ()) (E.create ()) ~input:i ~output:o;
+      Unix.close i;
+      Unix.close o;
+      In_channel.with_open_bin out In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+
+(* The responses a fresh engine gives to the same lines one by one. *)
+let direct_responses lines =
+  let eng = E.create () in
+  List.map (E.handle eng) lines
+
+let test_pipe_line_framing () =
+  (* A 200 KB line spans several 64 KiB reads. *)
+  let long = "{\"op\":\"stats\",\"id\":\"long\"," ^ String.make 200_000 ' ' ^ "}" in
+  let lines = [ gen_line; long; eval_line ] in
+  Alcotest.(check (list string)) "a line longer than one read"
+    (direct_responses lines) (pipe_responses (String.concat "\n" lines ^ "\n"));
+  (* Many lines in one read. *)
+  let lines =
+    gen_line
+    :: List.init 300 (fun k ->
+           if k mod 3 = 0 then eval_line
+           else Printf.sprintf "{\"op\":\"stats\",\"id\":%d}" k)
+  in
+  Alcotest.(check (list string)) "many lines in one read"
+    (direct_responses lines) (pipe_responses (String.concat "\n" lines ^ "\n"));
+  (* A final line with no newline still gets its response. *)
+  let lines = [ gen_line; eval_line ] in
+  Alcotest.(check (list string)) "final line without a newline"
+    (direct_responses lines) (pipe_responses (String.concat "\n" lines))
+
 let suite =
   [ case "protocol parse basics" test_parse_basics;
     case "protocol parse errors" test_parse_errors;
@@ -591,4 +700,7 @@ let suite =
     case "engine stream errors" test_engine_stream_errors;
     case "engine memo bound" test_engine_memo_bound;
     case "pipe server end to end" test_pipe_server_end_to_end;
-    case "pipe server EOF exit" test_pipe_server_eof_without_shutdown ]
+    case "pipe server EOF exit" test_pipe_server_eof_without_shutdown;
+    case "pipe line framing" test_pipe_line_framing;
+    case "protocol deep nesting" test_protocol_deep_nesting;
+    test_protocol_hostile_property ]

@@ -88,16 +88,17 @@ let test_sketch_par_determinism () =
             fun rng buf ~pos ~len ->
               Numerics.Rng.fill_floats rng buf ~pos ~len))
   in
-  let a = run 1 and b = run 2 and c = run 3 in
-  Array.iteri
-    (fun i x ->
-      check_true
-        (Printf.sprintf "1=2 domains at p=%g" ps.(i))
-        (Int64.bits_of_float x = Int64.bits_of_float b.(i));
-      check_true
-        (Printf.sprintf "2=3 domains at p=%g" ps.(i))
-        (Int64.bits_of_float x = Int64.bits_of_float c.(i)))
-    a;
+  let a = run 1 in
+  List.iter
+    (fun d ->
+      let b = run d in
+      Array.iteri
+        (fun i x ->
+          check_true
+            (Printf.sprintf "1=%d domains at p=%g" d ps.(i))
+            (Int64.bits_of_float x = Int64.bits_of_float b.(i)))
+        a)
+    [ 2; 3; 4 ];
   (* Uniform stream: the quantiles are near p. *)
   Array.iteri
     (fun i p ->
@@ -153,15 +154,23 @@ let test_pfd_sketch_par () =
         (Printf.sprintf "rank at p=%g" p)
         ~lo:(p -. 0.02) ~hi:(p +. 0.02) rank)
     [ 0.05; 0.25; 0.5; 0.75; 0.95 ];
-  (* Bit-identical across domain counts, like every parallel kernel. *)
+  (* Bit-identical across domain counts, like every parallel kernel: the
+     count and the 5/50/95% quantiles of the merged sketch. *)
   let run d =
     Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-        Numerics.Sketch.quantile
-          (Ds.pfd_sketch_par ~pool ~n:20_000 ~chunks:8 ~seed:93 belief)
-          0.5)
+        let sk = Ds.pfd_sketch_par ~pool ~n:20_000 ~chunks:8 ~seed:93 belief in
+        ( Numerics.Sketch.count sk,
+          List.map
+            (fun p -> Int64.bits_of_float (Numerics.Sketch.quantile sk p))
+            [ 0.05; 0.5; 0.95 ] ))
   in
-  check_true "median bit-identical at 1 vs 3 domains"
-    (Int64.bits_of_float (run 1) = Int64.bits_of_float (run 3))
+  let reference = run 1 in
+  List.iter
+    (fun d ->
+      check_true
+        (Printf.sprintf "sketch bit-identical at 1 and %d domains" d)
+        (run d = reference))
+    [ 2; 3; 4 ]
 
 let suite =
   [ case "MC estimator" test_mc_estimate;

@@ -97,20 +97,53 @@ let test_parallel_ingest_domain_count_invariance () =
   List.iter
     (fun num_domains ->
       Numerics.Parallel.with_pool ~num_domains (fun pool ->
-          let acc = S.demand_beta ~a:1.0 ~b:50.0 in
-          S.ingest_demands_par ~pool ~chunks:8 acc ~demands ~failures;
-          Alcotest.(check int)
+          List.iter
+            (fun chunks ->
+              let acc = S.demand_beta ~a:1.0 ~b:50.0 in
+              S.ingest_demands_par ~pool ~chunks acc ~demands ~failures;
+              let at = Printf.sprintf "@ %d domains x %d chunks" num_domains chunks in
+              Alcotest.(check int) ("demands " ^ at) (S.demands sequential) (S.demands acc);
+              Alcotest.(check int) ("failures " ^ at) (S.failures sequential) (S.failures acc);
+              Alcotest.(check int) ("events " ^ at) (S.events sequential) (S.events acc);
+              check_bits ("posterior mean " ^ at) (S.mean sequential) (S.mean acc))
+            [ 1; 4; 8; 16 ]))
+    [ 1; 2; 4 ]
+
+(* Parallel ingestion into a mixture prior (the Section 4 belief) must
+   reproduce the one-shot batch update on the pooled totals, bitwise.
+   2x10^4 events at a true rate of 3e-3: grid reweighting is bounded by
+   likelihood underflow, so the event count stays modest. *)
+let test_parallel_ingest_equals_batch () =
+  let rows = 20_000 in
+  let rng = rng_of_seed 13 in
+  let demands = Cols.make rows 1.0 in
+  let hours = Cols.create ~capacity:rows ()
+  and failures = Cols.create ~capacity:rows () in
+  for _ = 1 to rows do
+    Cols.push hours (Numerics.Rng.uniform rng 0.5 1.5);
+    Cols.push failures (if Numerics.Rng.bernoulli rng 3e-3 then 1.0 else 0.0)
+  done;
+  let prior_pfd = M.of_dist (Dist.Lognormal.of_mode_mean ~mode:3e-3 ~mean:1e-2) in
+  let prior_rate = rate_prior () in
+  List.iter
+    (fun num_domains ->
+      Numerics.Parallel.with_pool ~num_domains (fun pool ->
+          let acc = S.demand_of_belief prior_pfd in
+          S.ingest_demands_par ~pool acc ~demands ~failures;
+          check_posterior
             (Printf.sprintf "demands @ %d domains" num_domains)
-            (S.demands sequential) (S.demands acc);
-          Alcotest.(check int)
-            (Printf.sprintf "failures @ %d domains" num_domains)
-            (S.failures sequential) (S.failures acc);
-          Alcotest.(check int)
-            (Printf.sprintf "events @ %d domains" num_domains)
-            (S.events sequential) (S.events acc);
-          check_bits
-            (Printf.sprintf "posterior mean @ %d domains" num_domains)
-            (S.mean sequential) (S.mean acc)))
+            (S.posterior acc)
+            (fst
+               (Experience.Bayes.update_demands prior_pfd ~failures:(S.failures acc)
+                  ~demands:(S.demands acc)));
+          let acc = S.rate_of_belief prior_rate in
+          S.ingest_hours_par ~pool acc ~hours ~failures;
+          check_posterior
+            (Printf.sprintf "hours @ %d domains" num_domains)
+            (S.posterior acc)
+            (fst
+               (Experience.Bayes.update_time prior_rate ~failures:(S.failures acc)
+                  ~time:(S.hours acc)))))
     [ 1; 2; 4 ]
 
 let test_parallel_ingest_hours () =
@@ -270,6 +303,7 @@ let suite =
     case "conjugate fast paths" test_conjugate_fast_paths;
     case "no evidence returns the prior" test_no_evidence_is_prior;
     case "parallel ingest at 1/2/4 domains" test_parallel_ingest_domain_count_invariance;
+    case "parallel ingest = batch (mixture priors)" test_parallel_ingest_equals_batch;
     case "parallel hour ingest" test_parallel_ingest_hours;
     test_merge_associativity;
     case "merge compatibility checks" test_merge_compatibility;
