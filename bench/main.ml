@@ -344,10 +344,10 @@ let micro_rows () =
         !acc)
   in
   let rng_fill =
-    let buf = Stdlib.Float.Array.create micro_n in
+    let buf = Numerics.Columns.unsafe_data (Numerics.Columns.make micro_n 0.0) in
     ols_nanos ~name:"rng_fill_floats_1e6" (fun () ->
         let rng = Numerics.Rng.create 7 in
-        Numerics.Rng.fill_floats rng buf ~pos:0 ~len:micro_n)
+        Numerics.Rng.fill_floats_col rng buf ~pos:0 ~len:micro_n)
   in
   [ quantile_sort; quantile_select; empirical_quantile_boxed;
     empirical_quantile_soa; mixture_scalar; mixture_soa; sketch_add;

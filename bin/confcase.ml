@@ -27,6 +27,17 @@ let positive_float ~what v =
   if v <= 0.0 then `Error (Printf.sprintf "%s must be positive" what)
   else `Ok v
 
+(* --strict and --json for check and audit: the exit-code policy and the
+   report format of [print_report]. *)
+let strict_arg =
+  Arg.(
+    value & flag
+    & info [ "strict" ]
+        ~doc:"Exit 1 when warnings are present (errors always exit 2)")
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable report on stdout")
+
 (* --dependence for case, propagate and audit.  A bad model is a usage
    error the command reports before it prints anything. *)
 let dependence_arg =
@@ -686,17 +697,6 @@ let check_cmd =
           ~doc:"Case ($(b,.case)) or belief ($(b,.belief)) files; other \
                 extensions are classified by content")
   in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Exit 1 when warnings are present (errors \
-                                always exit 2)")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Machine-readable report on stdout")
-  in
   let codes_arg =
     Arg.(
       value & flag
@@ -763,16 +763,6 @@ let audit_cmd =
       & info [ "belief" ] ~docv:"FILE"
           ~doc:"Belief file whose 95% credible interval bounds every leaf's \
                 attainable confidence (default: the vacuous bounds [0,1])")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Exit 1 when warnings are present (errors \
-                                always exit 2)")
-  in
-  let json_arg =
-    Arg.(
-      value & flag & info [ "json" ] ~doc:"Machine-readable report on stdout")
   in
   let max_per_code_arg =
     Arg.(

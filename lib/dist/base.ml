@@ -20,27 +20,10 @@ type t = {
 }
 
 (* Batched sampling: families with a closed-form sampler dispatch to the
-   allocation-free [Rng.fill_*] kernels; everything else falls back to a
-   scalar loop over [t.sample].  Either way the draws are bit-identical to
-   [len] successive [t.sample rng] calls (the fill kernels reproduce the
+   allocation-free [Rng.fill_*_col] kernels; everything else falls back to
+   a scalar loop over [t.sample].  Either way the draws are bit-identical
+   to [len] successive [t.sample rng] calls (the fill kernels reproduce the
    scalar draw sequences exactly). *)
-let sample_into t rng buf ~pos ~len =
-  match t.kernel with
-  | Normal_k { mu; sigma } -> Numerics.Rng.fill_normals rng buf ~pos ~len ~mu ~sigma
-  | Lognormal_k { mu; sigma } ->
-    Numerics.Rng.fill_lognormals rng buf ~pos ~len ~mu ~sigma
-  | Uniform_k { lo; hi } -> Numerics.Rng.fill_uniforms rng buf ~pos ~len ~a:lo ~b:hi
-  | Exponential_k { rate } -> Numerics.Rng.fill_exponentials rng buf ~pos ~len ~rate
-  | Generic ->
-    if pos < 0 || len < 0 || len > Stdlib.Float.Array.length buf - pos then
-      invalid_arg "Dist.sample_into";
-    for i = pos to pos + len - 1 do
-      Stdlib.Float.Array.unsafe_set buf i (t.sample rng)
-    done
-
-(* Column twin of [sample_into]: same dispatch onto the [_col] fill
-   kernels, same Generic fallback loop, writing through bigarray storage.
-   Draw-for-draw bit-identical to [sample_into] on the same generator. *)
 let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
   match t.kernel with
   | Normal_k { mu; sigma } ->

@@ -6,7 +6,7 @@
     a tabulated density (used for reweighted posteriors and opinion pools). *)
 
 (** Identifies the closed-form sampling kernel of a family so that batched
-    sampling can dispatch to the allocation-free [Rng.fill_*] loops;
+    sampling can dispatch to the allocation-free [Rng.fill_*_col] loops;
     [Generic] falls back to the scalar [sample] closure. *)
 type kernel =
   | Normal_k of { mu : float; sigma : float }
@@ -29,15 +29,12 @@ type t = {
   kernel : kernel;  (** Batch-sampling dispatch tag; [Generic] is always safe. *)
 }
 
-(** [sample_into t rng buf ~pos ~len] — write [len] independent samples
-    into [buf.(pos) ..].  Bit-identical to [len] successive [t.sample rng]
-    calls, but closed-form families run the allocation-free batched RNG
-    kernels instead of a closure call per draw. *)
-val sample_into : t -> Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
-
-(** [sample_into_col t rng buf ~pos ~len] — as {!sample_into} but writing
-    through [Bigarray.Array1] column storage ([Columns.unsafe_data]);
-    draw-for-draw bit-identical to [sample_into] on the same generator. *)
+(** [sample_into_col t rng buf ~pos ~len] — write [len] independent
+    samples into [buf.{pos} ..] of [Bigarray.Array1] column storage
+    ([Columns.unsafe_data]).  Bit-identical to [len] successive
+    [t.sample rng] calls, but closed-form families run the
+    allocation-free batched RNG kernels instead of a closure call per
+    draw. *)
 val sample_into_col :
   t -> Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 

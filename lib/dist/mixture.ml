@@ -189,73 +189,9 @@ let sample t rng =
    needs; it is simply a different — faster — stream than the scalar
    path's.
 
-   The k >= 3 resolve loop binary-searches the [cum] column (satellite of
-   the columnar refactor: it previously chased boxed pairs through
-   [parts]); when every component is an atom, resolution is a pure
-   column-to-column gather with no variant match at all. *)
-let sample_into t rng buf ~pos ~len =
-  if pos < 0 || len < 0 || len > Float.Array.length buf - pos then
-    invalid_arg "Mixture.sample_into";
-  let k = Array.length t.comps in
-  if k = 1 then
-    match t.comps.(0) with
-    | Atom a -> Float.Array.fill buf pos len a
-    | Cont d -> Base.sample_into d rng buf ~pos ~len
-  else if k = 2 then begin
-    (* Two components — the §3.4 worst-case belief shape, the hottest
-       mixture on the Monte-Carlo path.  One comparison replaces the
-       binary search; the selection decisions (u < cum.(0)) and draw order
-       are exactly those of the general branch below, so both branches
-       produce the same stream. *)
-    Numerics.Rng.fill_floats rng buf ~pos ~len;
-    let c0 = Numerics.Columns.get t.cum 0 in
-    match (t.comps.(0), t.comps.(1)) with
-    | Atom a0, Atom a1 ->
-      for i = pos to pos + len - 1 do
-        Float.Array.unsafe_set buf i
-          (if Float.Array.unsafe_get buf i < c0 then a0 else a1)
-      done
-    | p0, p1 ->
-      for i = pos to pos + len - 1 do
-        let u = Float.Array.unsafe_get buf i in
-        match if u < c0 then p0 else p1 with
-        | Atom a -> Float.Array.unsafe_set buf i a
-        | Cont d -> Float.Array.unsafe_set buf i (d.Base.sample rng)
-      done
-  end
-  else begin
-    Numerics.Rng.fill_floats rng buf ~pos ~len;
-    let cum = Numerics.Columns.unsafe_data t.cum in
-    if t.all_atoms then begin
-      let atoms = Numerics.Columns.unsafe_data t.atoms in
-      for i = pos to pos + len - 1 do
-        let u = Float.Array.unsafe_get buf i in
-        let lo = ref 0 and hi = ref (k - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if u < Bigarray.Array1.unsafe_get cum mid then hi := mid
-          else lo := mid + 1
-        done;
-        Float.Array.unsafe_set buf i (Bigarray.Array1.unsafe_get atoms !lo)
-      done
-    end
-    else
-      for i = pos to pos + len - 1 do
-        let u = Float.Array.unsafe_get buf i in
-        let lo = ref 0 and hi = ref (k - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if u < Bigarray.Array1.unsafe_get cum mid then hi := mid
-          else lo := mid + 1
-        done;
-        match Array.unsafe_get t.comps !lo with
-        | Atom a -> Float.Array.unsafe_set buf i a
-        | Cont d -> Float.Array.unsafe_set buf i (d.Base.sample rng)
-      done
-  end
-
-(* Column twin of [sample_into]: same dispatch, same decisions, same
-   stream, writing through bigarray storage. *)
+   The k >= 3 resolve loop binary-searches the [cum] column; when every
+   component is an atom, resolution is a pure column-to-column gather
+   with no variant match at all. *)
 let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
   if pos < 0 || len < 0 || len > Bigarray.Array1.dim buf - pos then
     invalid_arg "Mixture.sample_into_col";
@@ -268,6 +204,11 @@ let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
       done
     | Cont d -> Base.sample_into_col d rng buf ~pos ~len
   else if k = 2 then begin
+    (* Two components — the §3.4 worst-case belief shape, the hottest
+       mixture on the Monte-Carlo path.  One comparison replaces the
+       binary search; the selection decisions (u < cum.(0)) and draw order
+       are exactly those of the general branch below, so both branches
+       produce the same stream. *)
     Numerics.Rng.fill_floats_col rng buf ~pos ~len;
     let c0 = Numerics.Columns.get t.cum 0 in
     match (t.comps.(0), t.comps.(1)) with

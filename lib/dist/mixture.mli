@@ -56,20 +56,19 @@ val credible_interval : t -> level:float -> float * float
     drift cannot leak mass into the final component). *)
 val sample : t -> Numerics.Rng.t -> float
 
-(** [sample_into t rng buf ~pos ~len] — write [len] independent samples
-    into [buf.(pos) ..] using the batched kernels: atoms-only and
-    single-component mixtures are fully vectorised, mixed mixtures batch
-    the component selection and draw continuous slots scalar-wise.  The
-    draw scheme differs from repeated {!sample} (it is a faster stream,
-    not the same one) but is a pure function of (rng state, [t], [len]) —
-    the property the parallel Monte-Carlo determinism contract relies on. *)
-val sample_into : t -> Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
-
-(** [sample_into_col t rng buf ~pos ~len] — as {!sample_into} but writing
-    through [Bigarray.Array1] column storage; draw-for-draw bit-identical
-    to {!sample_into} on the same generator state.  Component selection
-    binary-searches the mixture's cumulative-weight {e column}; an
-    all-atoms mixture resolves as a pure column-to-column gather. *)
+(** [sample_into_col t rng buf ~pos ~len] — write [len] independent
+    samples into [buf.{pos} ..] of [Bigarray.Array1] column storage using
+    the batched kernels: atoms-only and single-component mixtures are
+    fully vectorised, mixed mixtures batch the component selection and
+    draw continuous slots scalar-wise.  The draw scheme differs from
+    repeated {!sample} (it is a faster stream, not the same one) but is a
+    pure function of (rng state, [t], [len]) — the property the parallel
+    Monte-Carlo determinism contract relies on.  Concretely: [len]
+    selection uniforms [Rng.float] first, then slot by slot the component
+    whose cumulative weight first exceeds the slot's uniform — an atom
+    gives its value, a continuous component one [sample] draw.  Component
+    selection binary-searches the mixture's cumulative-weight {e column};
+    an all-atoms mixture resolves as a pure column-to-column gather. *)
 val sample_into_col :
   t -> Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 

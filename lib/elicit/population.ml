@@ -143,8 +143,10 @@ let group_view ?pool ~chunks st =
 let group_median st =
   let nd = st.nd in
   let nb = Ba.dim st.lp - nd in
-  let peaks = Array.init nb (fun j -> Ba.unsafe_get st.lp (nd + j)) in
-  Numerics.Summary.quantile_unsorted peaks 0.5
+  let peaks =
+    Numerics.Columns.copy (Numerics.Columns.of_bigarray (Ba.sub st.lp nd nb))
+  in
+  Numerics.Select.quantile_in_place_col peaks 0.5
 
 let run ?pool ?chunks ?(compression = 200.0) config ~n =
   Delphi.check_config config;

@@ -63,16 +63,6 @@ let append_array t xs =
   done;
   t.len <- t.len + n
 
-let append_floatarray t xs ~pos ~len =
-  if pos < 0 || len < 0 || len > Stdlib.Float.Array.length xs - pos then
-    invalid_arg "Columns.append_floatarray";
-  ensure_capacity t (t.len + len);
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set t.data (t.len + i)
-      (Stdlib.Float.Array.unsafe_get xs (pos + i))
-  done;
-  t.len <- t.len + len
-
 let clear t = t.len <- 0
 
 let set_length t n =

@@ -2,7 +2,7 @@
 
     A column is a growable view over a [Bigarray.Array1] of float64
     elements in C layout: the storage the batched kernels ({!Rng},
-    {!Select}, {!Summary.Online}, [Dist.sample_into]) can stream over
+    {!Select}, {!Summary.Online}, [Dist.sample_into_col]) can stream over
     contiguously, and the unit of persistence for snapshots.  Unlike
     [float array], a column can alias external memory ({!of_bigarray},
     {!sub_view}) and can be mapped straight from a snapshot file
@@ -66,11 +66,8 @@ val unsafe_data : t -> ba
     (amortised O(1)).  [Invalid_argument] on a fixed-capacity column. *)
 val push : t -> float -> unit
 
-(** [append_array t xs] / [append_floatarray t xs ~pos ~len] — bulk
-    [push]. *)
+(** [append_array t xs] — bulk [push]. *)
 val append_array : t -> float array -> unit
-
-val append_floatarray : t -> floatarray -> pos:int -> len:int -> unit
 
 (** [clear t] — set the length to 0 (storage is retained). *)
 val clear : t -> unit

@@ -196,134 +196,14 @@ let geometric t ~p =
    number refs, so the inner loops are allocation-free) and write the
    state back once at the end.
 
-   Bit-compatibility contract: every [fill_xs t buf ~pos ~len] writes
-   exactly the values that [len] successive scalar [xs t] calls would
-   return, and leaves [t] in exactly the state those calls would leave it
-   in.  The xoshiro256++ step is deliberately duplicated in each rejection
-   loop below: hoisting it into a shared function over the refs would make
-   the refs escape into a closure and re-box them. *)
-
-let check_fill name buf ~pos ~len =
-  if pos < 0 || len < 0 || len > Stdlib.Float.Array.length buf - pos then
-    invalid_arg name
-
-let fill_floats t buf ~pos ~len =
-  check_fill "Rng.fill_floats" buf ~pos ~len;
-  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
-  for i = pos to pos + len - 1 do
-    let result = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-    let tmp = Int64.shift_left !s1 17 in
-    s2 := Int64.logxor !s2 !s0;
-    s3 := Int64.logxor !s3 !s1;
-    s1 := Int64.logxor !s1 !s2;
-    s0 := Int64.logxor !s0 !s3;
-    s2 := Int64.logxor !s2 tmp;
-    s3 := rotl !s3 45;
-    Stdlib.Float.Array.unsafe_set buf i
-      (Int64.to_float (Int64.shift_right_logical result 11) *. 0x1p-53)
-  done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
-
-let fill_floats_pos t buf ~pos ~len =
-  check_fill "Rng.fill_floats_pos" buf ~pos ~len;
-  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
-  for i = pos to pos + len - 1 do
-    let u = ref 0.0 in
-    while !u <= 0.0 do
-      let result = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-      let tmp = Int64.shift_left !s1 17 in
-      s2 := Int64.logxor !s2 !s0;
-      s3 := Int64.logxor !s3 !s1;
-      s1 := Int64.logxor !s1 !s2;
-      s0 := Int64.logxor !s0 !s3;
-      s2 := Int64.logxor !s2 tmp;
-      s3 := rotl !s3 45;
-      u := Int64.to_float (Int64.shift_right_logical result 11) *. 0x1p-53
-    done;
-    Stdlib.Float.Array.unsafe_set buf i !u
-  done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
-
-let fill_uniforms t buf ~pos ~len ~a ~b =
-  fill_floats t buf ~pos ~len;
-  for i = pos to pos + len - 1 do
-    Stdlib.Float.Array.unsafe_set buf i
-      (a +. ((b -. a) *. Stdlib.Float.Array.unsafe_get buf i))
-  done
-
-let fill_exponentials t buf ~pos ~len ~rate =
-  if rate <= 0.0 then invalid_arg "Rng.fill_exponentials: rate <= 0";
-  fill_floats_pos t buf ~pos ~len;
-  for i = pos to pos + len - 1 do
-    Stdlib.Float.Array.unsafe_set buf i
-      (-.log (Stdlib.Float.Array.unsafe_get buf i) /. rate)
-  done
-
-let fill_normals t buf ~pos ~len ~mu ~sigma =
-  check_fill "Rng.fill_normals" buf ~pos ~len;
-  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
-  for i = pos to pos + len - 1 do
-    (* Polar Marsaglia with the same accept/reject sequence as the scalar
-       [normal] (the second deviate is discarded, as there). *)
-    let x = ref 0.0 in
-    let accepted = ref false in
-    while not !accepted do
-      let r1 = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-      let tmp = Int64.shift_left !s1 17 in
-      s2 := Int64.logxor !s2 !s0;
-      s3 := Int64.logxor !s3 !s1;
-      s1 := Int64.logxor !s1 !s2;
-      s0 := Int64.logxor !s0 !s3;
-      s2 := Int64.logxor !s2 tmp;
-      s3 := rotl !s3 45;
-      let r2 = Int64.add (rotl (Int64.add !s0 !s3) 23) !s0 in
-      let tmp = Int64.shift_left !s1 17 in
-      s2 := Int64.logxor !s2 !s0;
-      s3 := Int64.logxor !s3 !s1;
-      s1 := Int64.logxor !s1 !s2;
-      s0 := Int64.logxor !s0 !s3;
-      s2 := Int64.logxor !s2 tmp;
-      s3 := rotl !s3 45;
-      let u =
-        (2.0 *. (Int64.to_float (Int64.shift_right_logical r1 11) *. 0x1p-53))
-        -. 1.0
-      in
-      let v =
-        (2.0 *. (Int64.to_float (Int64.shift_right_logical r2 11) *. 0x1p-53))
-        -. 1.0
-      in
-      let s = (u *. u) +. (v *. v) in
-      if s < 1.0 && s <> 0.0 then begin
-        accepted := true;
-        x := mu +. (sigma *. u *. sqrt (-2.0 *. log s /. s))
-      end
-    done;
-    Stdlib.Float.Array.unsafe_set buf i !x
-  done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
-
-let fill_lognormals t buf ~pos ~len ~mu ~sigma =
-  fill_normals t buf ~pos ~len ~mu ~sigma;
-  for i = pos to pos + len - 1 do
-    Stdlib.Float.Array.unsafe_set buf i
-      (exp (Stdlib.Float.Array.unsafe_get buf i))
-  done
-
-(* Column variants: the same kernels writing through [Bigarray.Array1]
-   storage (the [Columns] backing representation).  Each is a line-for-line
-   mirror of its floatarray twin — the stepping, rejection sequences, and
-   float-op order are identical, so the bit-compatibility contract extends
-   across representations: [fill_xs_col] writes exactly what [fill_xs]
-   (and hence [len] scalar calls) would. *)
+   The kernels write through [Bigarray.Array1] storage (the [Columns]
+   backing representation).  Bit-compatibility contract: every
+   [fill_xs_col t buf ~pos ~len] writes exactly the values that [len]
+   successive scalar [xs t] calls would return, and leaves [t] in exactly
+   the state those calls would leave it in.  The xoshiro256++ step is
+   deliberately duplicated in each rejection loop below: hoisting it into
+   a shared function over the refs would make the refs escape into a
+   closure and re-box them. *)
 
 let check_fill_col name (buf : Columns.ba) ~pos ~len =
   if pos < 0 || len < 0 || len > Bigarray.Array1.dim buf - pos then
@@ -391,6 +271,8 @@ let fill_normals_col t (buf : Columns.ba) ~pos ~len ~mu ~sigma =
   check_fill_col "Rng.fill_normals_col" buf ~pos ~len;
   let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
   for i = pos to pos + len - 1 do
+    (* Polar Marsaglia with the same accept/reject sequence as the scalar
+       [normal] (the second deviate is discarded, as there). *)
     let x = ref 0.0 in
     let accepted = ref false in
     while not !accepted do

@@ -2,7 +2,7 @@
    order.
 
    NaNs cannot be ordered by primitive comparisons, so a single O(n)
-   pre-pass swaps them to the front of the array — exactly where
+   pre-pass swaps them to the front of the column — exactly where
    [Array.sort Float.compare] would put them — and selection proper runs
    on the NaN-free suffix with fast primitive comparisons.  On that
    suffix the primitive order IS the [Float.compare] order:
@@ -14,94 +14,17 @@
 let lt (a : float) b = a < b
 let eq (a : float) b = a = b
 
-let swap (a : float array) i j =
-  let t = Array.unsafe_get a i in
-  Array.unsafe_set a i (Array.unsafe_get a j);
-  Array.unsafe_set a j t
+let swap (a : Columns.ba) i j =
+  let t = Bigarray.Array1.unsafe_get a i in
+  Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get a j);
+  Bigarray.Array1.unsafe_set a j t
 
 (* Classic Floyd–Rivest: for windows above the cutoff, recurse on a
    sampled subwindow around k to find a near-optimal pivot, then
    partition.  Expected comparisons n + min(k, n-k) + o(n).  All
    arithmetic below is deterministic, so selection is a pure function of
-   the array contents. *)
-let rec select (a : float array) left right k =
-  let left = ref left and right = ref right in
-  while !right > !left do
-    if !right - !left > 600 then begin
-      let n = float_of_int (!right - !left + 1) in
-      let i = float_of_int (k - !left + 1) in
-      let z = log n in
-      let s = 0.5 *. exp (2.0 *. z /. 3.0) in
-      let sd =
-        0.5
-        *. sqrt (z *. s *. (n -. s) /. n)
-        *. (if i -. (n /. 2.0) < 0.0 then -1.0 else 1.0)
-      in
-      let new_left =
-        max !left (k - int_of_float ((i *. s /. n) -. sd))
-      in
-      let new_right =
-        min !right (k + int_of_float (((n -. i) *. s /. n) +. sd))
-      in
-      select a new_left new_right k
-    end;
-    let t = a.(k) in
-    let i = ref !left and j = ref !right in
-    swap a !left k;
-    if lt t a.(!right) then swap a !right !left;
-    while !i < !j do
-      swap a !i !j;
-      incr i;
-      decr j;
-      while lt (Array.unsafe_get a !i) t do
-        incr i
-      done;
-      while lt t (Array.unsafe_get a !j) do
-        decr j
-      done
-    done;
-    if eq a.(!left) t then swap a !left !j
-    else begin
-      incr j;
-      swap a !j !right
-    end;
-    if !j <= k then left := !j + 1;
-    if k <= !j then right := !j - 1
-  done
-
-let nth_in_place a k =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Select.nth_in_place: empty array";
-  if k < 0 || k >= n then invalid_arg "Select.nth_in_place: k out of range";
-  (* Move NaNs to the front (they are all equal under Float.compare, so
-     any arrangement among themselves matches the sorted order). *)
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    let x = Array.unsafe_get a i in
-    if x <> x then begin
-      swap a i !m;
-      incr m
-    end
-  done;
-  if k < !m then a.(k)
-  else begin
-    select a !m (n - 1) k;
-    a.(k)
-  end
-
-let nth a k = nth_in_place (Array.copy a) k
-
-(* Column mirrors: the same Floyd–Rivest over [Bigarray.Array1] storage.
-   Selection is a pure function of the element multiset, so the column
-   versions return bitwise the values the array versions would (same
-   zero-sign caveat). *)
-
-let swap_c (a : Columns.ba) i j =
-  let t = Bigarray.Array1.unsafe_get a i in
-  Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get a j);
-  Bigarray.Array1.unsafe_set a j t
-
-let rec select_c (a : Columns.ba) left right k =
+   the column contents. *)
+let rec select (a : Columns.ba) left right k =
   let left = ref left and right = ref right in
   while !right > !left do
     if !right - !left > 600 then begin
@@ -118,14 +41,14 @@ let rec select_c (a : Columns.ba) left right k =
       let new_right =
         min !right (k + int_of_float (((n -. i) *. s /. n) +. sd))
       in
-      select_c a new_left new_right k
+      select a new_left new_right k
     end;
     let t = Bigarray.Array1.get a k in
     let i = ref !left and j = ref !right in
-    swap_c a !left k;
-    if lt t (Bigarray.Array1.get a !right) then swap_c a !right !left;
+    swap a !left k;
+    if lt t (Bigarray.Array1.get a !right) then swap a !right !left;
     while !i < !j do
-      swap_c a !i !j;
+      swap a !i !j;
       incr i;
       decr j;
       while lt (Bigarray.Array1.unsafe_get a !i) t do
@@ -135,10 +58,10 @@ let rec select_c (a : Columns.ba) left right k =
         decr j
       done
     done;
-    if eq (Bigarray.Array1.get a !left) t then swap_c a !left !j
+    if eq (Bigarray.Array1.get a !left) t then swap a !left !j
     else begin
       incr j;
-      swap_c a !j !right
+      swap a !j !right
     end;
     if !j <= k then left := !j + 1;
     if k <= !j then right := !j - 1
@@ -149,17 +72,19 @@ let nth_in_place_col col k =
   if n = 0 then invalid_arg "Select.nth_in_place_col: empty column";
   if k < 0 || k >= n then invalid_arg "Select.nth_in_place_col: k out of range";
   let a = Columns.unsafe_data col in
+  (* Move NaNs to the front (they are all equal under Float.compare, so
+     any arrangement among themselves matches the sorted order). *)
   let m = ref 0 in
   for i = 0 to n - 1 do
     let x = Bigarray.Array1.unsafe_get a i in
     if x <> x then begin
-      swap_c a i !m;
+      swap a i !m;
       incr m
     end
   done;
   if k < !m then Bigarray.Array1.get a k
   else begin
-    select_c a !m (n - 1) k;
+    select a !m (n - 1) k;
     Bigarray.Array1.get a k
   end
 
@@ -174,31 +99,13 @@ let quantile_in_place_col col p =
   else begin
     let lo = nth_in_place_col col i in
     let a = Columns.unsafe_data col in
+    (* After selection the suffix holds order statistics i+1 .. n-1, so
+       the (i+1)-th is its minimum; ties under the total order are
+       bitwise-identical values, so this matches the sorted (i+1)-th
+       exactly.  NaNs only ever occupy a prefix, never the suffix scanned here. *)
     let hi = ref (Bigarray.Array1.get a (i + 1)) in
     for j = i + 2 to n - 1 do
       let x = Bigarray.Array1.unsafe_get a j in
-      if lt x !hi then hi := x
-    done;
-    lo +. ((h -. float_of_int i) *. (!hi -. lo))
-  end
-
-let quantile_in_place a p =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Select.quantile_in_place: empty array";
-  if p < 0.0 || p > 1.0 then
-    invalid_arg "Select.quantile_in_place: p not in [0,1]";
-  let h = p *. float_of_int (n - 1) in
-  let i = int_of_float (floor h) in
-  if i >= n - 1 then nth_in_place a (n - 1)
-  else begin
-    let lo = nth_in_place a i in
-    (* After selection the suffix holds order statistics i+1 .. n-1, so
-       the (i+1)-th is its minimum; ties under the total order are
-       bitwise-identical values, so this matches sorted.(i+1) exactly.
-       NaNs only ever occupy a prefix, never the suffix scanned here. *)
-    let hi = ref a.(i + 1) in
-    for j = i + 2 to n - 1 do
-      let x = Array.unsafe_get a j in
       if lt x !hi then hi := x
     done;
     lo +. ((h -. float_of_int i) *. (!hi -. lo))

@@ -1,4 +1,4 @@
-(** Sort-free order statistics over float arrays.
+(** Sort-free order statistics over {!Columns.t} storage.
 
     Selection is expected O(n) (Floyd–Rivest, with a quickselect fallback
     behaviour on small windows), against O(n log n) for sorting — the basis
@@ -16,37 +16,20 @@
     lets the sort-free quantile in {!Summary} replace the sorting one
     without changing a single reproduced number. *)
 
-(** [nth_in_place a k] — the k-th smallest element ([0 <= k < length a])
-    under the [Float.compare] order.  Partially reorders [a] in place: on
-    return [a.(k)] holds the result, everything left of [k] is [<=] it and
-    everything right of [k] is [>=] it (a multiset-preserving partition —
-    the array holds the same values, rearranged).  Expected O(n). *)
-val nth_in_place : float array -> int -> float
-
-(** [nth a k] — as {!nth_in_place} but on a private copy; [a] is not
-    mutated. *)
-val nth : float array -> int -> float
-
-(** [quantile_in_place a p] — type-7 (linear interpolation) quantile,
-    [0 <= p <= 1], bit-identical to [Summary.quantile a p] (up to the
-    zero-sign caveat above) but expected O(n) instead of O(n log n).
-    Partially reorders [a] in place (multiset preserved), so repeated
-    calls on the same scratch array get cheaper as the array becomes
-    progressively more ordered. *)
-val quantile_in_place : float array -> float -> float
-
-(** {2 Column variants}
-
-    The same selection over {!Columns.t} storage (first [length] elements;
-    the column is partially reordered in place exactly as the array
-    versions reorder theirs).  Selection is a pure function of the element
-    multiset, so these return bitwise what the array versions would on
-    [to_array] of the column — the seam that lets [Dist.Empirical] keep
-    its quantile semantics after the columnar migration. *)
-
-(** [nth_in_place_col col k] — as {!nth_in_place} on a column. *)
+(** [nth_in_place_col col k] — the k-th smallest element
+    ([0 <= k < length col]) under the [Float.compare] order, over the
+    first [length] elements of [col].  Partially reorders [col] in place:
+    on return element [k] holds the result, everything left of [k] is
+    [<=] it and everything right of [k] is [>=] it (a multiset-preserving
+    partition — the column holds the same values, rearranged).  Expected
+    O(n).  [Dist.Empirical], [Summary.quantile_unsorted] and the
+    population medians all select through here. *)
 val nth_in_place_col : Columns.t -> int -> float
 
-(** [quantile_in_place_col col p] — as {!quantile_in_place} on a
-    column. *)
+(** [quantile_in_place_col col p] — type-7 (linear interpolation)
+    quantile, [0 <= p <= 1], bit-identical to [Summary.quantile] on
+    [Columns.to_array col] (up to the zero-sign caveat above) but
+    expected O(n) instead of O(n log n).  Partially reorders [col] in
+    place (multiset preserved), so repeated calls on the same scratch
+    column get cheaper as it becomes progressively more ordered. *)
 val quantile_in_place_col : Columns.t -> float -> float

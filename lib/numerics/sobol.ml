@@ -124,11 +124,12 @@ let count t = t.generated
 let scale = 0x1p-32
 
 let next t buf =
-  if Stdlib.Float.Array.length buf < t.dimension then
+  let len = Stdlib.Float.Array.length buf (* lint: allow-floatarray *) in
+  if len < t.dimension then
     invalid_arg "Sobol.next: buffer shorter than the dimension";
   if t.generated >= word_mask then invalid_arg "Sobol.next: sequence exhausted";
   for d = 0 to t.dimension - 1 do
-    Stdlib.Float.Array.unsafe_set buf d
+    Stdlib.Float.Array.unsafe_set buf d (* lint: allow-floatarray *)
       (float_of_int (t.x.(d) lxor t.shift.(d)) *. scale)
   done;
   (* Gray-code advance: flip the direction number indexed by the rightmost

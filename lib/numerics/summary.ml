@@ -38,7 +38,7 @@ let quantile xs p =
 let quantile_unsorted xs p =
   check_nonempty "Summary.quantile_unsorted" xs;
   check_p "Summary.quantile_unsorted" p;
-  Select.quantile_in_place (Array.copy xs) p
+  Select.quantile_in_place_col (Columns.of_array xs) p
 
 let median xs = quantile xs 0.5
 
@@ -81,27 +81,8 @@ module Online = struct
     t.mu <- t.mu +. (delta /. n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mu))
 
-  (* Fold a buffer segment with the Welford state in unboxed locals; the
+  (* Fold a column slice with the Welford state in unboxed locals; the
      result is bit-identical to calling [add] once per element. *)
-  let add_floatarray t buf ~pos ~len =
-    if pos < 0 || len < 0 || len > Stdlib.Float.Array.length buf - pos then
-      invalid_arg "Summary.Online.add_floatarray";
-    let n = ref t.n and mu = ref t.mu and m2 = ref t.m2 in
-    for i = pos to pos + len - 1 do
-      let x = Stdlib.Float.Array.unsafe_get buf i in
-      let nn = !n +. 1.0 in
-      n := nn;
-      let delta = x -. !mu in
-      let mu' = !mu +. (delta /. nn) in
-      mu := mu';
-      m2 := !m2 +. (delta *. (x -. mu'))
-    done;
-    t.n <- !n;
-    t.mu <- !mu;
-    t.m2 <- !m2
-
-  (* Column twin of [add_floatarray]: identical fold, reading through the
-     bigarray primitives, hence bit-identical to per-element [add]. *)
   let add_column t col ~pos ~len =
     if pos < 0 || len < 0 || len > Columns.length col - pos then
       invalid_arg "Summary.Online.add_column";

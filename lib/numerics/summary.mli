@@ -47,14 +47,10 @@ module Online : sig
   val create : unit -> t
   val add : t -> float -> unit
 
-  (** [add_floatarray t buf ~pos ~len] — observe
-      [buf.(pos) .. buf.(pos+len-1)] in order; bit-identical to calling
-      [add] per element, but the fold runs with the Welford state in
-      unboxed locals (the batched Monte-Carlo hot path). *)
-  val add_floatarray : t -> floatarray -> pos:int -> len:int -> unit
-
-  (** [add_column t col ~pos ~len] — as {!add_floatarray} over a column
-      slice; bit-identical to per-element [add] (same fold order). *)
+  (** [add_column t col ~pos ~len] — observe elements [pos] ..
+      [pos+len-1] of [col] in order; bit-identical to calling [add] per
+      element, but the fold runs with the Welford state in unboxed locals
+      (the batched Monte-Carlo hot path). *)
   val add_column : t -> Columns.t -> pos:int -> len:int -> unit
 
   val count : t -> int

@@ -17,22 +17,13 @@ let check_conservative_bound ~n rng claim =
   let estimate = failure_probability ~n rng belief in
   (estimate, Confidence.Conservative.failure_bound claim)
 
-(* Per-domain column scratch for the batched kernels below (see the note
-   on [Mc.domain_scratch]: always fully written before being read, so
-   caching is invisible to results and saves a major-heap allocation per
-   chunk).  The batched paths run entirely on unboxed columns: the
-   [_col] fill kernels are bit-compatible mirrors of the floatarray ones,
-   so the migration changed no reproduced number (the determinism
-   fingerprints and repro fragments pin this). *)
-let scratch_col_key =
-  Domain.DLS.new_key (fun () -> ref (Numerics.Columns.create ~capacity:0 ()))
-
-let domain_scratch_col len =
-  let r = Domain.DLS.get scratch_col_key in
-  if Numerics.Columns.capacity !r < len then
-    r := Numerics.Columns.create ~capacity:len ();
-  Numerics.Columns.set_length !r len;
-  !r
+(* The batched paths below run on unboxed columns, and every scratch
+   buffer they need beyond the destination segment (the Bernoulli
+   uniforms, the survival curve's pfd and first-failure halves) is
+   borrowed from [Mc.with_scratch]'s per-domain stack, so a nested or
+   concurrent run on the same domain never shares a buffer with them.
+   Each column kernel writes exactly what [len] scalar calls would, so
+   the stream is a pure function of the chunk state. *)
 
 (* Batched Bernoulli marginalisation: fill a segment with pfd draws, fill a
    scratch segment with uniforms, and resolve each slot to 0/1 in place.
@@ -43,14 +34,15 @@ let domain_scratch_col len =
 let failure_probability_par ?pool ?chunks ~n ~seed belief =
   Mc.estimate_par_batched_col ?pool ?chunks ~n ~seed (fun () ->
       fun rng buf ~pos ~len ->
-        let u = Numerics.Columns.unsafe_data (domain_scratch_col len) in
-        Dist.Mixture.sample_into_col belief rng buf ~pos ~len;
-        Numerics.Rng.fill_floats_col rng u ~pos:0 ~len;
-        for j = 0 to len - 1 do
-          let pfd = clamp_pfd (Bigarray.Array1.unsafe_get buf (pos + j)) in
-          Bigarray.Array1.unsafe_set buf (pos + j)
-            (if Bigarray.Array1.unsafe_get u j < pfd then 1.0 else 0.0)
-        done)
+        Mc.with_scratch len (fun ucol ->
+            let u = Numerics.Columns.unsafe_data ucol in
+            Dist.Mixture.sample_into_col belief rng buf ~pos ~len;
+            Numerics.Rng.fill_floats_col rng u ~pos:0 ~len;
+            for j = 0 to len - 1 do
+              let pfd = clamp_pfd (Bigarray.Array1.unsafe_get buf (pos + j)) in
+              Bigarray.Array1.unsafe_set buf (pos + j)
+                (if Bigarray.Array1.unsafe_get u j < pfd then 1.0 else 0.0)
+            done))
 
 let check_conservative_bound_par ?pool ?chunks ~n ~seed claim =
   let belief = Confidence.Conservative.worst_case_belief claim in
@@ -58,7 +50,7 @@ let check_conservative_bound_par ?pool ?chunks ~n ~seed claim =
   (estimate, Confidence.Conservative.failure_bound claim)
 
 (* Sketch of the pfd belief itself (not of failure outcomes): stream pfd
-   draws through [Mc.sketch_par] so quantiles and band masses of the
+   draws through [Mc.sketch_par_col] so quantiles and band masses of the
    belief can be read in O(compression) memory however many samples are
    drawn.  Clamping to [0,1] mirrors every other consumer of pfd draws. *)
 let pfd_sketch_par ?pool ?compression ?chunks ~n ~seed belief =
@@ -193,69 +185,59 @@ let survival_curve ~n_systems ~checkpoints rng belief =
 
 let survival_curve_par ?pool ?chunks ~n_systems ~seed ~checkpoints belief =
   if n_systems < 1 then invalid_arg "Demand_sim: n_systems < 1";
-  let chunks =
-    match chunks with
-    | Some c ->
-      if c < 1 then invalid_arg "Demand_sim: chunks < 1";
-      c
-    | None -> Numerics.Parallel.default_chunks ?pool ()
-  in
   let checkpoints = List.sort_uniq compare checkpoints in
   List.iter
     (fun c -> if c < 0 then invalid_arg "Demand_sim: negative checkpoint")
     checkpoints;
   let cps = Array.of_list checkpoints in
   let n_cps = Array.length cps in
-  let sizes = Numerics.Parallel.chunk_sizes ~n:n_systems ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
+  let body ~size rng =
     let survived = Array.make n_cps 0 in
     if size > 0 then begin
-      (* Chunk state is copied and scratch allocated inside the executing
-         domain; pfds and first-failure uniforms are drawn a segment at a
-         time.  The first failure is geometric by inverse transform:
+      (* pfds and first-failure uniforms are drawn a segment at a time.
+         The first failure is geometric by inverse transform:
          1 + floor(log u / log(1 - pfd)) with u in (0,1) — a different
          (batched) stream than the scalar path's [Rng.geometric], but a
          pure function of the chunk state, which is what the domain-count
          determinism contract requires. *)
-      let rng = Numerics.Rng.copy streams.(i) in
       let seg = min size Mc.batch_size in
       (* Two disjoint halves of one scratch column: pfd draws in the first,
          first-failure uniforms in the second. *)
-      let scratch = Numerics.Columns.unsafe_data (domain_scratch_col (2 * seg)) in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        Dist.Mixture.sample_into_col belief rng scratch ~pos:0 ~len;
-        Numerics.Rng.fill_floats_pos_col rng scratch ~pos:seg ~len;
-        for k = 0 to len - 1 do
-          let pfd = clamp_pfd (Bigarray.Array1.unsafe_get scratch k) in
-          let first =
-            if pfd <= 0.0 then max_int
-            else if pfd >= 1.0 then 1
-            else begin
-              let u = Bigarray.Array1.unsafe_get scratch (seg + k) in
-              let g = log u /. Numerics.Special.log1p (-.pfd) in
-              if g >= 4.0e18 then max_int else 1 + int_of_float g
-            end
-          in
-          for j = 0 to n_cps - 1 do
-            if first > Array.unsafe_get cps j then
-              Array.unsafe_set survived j (Array.unsafe_get survived j + 1)
-          done
-        done;
-        remaining := !remaining - len
-      done
+      Mc.with_scratch (2 * seg) (fun col ->
+          let scratch = Numerics.Columns.unsafe_data col in
+          let remaining = ref size in
+          while !remaining > 0 do
+            let len = min !remaining seg in
+            Dist.Mixture.sample_into_col belief rng scratch ~pos:0 ~len;
+            Numerics.Rng.fill_floats_pos_col rng scratch ~pos:seg ~len;
+            for k = 0 to len - 1 do
+              let pfd = clamp_pfd (Bigarray.Array1.unsafe_get scratch k) in
+              let first =
+                if pfd <= 0.0 then max_int
+                else if pfd >= 1.0 then 1
+                else begin
+                  let u = Bigarray.Array1.unsafe_get scratch (seg + k) in
+                  let g = log u /. Numerics.Special.log1p (-.pfd) in
+                  if g >= 4.0e18 then max_int else 1 + int_of_float g
+                end
+              in
+              for j = 0 to n_cps - 1 do
+                if first > Array.unsafe_get cps j then
+                  Array.unsafe_set survived j (Array.unsafe_get survived j + 1)
+              done
+            done;
+            remaining := !remaining - len
+          done)
     end;
     survived
   in
   (* Survivor counts are integers, so the merge is exact as well as
      order-fixed: the curve is bit-identical at any domain count. *)
   let totals =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Array.make n_cps 0) ~body
+    Mc.fan_out ?pool ?chunks ~name:"Demand_sim.survival_curve_par"
+      ~n:n_systems ~seed ~init:(Array.make n_cps 0)
       ~merge:(fun acc counts -> Array.map2 ( + ) acc counts)
+      body
   in
   Array.to_list
     (Array.mapi

@@ -11,8 +11,9 @@ val failure_probability :
   n:int -> Numerics.Rng.t -> Dist.Mixture.t -> Mc.estimate
 
 (** [failure_probability_par ?pool ?chunks ~n ~seed belief] — parallel
-    [failure_probability] via [Mc.estimate_par_batched]: pfds and Bernoulli
-    uniforms are drawn a segment at a time into reusable scratch buffers.
+    [failure_probability] via [Mc.estimate_par_batched_col]: pfds and
+    Bernoulli uniforms are drawn a segment at a time into scratch columns
+    borrowed from [Mc.with_scratch].
     Bit-identical for a fixed [(seed, chunks)] at any domain count; the
     batched stream differs from the scalar [failure_probability] one.
     [chunks] defaults to [Parallel.default_chunks]. *)
@@ -48,9 +49,9 @@ val check_conservative_bound_par :
 
 (** [pfd_sketch_par ?pool ?compression ?chunks ~n ~seed belief] — stream
     [n] pfd draws (clamped to [0,1], as every demand-simulation consumer
-    sees them) into a mergeable quantile sketch via [Mc.sketch_par]:
+    sees them) into a mergeable quantile sketch via [Mc.sketch_par_col]:
     credible intervals and band masses of the belief in O(compression)
-    memory.  Same determinism contract as [Mc.sketch_par]. *)
+    memory.  Same determinism contract as [Mc.sketch_par_col]. *)
 val pfd_sketch_par :
   ?pool:Numerics.Parallel.pool ->
   ?compression:float ->

@@ -30,14 +30,6 @@ let estimate ~n rng f =
 let probability ~n rng event =
   estimate ~n rng (fun rng -> if event rng then 1.0 else 0.0)
 
-(* Parallel fan-out: one seed expands into [chunks] independent streams in
-   chunk order, each chunk accumulates its own Welford state, and the
-   accumulators are merged left to right.  Every step is a pure function of
-   (seed, chunks, n), so the result is bit-identical at any domain count.
-
-   Each chunk works on a fresh copy of its stream state made *inside* the
-   executing domain: the split-stream array itself is only ever read, so
-   domains never mutate adjacently-allocated records (false sharing). *)
 (* Chunk-count resolution shared by every parallel entry point: an
    explicit [~chunks] wins (and is what the repro layer passes, for
    cross-machine reproducibility); otherwise the oversubscribed
@@ -50,111 +42,105 @@ let resolve_chunks ?pool ?chunks name =
     c
   | None -> Numerics.Parallel.default_chunks ?pool ()
 
-let estimate_par ?pool ?chunks ~n ~seed f =
-  if n < 2 then invalid_arg "Mc.estimate_par: n < 2";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_par" in
+(* Parallel fan-out: one seed expands into [chunks] independent streams in
+   chunk order, chunk [i] runs [body ~size rng] on its share [size] of [n]
+   with stream [i], and the partial results merge left to right.  Every
+   step is a pure function of (seed, chunks, n), so the result is
+   bit-identical at any domain count.
+
+   Each chunk works on a fresh copy of its stream state made *inside* the
+   executing domain: the split-stream array itself is only ever read, so
+   domains never mutate adjacently-allocated records (false sharing). *)
+let fan_out ?pool ?chunks ~name ~n ~seed ~init ~merge body =
+  let chunks = resolve_chunks ?pool ?chunks name in
   let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
   let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let rng = Numerics.Rng.copy streams.(i) in
-    let acc = Numerics.Summary.Online.create () in
-    for _ = 1 to sizes.(i) do
-      Numerics.Summary.Online.add acc (f rng)
-    done;
-    acc
-  in
+  Numerics.Parallel.parallel_for_reduce ?pool ~chunks ~init ~merge
+    ~body:(fun i -> body ~size:sizes.(i) (Numerics.Rng.copy streams.(i)))
+
+(* The Welford fan-out: each non-empty chunk folds its observations into a
+   fresh accumulator with [observe acc ~size rng]. *)
+let welford_par ?pool ?chunks ~name ~n ~seed observe =
+  fan_out ?pool ?chunks ~name ~n ~seed
+    ~init:(Numerics.Summary.Online.create ())
+    ~merge:Numerics.Summary.Online.merge
+    (fun ~size rng ->
+      let acc = Numerics.Summary.Online.create () in
+      if size > 0 then observe acc ~size rng;
+      acc)
+
+let estimate_par ?pool ?chunks ~n ~seed f =
+  if n < 2 then invalid_arg "Mc.estimate_par: n < 2";
   let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Numerics.Summary.Online.create ())
-      ~body ~merge:Numerics.Summary.Online.merge
+    welford_par ?pool ?chunks ~name:"Mc.estimate_par" ~n ~seed
+      (fun acc ~size rng ->
+        for _ = 1 to size do
+          Numerics.Summary.Online.add acc (f rng)
+        done)
   in
   of_online total n
 
 (* Scratch-buffer segmentation constant for the batched path.  Like
    [chunks], it is part of the stream definition: a fill function may draw
    differently for one segment of 2k than for two segments of 1k (e.g.
-   [Mixture.sample_into] batches its selection uniforms per segment), so
+   [Mixture.sample_into_col] batches its selection uniforms per segment), so
    this is a fixed constant rather than a tunable — changing it is a
    stream change, exactly like changing the chunk count. *)
 let batch_size = 4096
 
-type batch_fill = Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
-
-(* Per-domain scratch, reused across chunks and calls.  Every byte is
-   written by the fill before the Welford fold reads it, so caching the
-   buffer in domain-local storage cannot change any result; what it does
-   do is stop the hot path from churning the major heap (a 32 kB buffer
-   per chunk per call), which matters under parallelism because every
-   collection is a stop-the-world rendezvous of all domains. *)
-let scratch_key =
-  Domain.DLS.new_key (fun () -> ref (Stdlib.Float.Array.create 0))
-
-let domain_scratch len =
-  let r = Domain.DLS.get scratch_key in
-  if Stdlib.Float.Array.length !r < len then
-    r := Stdlib.Float.Array.create len;
-  !r
-
-let fill_of_scalar f : batch_fill =
- fun rng buf ~pos ~len ->
-  for j = pos to pos + len - 1 do
-    Stdlib.Float.Array.set buf j (f rng)
-  done
-
-let estimate_par_batched ?pool ?chunks ~n ~seed make_fill =
-  if n < 2 then invalid_arg "Mc.estimate_par_batched: n < 2";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_par_batched" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let acc = Numerics.Summary.Online.create () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      (* Instantiated per chunk, in the executing domain, so any scratch
-         state the fill closes over is domain-local. *)
-      let fill = make_fill () in
-      (* The cached buffer may be longer than requested; segment lengths
-         must come from [batch_size] alone so the stream never depends on
-         what earlier calls left in domain-local storage. *)
-      let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        fill rng buf ~pos:0 ~len;
-        Numerics.Summary.Online.add_floatarray acc buf ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    acc
-  in
-  let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Numerics.Summary.Online.create ())
-      ~body ~merge:Numerics.Summary.Online.merge
-  in
-  of_online total n
-
-(* Columnar twin of the batched path: per-domain scratch is a bigarray
-   column instead of a [floatarray], filled by a [batch_fill_col] and
-   folded with [Summary.Online.add_column].  The fill kernels' column
-   variants are bit-compatible mirrors, so for a fixed (seed, chunks) the
-   column path reproduces the floatarray path exactly — verified by the
-   cross-representation identity tests. *)
-
 type batch_fill_col =
   Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
-let scratch_col_key =
-  Domain.DLS.new_key (fun () -> ref (Numerics.Columns.create ~capacity:0 ()))
+(* Per-domain scratch: a stack of columns in domain-local storage.  A run
+   borrows the first free column for its duration and hands it back on
+   exit, so nested or side-by-side runs on one domain (a sampler that
+   itself runs a batched estimate, a fill that needs a second buffer) get
+   distinct buffers, and once the stack is as deep as the deepest nesting
+   no call allocates.  Every slot a run reads is written by its own fill
+   first, so reuse cannot change any result; what it does do is stop the
+   hot path from churning the major heap (a 32 kB buffer per chunk per
+   call), which matters under parallelism because every collection is a
+   stop-the-world rendezvous of all domains.  Pool runs never interleave
+   on a domain (a waiting caller blocks rather than picking up other
+   work), so borrows nest strictly. *)
+type scratch = { mutable cols : Numerics.Columns.t array; mutable depth : int }
 
-let domain_scratch_col len =
-  let r = Domain.DLS.get scratch_col_key in
-  if Numerics.Columns.capacity !r < len then
-    r := Numerics.Columns.create ~capacity:len ();
-  Numerics.Columns.set_length !r len;
-  !r
+let scratch_key = Domain.DLS.new_key (fun () -> { cols = [||]; depth = 0 })
+
+let with_scratch len f =
+  let st = Domain.DLS.get scratch_key in
+  let d = st.depth in
+  if d = Array.length st.cols then
+    st.cols <-
+      Array.append st.cols [| Numerics.Columns.create ~capacity:len () |]
+  else if Numerics.Columns.capacity st.cols.(d) < len then
+    st.cols.(d) <- Numerics.Columns.create ~capacity:len ();
+  let col = st.cols.(d) in
+  Numerics.Columns.set_length col len;
+  st.depth <- d + 1;
+  match f col with
+  | v ->
+    st.depth <- d;
+    v
+  | exception e ->
+    st.depth <- d;
+    raise e
+
+(* [segments ~size step] — cut a chunk of [size > 0] slots into
+   [batch_size] segments on one borrowed scratch column, calling
+   [step col ~start ~len] for each in order.  The borrowed column may be
+   longer than requested; segment lengths come from [batch_size] alone so
+   the stream never depends on what earlier calls left in domain-local
+   storage. *)
+let segments ~size step =
+  let seg = min size batch_size in
+  with_scratch seg (fun col ->
+      let start = ref 0 in
+      while !start < size do
+        let len = min (size - !start) seg in
+        step col ~start:!start ~len;
+        start := !start + len
+      done)
 
 let fill_col_of_scalar f : batch_fill_col =
  fun rng buf ~pos ~len ->
@@ -164,32 +150,15 @@ let fill_col_of_scalar f : batch_fill_col =
 
 let estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill =
   if n < 2 then invalid_arg "Mc.estimate_par_batched_col: n < 2";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_par_batched_col" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let acc = Numerics.Summary.Online.create () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let fill = make_fill () in
-      let seg = min size batch_size in
-      let col = domain_scratch_col seg in
-      let buf = Numerics.Columns.unsafe_data col in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        fill rng buf ~pos:0 ~len;
-        Numerics.Summary.Online.add_column acc col ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    acc
-  in
   let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Numerics.Summary.Online.create ())
-      ~body ~merge:Numerics.Summary.Online.merge
+    welford_par ?pool ?chunks ~name:"Mc.estimate_par_batched_col" ~n ~seed
+      (fun acc ~size rng ->
+        (* Instantiated per chunk, in the executing domain, so any scratch
+           state the fill closes over is domain-local. *)
+        let fill = make_fill () in
+        segments ~size (fun col ~start:_ ~len ->
+            fill rng (Numerics.Columns.unsafe_data col) ~pos:0 ~len;
+            Numerics.Summary.Online.add_column acc col ~pos:0 ~len))
   in
   of_online total n
 
@@ -197,78 +166,36 @@ let probability_par ?pool ?chunks ~n ~seed event =
   estimate_par ?pool ?chunks ~n ~seed (fun rng ->
       if event rng then 1.0 else 0.0)
 
-(* Sketch fan-out: same stream discipline as [estimate_par_batched] — one
-   stream per chunk, [batch_size] segments — but each chunk accumulates a
-   t-digest instead of a Welford state, and the digests merge in chunk
-   order.  [Sketch.merge] is deterministic (though only approximately
-   associative), and the fold order is fixed by [parallel_for_reduce], so
-   the resulting sketch — hence every quantile read from it — is a pure
-   function of (seed, chunks, n, compression): bit-identical at any
-   domain count. *)
-let sketch_par ?pool ?compression ?chunks ~n ~seed make_fill =
-  if n < 1 then invalid_arg "Mc.sketch_par: n < 1";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.sketch_par" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let sk = Numerics.Sketch.create ?compression () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let fill = make_fill () in
-      let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        fill rng buf ~pos:0 ~len;
-        Numerics.Sketch.add_floatarray sk buf ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    sk
-  in
-  Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-    ~init:(Numerics.Sketch.create ?compression ())
-    ~body ~merge:Numerics.Sketch.merge
-
-(* Columnar sketch fan-out: same stream discipline as [sketch_par], with
-   column scratch and an allocation-free in-place merge fold
-   ([Sketch.merge_into] recycles the accumulator's centroid and scratch
-   columns; it is bit-identical to [Sketch.merge] by construction). *)
+(* Sketch fan-out: same stream discipline as [estimate_par_batched_col] —
+   one stream per chunk, [batch_size] segments — but each chunk
+   accumulates a t-digest instead of a Welford state, and the digests
+   merge in chunk order.  [Sketch.merge] is deterministic (though only
+   approximately associative), and the fold order is fixed by
+   [parallel_for_reduce], so the resulting sketch — hence every quantile
+   read from it — is a pure function of (seed, chunks, n, compression):
+   bit-identical at any domain count.  The fold is the allocation-free
+   in-place [Sketch.merge_into], which recycles the accumulator's
+   centroid and scratch columns and is bit-identical to [Sketch.merge] by
+   construction. *)
 let sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill =
   if n < 1 then invalid_arg "Mc.sketch_par_col: n < 1";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.sketch_par_col" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let sk = Numerics.Sketch.create ?compression () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let fill = make_fill () in
-      let seg = min size batch_size in
-      let col = domain_scratch_col seg in
-      let buf = Numerics.Columns.unsafe_data col in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        fill rng buf ~pos:0 ~len;
-        Numerics.Sketch.add_column sk col ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    sk
-  in
-  Numerics.Parallel.parallel_for_reduce ?pool ~chunks
+  fan_out ?pool ?chunks ~name:"Mc.sketch_par_col" ~n ~seed
     ~init:(Numerics.Sketch.create ?compression ())
-    ~body
     ~merge:(fun into sk ->
       Numerics.Sketch.merge_into ~into sk;
       into)
+    (fun ~size rng ->
+      let sk = Numerics.Sketch.create ?compression () in
+      if size > 0 then begin
+        let fill = make_fill () in
+        segments ~size (fun col ~start:_ ~len ->
+            fill rng (Numerics.Columns.unsafe_data col) ~pos:0 ~len;
+            Numerics.Sketch.add_column sk col ~pos:0 ~len)
+      end;
+      sk)
 
 let quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill =
-  let sk = sketch_par ?pool ?compression ?chunks ~n ~seed make_fill in
+  let sk = sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill in
   Array.map (Numerics.Sketch.quantile sk) ps
 
 (* ------------------------------------------------------------------ *)
@@ -363,48 +290,42 @@ let is_finalize acc =
 
 let estimate_is_weighted ?pool ?chunks ~n ~seed ~proposal ~log_weight f =
   if n < 2 then invalid_arg "Mc.estimate_is: n < 2";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_is" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
+  let body ~size rng =
     if size = 0 then is_acc_zero
     else begin
-      let rng = Numerics.Rng.copy streams.(i) in
       let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let sw = ref 0.0 and sw2 = ref 0.0 and swf = ref 0.0 and sw2f = ref 0.0
-      and swf_2 = ref 0.0 and wmax = ref 0.0 in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        Dist.sample_into proposal rng buf ~pos:0 ~len;
-        for j = 0 to len - 1 do
-          let x = Stdlib.Float.Array.unsafe_get buf j in
-          let w = exp (log_weight x) in
-          if not (Float.is_finite w) || w < 0.0 then
-            invalid_arg
-              (Printf.sprintf "Mc.estimate_is: bad weight %g at %g" w x);
-          let fx = f x in
-          let wf = w *. fx in
-          sw := !sw +. w;
-          sw2 := !sw2 +. (w *. w);
-          swf := !swf +. wf;
-          sw2f := !sw2f +. (w *. wf);
-          swf_2 := !swf_2 +. (wf *. wf);
-          if w > !wmax then wmax := w
-        done;
-        remaining := !remaining - len
-      done;
-      { is_n = size; sw = !sw; sw2 = !sw2; swf = !swf; sw2f = !sw2f;
-        swf_2 = !swf_2; wmax = !wmax }
+      with_scratch seg (fun col ->
+          let buf = Numerics.Columns.unsafe_data col in
+          let sw = ref 0.0 and sw2 = ref 0.0 and swf = ref 0.0 in
+          let sw2f = ref 0.0 and swf_2 = ref 0.0 and wmax = ref 0.0 in
+          let remaining = ref size in
+          while !remaining > 0 do
+            let len = min !remaining seg in
+            Dist.sample_into_col proposal rng buf ~pos:0 ~len;
+            for j = 0 to len - 1 do
+              let x = Bigarray.Array1.unsafe_get buf j in
+              let w = exp (log_weight x) in
+              if not (Float.is_finite w) || w < 0.0 then
+                invalid_arg
+                  (Printf.sprintf "Mc.estimate_is: bad weight %g at %g" w x);
+              let fx = f x in
+              let wf = w *. fx in
+              sw := !sw +. w;
+              sw2 := !sw2 +. (w *. w);
+              swf := !swf +. wf;
+              sw2f := !sw2f +. (w *. wf);
+              swf_2 := !swf_2 +. (wf *. wf);
+              if w > !wmax then wmax := w
+            done;
+            remaining := !remaining - len
+          done;
+          { is_n = size; sw = !sw; sw2 = !sw2; swf = !swf; sw2f = !sw2f;
+            swf_2 = !swf_2; wmax = !wmax })
     end
   in
-  let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks ~init:is_acc_zero
-      ~body ~merge:is_acc_merge
-  in
-  is_finalize total
+  is_finalize
+    (fan_out ?pool ?chunks ~name:"Mc.estimate_is" ~n ~seed ~init:is_acc_zero
+       ~merge:is_acc_merge body)
 
 let estimate_is ?pool ?chunks ~n ~seed ~target ~proposal f =
   estimate_is_weighted ?pool ?chunks ~n ~seed ~proposal
@@ -433,7 +354,7 @@ let estimate_qmc ?pool ?(replicates = 16) ~dim ~n ~seed f =
   let body r =
     let rng = Numerics.Rng.copy streams.(r) in
     let sobol = Numerics.Sobol.create ~scramble:rng ~dim () in
-    let point = Stdlib.Float.Array.create dim in
+    let point = Stdlib.Float.Array.create dim (* lint: allow-floatarray *) in
     let acc = ref 0.0 in
     for _ = 1 to n do
       Numerics.Sobol.next sobol point;
@@ -462,38 +383,21 @@ let estimate_qmc ?pool ?(replicates = 16) ~dim ~n ~seed f =
 
 let estimate_par_stratified ?pool ?chunks ~n ~seed f_of_u =
   if n < 2 then invalid_arg "Mc.estimate_par_stratified: n < 2";
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_par_stratified" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let acc = Numerics.Summary.Online.create () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let m = float_of_int size in
-      let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let start = ref 0 in
-      while !start < size do
-        let len = min (size - !start) seg in
-        Numerics.Rng.fill_floats rng buf ~pos:0 ~len;
-        for k = 0 to len - 1 do
-          let u =
-            (float_of_int (!start + k) +. Stdlib.Float.Array.unsafe_get buf k)
-            /. m
-          in
-          Stdlib.Float.Array.unsafe_set buf k (f_of_u u)
-        done;
-        Numerics.Summary.Online.add_floatarray acc buf ~pos:0 ~len;
-        start := !start + len
-      done
-    end;
-    acc
-  in
   let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Numerics.Summary.Online.create ())
-      ~body ~merge:Numerics.Summary.Online.merge
+    welford_par ?pool ?chunks ~name:"Mc.estimate_par_stratified" ~n ~seed
+      (fun acc ~size rng ->
+        let m = float_of_int size in
+        segments ~size (fun col ~start ~len ->
+            let buf = Numerics.Columns.unsafe_data col in
+            Numerics.Rng.fill_floats_col rng buf ~pos:0 ~len;
+            for k = 0 to len - 1 do
+              let u =
+                (float_of_int (start + k) +. Bigarray.Array1.unsafe_get buf k)
+                /. m
+              in
+              Bigarray.Array1.unsafe_set buf k (f_of_u u)
+            done;
+            Numerics.Summary.Online.add_column acc col ~pos:0 ~len))
   in
   of_online total n
 
@@ -501,37 +405,21 @@ let estimate_par_antithetic ?pool ?chunks ~n ~seed f_of_u =
   if n < 4 then invalid_arg "Mc.estimate_par_antithetic: n < 4";
   if n land 1 = 1 then invalid_arg "Mc.estimate_par_antithetic: n odd";
   let pairs = n / 2 in
-  let chunks = resolve_chunks ?pool ?chunks "Mc.estimate_par_antithetic" in
-  let sizes = Numerics.Parallel.chunk_sizes ~n:pairs ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let size = sizes.(i) in
-    let acc = Numerics.Summary.Online.create () in
-    if size > 0 then begin
-      let rng = Numerics.Rng.copy streams.(i) in
-      let seg = min size batch_size in
-      let buf = domain_scratch seg in
-      let remaining = ref size in
-      while !remaining > 0 do
-        let len = min !remaining seg in
-        Numerics.Rng.fill_floats rng buf ~pos:0 ~len;
-        for k = 0 to len - 1 do
-          let v = Stdlib.Float.Array.unsafe_get buf k in
-          (* One observation per pair: the mean of the mirrored draws is
-             itself i.i.d. across pairs, so the Welford CI stays honest. *)
-          Stdlib.Float.Array.unsafe_set buf k
-            (0.5 *. (f_of_u v +. f_of_u (1.0 -. v)))
-        done;
-        Numerics.Summary.Online.add_floatarray acc buf ~pos:0 ~len;
-        remaining := !remaining - len
-      done
-    end;
-    acc
-  in
   let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:(Numerics.Summary.Online.create ())
-      ~body ~merge:Numerics.Summary.Online.merge
+    welford_par ?pool ?chunks ~name:"Mc.estimate_par_antithetic" ~n:pairs
+      ~seed (fun acc ~size rng ->
+        segments ~size (fun col ~start:_ ~len ->
+            let buf = Numerics.Columns.unsafe_data col in
+            Numerics.Rng.fill_floats_col rng buf ~pos:0 ~len;
+            for k = 0 to len - 1 do
+              let v = Bigarray.Array1.unsafe_get buf k in
+              (* One observation per pair: the mean of the mirrored draws
+                 is itself i.i.d. across pairs, so the Welford CI stays
+                 honest. *)
+              Bigarray.Array1.unsafe_set buf k
+                (0.5 *. (f_of_u v +. f_of_u (1.0 -. v)))
+            done;
+            Numerics.Summary.Online.add_column acc col ~pos:0 ~len))
   in
   let e = of_online total pairs in
   { e with n }

@@ -37,6 +37,26 @@ val estimate_par :
   (Numerics.Rng.t -> float) ->
   estimate
 
+(** [fan_out ?pool ?chunks ~name ~n ~seed ~init ~merge body] — the stream
+    discipline every parallel entry point here shares: the seed fans out
+    into [chunks] streams ([Rng.split_n]), chunk [i] runs
+    [body ~size rng] on its share [size] of [n] (possibly 0) with a copy
+    of stream [i] made in the executing domain, and the results fold
+    into [init] with [merge] in chunk order.  Bit-identical at any domain
+    count for a fixed [(seed, chunks)]; [chunks] defaults as in
+    [estimate_par], and an explicit [chunks < 1] raises
+    [Invalid_argument] prefixed with [name]. *)
+val fan_out :
+  ?pool:Numerics.Parallel.pool ->
+  ?chunks:int ->
+  name:string ->
+  n:int ->
+  seed:int ->
+  init:'a ->
+  merge:('a -> 'a -> 'a) ->
+  (size:int -> Numerics.Rng.t -> 'a) ->
+  'a
+
 (** Samples per scratch-buffer refill on the batched path.  Part of the
     stream definition, like [chunks]: a fill function may legitimately
     draw differently for one long segment than for two short ones, so the
@@ -44,23 +64,39 @@ val estimate_par :
 val batch_size : int
 
 (** A batched sampler: [fill rng buf ~pos ~len] writes [len] samples into
-    [buf.(pos) ..], advancing [rng].  Must be a pure function of the
-    generator state (and [len]) — no dependence on domain identity. *)
-type batch_fill = Numerics.Rng.t -> floatarray -> pos:int -> len:int -> unit
+    [buf.{pos} ..] of [Bigarray.Array1] column storage ([Columns.unsafe_data]
+    of a scratch column), advancing [rng].  Must be a pure function of the
+    generator state (and [len]) — no dependence on domain identity.  The
+    [Rng.fill_*_col], [Dist.sample_into_col] and [Mixture.sample_into_col]
+    kernels are the building blocks. *)
+type batch_fill_col =
+  Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
-(** [fill_of_scalar f] — lift a scalar sampler into a {!batch_fill} that
-    draws [f rng] once per slot, in slot order.  The lifted fill consumes
-    the generator exactly as a scalar loop would, so for a fixed
-    [(seed, chunks)] a sketch built over [fill_of_scalar f] describes
-    {e the same sample multiset} as [estimate_par] over [f]. *)
-val fill_of_scalar : (Numerics.Rng.t -> float) -> batch_fill
+(** [fill_col_of_scalar f] — lift a scalar sampler into a
+    {!batch_fill_col} that draws [f rng] once per slot, in slot order.
+    The lifted fill consumes the generator exactly as a scalar loop would,
+    so for a fixed [(seed, chunks)] [estimate_par_batched_col] over it
+    equals [estimate_par] over [f] bit for bit, and a sketch built over it
+    describes {e the same sample multiset}.  [f] may itself run batched
+    Monte-Carlo (see {!with_scratch}). *)
+val fill_col_of_scalar : (Numerics.Rng.t -> float) -> batch_fill_col
 
-(** [estimate_par_batched ?pool ?chunks ~n ~seed make_fill] — the
+(** [with_scratch len f] — run [f] on a scratch column of length [len]
+    borrowed from the calling domain's scratch stack, and return it to the
+    stack when [f] returns or raises.  Nested or side-by-side borrows on
+    one domain get distinct columns, so a sampler that itself runs a
+    batched estimate cannot overwrite its caller's slots; once the stack
+    is as deep as the deepest nesting, borrowing allocates nothing.  The
+    contents on entry are whatever an earlier borrow left: write before
+    reading.  The column must not escape [f]. *)
+val with_scratch : int -> (Numerics.Columns.t -> 'a) -> 'a
+
+(** [estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill] — the
     allocation-free fast path of [estimate_par].  Same fan-out (one stream
     per chunk, Welford merge in chunk order) but each chunk draws samples
-    [batch_size] at a time into a reusable [floatarray] scratch buffer via
-    the fill returned by [make_fill ()], and folds the buffer with
-    [Summary.Online.add_floatarray].
+    [batch_size] at a time into a scratch column borrowed with
+    {!with_scratch} via the fill returned by [make_fill ()], and folds the
+    column with [Summary.Online.add_column].
 
     [make_fill] is called once per chunk, inside the executing domain, so
     any scratch state the fill closes over is domain-local.  Determinism
@@ -68,33 +104,6 @@ val fill_of_scalar : (Numerics.Rng.t -> float) -> batch_fill
     [chunks] defaults as in [estimate_par].  The batched stream is
     generally a different (faster) stream than the scalar [estimate_par]
     one — segmentation by [batch_size] is part of its definition. *)
-val estimate_par_batched :
-  ?pool:Numerics.Parallel.pool ->
-  ?chunks:int ->
-  n:int ->
-  seed:int ->
-  (unit -> batch_fill) ->
-  estimate
-
-(** A batched sampler writing through [Bigarray.Array1] column storage
-    ([Columns.unsafe_data] of a scratch column).  Same purity contract as
-    {!batch_fill}; the [Rng.fill_*_col] / [Dist.sample_into_col] /
-    [Mixture.sample_into_col] kernels are bit-compatible mirrors of their
-    floatarray twins, so a column fill built from them reproduces the
-    floatarray stream exactly. *)
-type batch_fill_col =
-  Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
-
-(** [fill_col_of_scalar f] — lift a scalar sampler into a
-    {!batch_fill_col} (one [f rng] per slot, in slot order). *)
-val fill_col_of_scalar : (Numerics.Rng.t -> float) -> batch_fill_col
-
-(** [estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill] — the
-    columnar twin of [estimate_par_batched]: per-domain scratch is an
-    unboxed column, folded with [Summary.Online.add_column].  For a fixed
-    [(seed, chunks)] and a column fill mirroring the floatarray one, the
-    result is bit-identical to [estimate_par_batched] at any domain
-    count. *)
 val estimate_par_batched_col :
   ?pool:Numerics.Parallel.pool ->
   ?chunks:int ->
@@ -113,34 +122,21 @@ val probability_par :
   (Numerics.Rng.t -> bool) ->
   estimate
 
-(** [sketch_par ?pool ?compression ?chunks ~n ~seed make_fill] — stream
-    [n] samples (same fan-out and segmentation as [estimate_par_batched])
-    into per-chunk {!Numerics.Sketch} digests and merge them in chunk
-    order.  Memory is O(chunks × compression) — independent of [n] — so
-    this is how to get quantiles of a Monte-Carlo output without
-    materialising the sample array.
+(** [sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill] —
+    stream [n] samples (same fan-out, segmentation and column scratch as
+    [estimate_par_batched_col]) into per-chunk {!Numerics.Sketch} digests
+    and fold them in chunk order with the allocation-free
+    [Sketch.merge_into] (bit-identical to [Sketch.merge]).  Memory is
+    O(chunks × compression) — independent of [n] — so this is how to get
+    quantiles of a Monte-Carlo output without materialising the sample
+    array.
 
-    Determinism contract: [Sketch.merge] is deterministic and the fold
-    order is fixed, so the returned sketch — and every quantile read from
-    it — is a pure function of [(seed, chunks, n, compression)]:
-    bit-identical at any domain count.  Note that the sketch itself is an
+    Determinism contract: the merge is deterministic and the fold order is
+    fixed, so the returned sketch — and every quantile read from it — is a
+    pure function of [(seed, chunks, n, compression)]: bit-identical at
+    any domain count.  Note that the sketch itself is an
     {e approximation}; accuracy bounds are documented in
     {!Numerics.Sketch}. *)
-val sketch_par :
-  ?pool:Numerics.Parallel.pool ->
-  ?compression:float ->
-  ?chunks:int ->
-  n:int ->
-  seed:int ->
-  (unit -> batch_fill) ->
-  Numerics.Sketch.t
-
-(** [sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill] — the
-    columnar twin of [sketch_par]: column scratch per domain, per-chunk
-    digests folded with the allocation-free [Sketch.merge_into] (which is
-    bit-identical to [Sketch.merge]).  Same determinism contract; with a
-    mirroring fill the resulting sketch state is bit-identical to
-    [sketch_par]'s. *)
 val sketch_par_col :
   ?pool:Numerics.Parallel.pool ->
   ?compression:float ->
@@ -151,7 +147,7 @@ val sketch_par_col :
   Numerics.Sketch.t
 
 (** [quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill] —
-    [Array.map (Sketch.quantile (sketch_par ...)) ps]. *)
+    [Array.map (Sketch.quantile (sketch_par_col ...)) ps]. *)
 val quantiles_par :
   ?pool:Numerics.Parallel.pool ->
   ?compression:float ->
@@ -159,7 +155,7 @@ val quantiles_par :
   n:int ->
   seed:int ->
   ps:float array ->
-  (unit -> batch_fill) ->
+  (unit -> batch_fill_col) ->
   float array
 
 (** {1 Variance reduction}
@@ -190,7 +186,7 @@ type is_estimate = {
 
 (** [estimate_is ?pool ?chunks ~n ~seed ~target ~proposal f] — estimate
     E_target[f(X)] by drawing from [proposal] (via the batched
-    [Dist.sample_into] path) and reweighting each draw by
+    [Dist.sample_into_col] path) and reweighting each draw by
     [exp (target.log_pdf x -. proposal.log_pdf x)].
 
     The proposal must dominate the target where [f] is non-zero
@@ -269,7 +265,8 @@ val estimate_qmc :
     (use [fun u -> f (Dist.quantile d u)] to stratify over a
     distribution).  The reported CI treats observations as i.i.d. and is
     therefore conservative under stratification.  Same determinism
-    contract and [batch_size] segmentation as [estimate_par_batched]. *)
+    contract and [batch_size] segmentation as
+    [estimate_par_batched_col]. *)
 val estimate_par_stratified :
   ?pool:Numerics.Parallel.pool ->
   ?chunks:int ->

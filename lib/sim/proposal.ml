@@ -2,10 +2,11 @@
 
    Each arm keeps the same parametric family as the target and moves only
    a location (or rate) parameter toward the threshold.  Staying in the
-   family matters twice over: the batched [Dist.sample_into] kernels keep
-   working (no Generic fallback on the hot path), and the log-weight is a
-   smooth closed form whose maximum on the event sits at the threshold
-   itself, so weights cannot degenerate however deep the tail. *)
+   family matters twice over: the batched [Dist.sample_into_col] kernels
+   keep working (no Generic fallback on the hot path), and the log-weight
+   is a smooth closed form whose maximum on the event sits at the
+   threshold itself, so weights cannot degenerate however deep the
+   tail. *)
 
 let tail ~target ~y =
   match target.Dist.kernel with

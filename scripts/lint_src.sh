@@ -9,8 +9,15 @@
 #      `List.sort Stdlib.compare`, ... — use Float.compare /
 #      String.compare / a dedicated comparator.
 #   2. Any remaining `Stdlib.compare` in lib/ hot paths.
+#   3. `floatarray` / `Float.Array` in lib/: batches live in Columns, and
+#      every batched kernel exists once, over Columns.  The one seam that
+#      keeps a floatarray is the QMC point vector (Sobol.next and the
+#      Mc.estimate_qmc callback take one point of `dim` coordinates, not
+#      a batch).
 #
-# A line can be exempted with a trailing `(* lint: allow-poly-compare *)`.
+# A line can be exempted from rules 1-2 with a trailing
+# `(* lint: allow-poly-compare *)`, and from rule 3 with
+# `(* lint: allow-floatarray *)`.
 
 set -u
 fail=0
@@ -32,6 +39,15 @@ if [ -n "$hits" ]; then
   echo "lint-src: Stdlib.compare in lib/ (polymorphic compare in a hot path):" >&2
   echo "$hits" >&2
   echo "  use a monomorphic comparator instead" >&2
+  fail=1
+fi
+
+hits=$(grep -rn --include='*.ml' -E 'floatarray|Float\.Array' lib/ |
+  grep -v 'lint: allow-floatarray')
+if [ -n "$hits" ]; then
+  echo "lint-src: floatarray in lib/ (batches are Columns):" >&2
+  echo "$hits" >&2
+  echo "  use a Columns kernel; only the QMC point seam is exempt" >&2
   fail=1
 fi
 

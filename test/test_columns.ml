@@ -1,7 +1,7 @@
 (* Unboxed columns: growth/aliasing semantics, the sort contract, the
    snapshot round-trip (copying and mmapped, bitwise), corrupt-snapshot
-   rejection, and the bit-identity of the columnar twins (Empirical,
-   Mixture, Mc) against their boxed/floatarray counterparts. *)
+   rejection, and the column kernels (Empirical, Mixture, Mc) against
+   their scalar references in [Mc_oracle]. *)
 
 open Helpers
 
@@ -132,9 +132,110 @@ let save_sample path =
   let c = Numerics.Columns.of_array (Array.init 257 float_of_int) in
   Numerics.Columns.save path [ ("samples", c) ]
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  let b = Bytes.create (in_channel_length ic) in
+  really_input ic b 0 (Bytes.length b);
+  close_in ic;
+  b
+
+let write_bytes path b =
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc
+
+(* [load_outcome ~mmap path] — [Some cols] or [None] for a [Failure];
+   any other exception escapes and fails the test. *)
+let load_outcome ~mmap path =
+  match Numerics.Columns.load ~mmap path with
+  | cols -> Some cols
+  | exception Failure _ -> None
+
+(* Hostile bytes: mutate a valid snapshot [valid] (the bytes of a
+   [Columns.save]) and load it with both loaders.  Each must return
+   columns or raise [Failure] — never another exception or a signal —
+   and when both accept a file they must agree bit for bit.  [words] are
+   the byte offsets of the header's magic, version, ncols, name_len and
+   count words; [lengths] those of the length words alone. *)
+let hostile_snapshot_loads name valid ~words ~lengths =
+  let size = Bytes.length valid in
+  let header_end = List.fold_left max 0 words + 8 in
+  let variants = ref [] in
+  let add label b = variants := (label, b) :: !variants in
+  let truncations =
+    List.init (header_end + 9) Fun.id @ [ size / 2; size - 8; size - 1 ]
+  in
+  List.iter
+    (fun k ->
+      if k >= 0 && k < size then add (Printf.sprintf "truncate %d" k)
+          (Bytes.sub valid 0 k))
+    truncations;
+  List.iter
+    (fun w ->
+      for i = w to w + 7 do
+        List.iter
+          (fun mask ->
+            let b = Bytes.copy valid in
+            Bytes.set b i
+              (Char.chr (Char.code (Bytes.get b i) lxor mask));
+            add (Printf.sprintf "flip byte %d ^ 0x%02x" i mask) b)
+          [ 0x01; 0x80; 0xff ]
+      done)
+    words;
+  List.iter
+    (fun w ->
+      List.iter
+        (fun v ->
+          let b = Bytes.copy valid in
+          Bytes.set_int64_le b w v;
+          add (Printf.sprintf "word %d := %Ld" w v) b)
+        [ 0L; -1L; Int64.of_int max_int; Int64.of_int (size + 8) ])
+    lengths;
+  List.iter
+    (fun junk ->
+      add
+        (Printf.sprintf "append %d garbage bytes" (String.length junk))
+        (Bytes.cat valid (Bytes.of_string junk)))
+    [ "\x00"; "CFCOLSNP"; "\xff\x01\x02\x03\x04\x05\x06\x07\x08" ];
+  with_temp_snapshot (fun path ->
+      List.iter
+        (fun (label, b) ->
+          write_bytes path b;
+          let outcome mmap =
+            try load_outcome ~mmap path
+            with e ->
+              Alcotest.failf "%s, %s (mmap=%b): raised %s" name label mmap
+                (Printexc.to_string e)
+          in
+          match (outcome false, outcome true) with
+          | Some copied, Some mapped ->
+            check_true
+              (Printf.sprintf "%s, %s: loaders agree" name label)
+              (List.length copied = List.length mapped
+              && List.for_all2
+                   (fun (n1, c1) (n2, c2) ->
+                     String.equal n1 n2 && columns_equal_bitwise c1 c2)
+                   copied mapped)
+          | _ -> ())
+        (List.rev !variants))
+
 let corrupt_snapshots_rejected () =
   (* Every malformed input must fail cleanly before any mapping: a bad
      mmap length would otherwise surface as a SIGBUS on access. *)
+  with_temp_snapshot (fun path ->
+      Numerics.Columns.save path
+        [ ("alpha", Numerics.Columns.of_array (Array.init 257 float_of_int));
+          ("b", Numerics.Columns.of_array [| Float.nan; -0.0; 1e300 |]) ];
+      (* magic | version | ncols | "alpha": name_len, name, count
+         | "b": name_len, name, count | data from byte 72 *)
+      hostile_snapshot_loads "two columns" (read_bytes path)
+        ~words:[ 0; 8; 16; 24; 40; 48; 64 ]
+        ~lengths:[ 16; 24; 40; 48; 64 ]);
+  with_temp_snapshot (fun path ->
+      Numerics.Columns.save path
+        [ ("empty", Numerics.Columns.create ~capacity:0 ()) ];
+      hostile_snapshot_loads "one empty column" (read_bytes path)
+        ~words:[ 0; 8; 16; 24; 40 ] ~lengths:[ 16; 24; 40 ]);
   with_temp_snapshot (fun path ->
       save_sample path;
       corrupt_byte path 0 (fun _ -> 'X');
@@ -278,7 +379,7 @@ let delphi_panel_snapshot () =
         final.Elicit.Delphi.confidence_sil2 (confidence restored))
 
 (* ------------------------------------------------------------------ *)
-(* Columnar twins are bit-identical to the boxed paths *)
+(* Column kernels replay their scalar references bit for bit *)
 
 let mixture8 =
   Dist.Mixture.make
@@ -291,21 +392,66 @@ let mixture8 =
       (0.2, Dist.Mixture.Cont (Dist.Lognormal.make ~mu:(-5.0) ~sigma:1.2));
       (0.1, Dist.Mixture.Cont (Dist.Lognormal.make ~mu:(-4.0) ~sigma:1.3)) ]
 
+let check_mixture_stream name t ~seed ~len =
+  let col = Numerics.Columns.make (len + 2) Float.nan in
+  let a = rng_of_seed seed and b = rng_of_seed seed in
+  Dist.Mixture.sample_into_col t a (Numerics.Columns.unsafe_data col) ~pos:1
+    ~len;
+  let expected = Mc_oracle.mixture_stream t b len in
+  Array.iteri
+    (fun i x ->
+      let got = Numerics.Columns.get col (1 + i) in
+      if bits x <> bits got then
+        Alcotest.failf "%s: slot %d: expected %h, got %h" name i x got)
+    expected;
+  check_true (name ^ ": generator left where the scalar calls leave it")
+    (Numerics.Rng.bits64 a = Numerics.Rng.bits64 b);
+  check_true (name ^ ": slots outside the segment untouched")
+    (Float.is_nan (Numerics.Columns.get col 0)
+    && Float.is_nan (Numerics.Columns.get col (len + 1)))
+
 let mixture_col_bit_identical () =
-  let n = 8192 in
-  let buf = Stdlib.Float.Array.create n in
-  let col = Numerics.Columns.make n 0.0 in
-  Dist.Mixture.sample_into mixture8 (rng_of_seed 77) buf ~pos:0 ~len:n;
-  Dist.Mixture.sample_into_col mixture8 (rng_of_seed 77)
-    (Numerics.Columns.unsafe_data col)
-    ~pos:0 ~len:n;
-  for i = 0 to n - 1 do
-    if bits (Stdlib.Float.Array.get buf i) <> bits (Numerics.Columns.get col i)
-    then
-      Alcotest.failf "slot %d: %h vs %h" i
-        (Stdlib.Float.Array.get buf i)
-        (Numerics.Columns.get col i)
-  done
+  let logn = Dist.Mixture.Cont (Dist.Lognormal.make ~mu:(-7.0) ~sigma:1.0) in
+  check_mixture_stream "8 components" mixture8 ~seed:77 ~len:8192;
+  check_mixture_stream "all atoms"
+    (Dist.Mixture.make
+       [ (0.5, Dist.Mixture.Atom 0.0); (0.3, Dist.Mixture.Atom 1e-4);
+         (0.2, Dist.Mixture.Atom 1.0) ])
+    ~seed:78 ~len:1000;
+  check_mixture_stream "one continuous component"
+    (Dist.Mixture.make [ (1.0, logn) ]) ~seed:79 ~len:1000;
+  check_mixture_stream "one atom" (Dist.Mixture.atom 0.25) ~seed:80 ~len:10;
+  check_mixture_stream "worst-case belief (two components)"
+    (Confidence.Conservative.worst_case_belief
+       (Confidence.Claim.make ~bound:1e-3 ~confidence:0.99))
+    ~seed:81 ~len:5000;
+  (* A uniform exactly on the cumulative boundary selects the upper
+     component, as scalar [sample] does: make the first weight equal to
+     the first uniform the generator will draw (u0 >= 1/2, so u0 and
+     1 - u0 are exact and sum to exactly 1). *)
+  let seed =
+    let s = ref 100 in
+    while Numerics.Rng.float (rng_of_seed !s) < 0.5 do
+      incr s
+    done;
+    !s
+  in
+  let u0 = Numerics.Rng.float (rng_of_seed seed) in
+  List.iter
+    (fun (name, upper) ->
+      let t =
+        Dist.Mixture.make [ (u0, Dist.Mixture.Atom 0.0); (1.0 -. u0, upper) ]
+      in
+      check_bits (name ^ ": cum.(0) is the first uniform") u0
+        (Numerics.Columns.get (Dist.Mixture.cum_col t) 0);
+      check_mixture_stream name t ~seed ~len:64;
+      let col = Numerics.Columns.make 1 Float.nan in
+      Dist.Mixture.sample_into_col t (rng_of_seed seed)
+        (Numerics.Columns.unsafe_data col) ~pos:0 ~len:1;
+      check_true (name ^ ": boundary uniform picks the upper component")
+        (Numerics.Columns.get col 0 <> 0.0))
+    [ ("boundary tie, two atoms", Dist.Mixture.Atom 1.0);
+      ("boundary tie, atom and density", logn) ]
 
 let mixture_cum_column () =
   let cum = Dist.Mixture.cum_col mixture8 in
@@ -318,39 +464,47 @@ let mixture_cum_column () =
   done
 
 let mc_batched_col_bit_identical () =
+  (* [fill_col_of_scalar f] replays the scalar stream, so the batched
+     estimate must equal [estimate_par] over [f], one segment per chunk
+     or several. *)
   let f rng = Numerics.Rng.normal rng ~mu:0.0 ~sigma:1.0 in
-  let e1 =
-    Sim.Mc.estimate_par_batched ~chunks:8 ~n:20_000 ~seed:42 (fun () ->
-        Sim.Mc.fill_of_scalar f)
-  in
-  let e2 =
-    Sim.Mc.estimate_par_batched_col ~chunks:8 ~n:20_000 ~seed:42 (fun () ->
-        Sim.Mc.fill_col_of_scalar f)
-  in
-  check_bits "mean" e1.Sim.Mc.mean e2.Sim.Mc.mean;
-  check_bits "std_error" e1.Sim.Mc.std_error e2.Sim.Mc.std_error;
-  check_bits "ci95_lo" e1.Sim.Mc.ci95_lo e2.Sim.Mc.ci95_lo;
-  check_bits "ci95_hi" e1.Sim.Mc.ci95_hi e2.Sim.Mc.ci95_hi;
-  Alcotest.(check int) "n" e1.Sim.Mc.n e2.Sim.Mc.n
+  List.iter
+    (fun (chunks, n) ->
+      let e1 = Sim.Mc.estimate_par ~chunks ~n ~seed:42 f in
+      let e2 =
+        Sim.Mc.estimate_par_batched_col ~chunks ~n ~seed:42 (fun () ->
+            Sim.Mc.fill_col_of_scalar f)
+      in
+      let tag = Printf.sprintf "chunks %d, n %d: " chunks n in
+      check_bits (tag ^ "mean") e1.Sim.Mc.mean e2.Sim.Mc.mean;
+      check_bits (tag ^ "std_error") e1.Sim.Mc.std_error e2.Sim.Mc.std_error;
+      check_bits (tag ^ "ci95_lo") e1.Sim.Mc.ci95_lo e2.Sim.Mc.ci95_lo;
+      check_bits (tag ^ "ci95_hi") e1.Sim.Mc.ci95_hi e2.Sim.Mc.ci95_hi;
+      Alcotest.(check int) (tag ^ "n") e1.Sim.Mc.n e2.Sim.Mc.n)
+    [ (8, 20_000); (2, (3 * Sim.Mc.batch_size) + 17) ]
 
 let mc_sketch_col_bit_identical () =
   let f rng = Numerics.Rng.float rng in
-  let s1 =
-    Sim.Mc.sketch_par ~chunks:8 ~n:20_000 ~seed:43 (fun () ->
-        Sim.Mc.fill_of_scalar f)
-  in
-  let s2 =
-    Sim.Mc.sketch_par_col ~chunks:8 ~n:20_000 ~seed:43 (fun () ->
-        Sim.Mc.fill_col_of_scalar f)
-  in
-  Alcotest.(check int) "count" (Numerics.Sketch.count s1)
-    (Numerics.Sketch.count s2);
   List.iter
-    (fun p ->
-      check_bits (Printf.sprintf "quantile p=%g" p)
-        (Numerics.Sketch.quantile s1 p)
-        (Numerics.Sketch.quantile s2 p))
-    [ 0.0; 0.05; 0.5; 0.95; 1.0 ]
+    (fun (chunks, n) ->
+      let s1 = Mc_oracle.sketch_fan_out ~chunks ~n ~seed:43 f in
+      let s2 =
+        Sim.Mc.sketch_par_col ~chunks ~n ~seed:43 (fun () ->
+            Sim.Mc.fill_col_of_scalar f)
+      in
+      let tag = Printf.sprintf "chunks %d, n %d: " chunks n in
+      Alcotest.(check int) (tag ^ "count") (Numerics.Sketch.count s1)
+        (Numerics.Sketch.count s2);
+      Alcotest.(check int) (tag ^ "centroids")
+        (Numerics.Sketch.centroid_count s1)
+        (Numerics.Sketch.centroid_count s2);
+      List.iter
+        (fun p ->
+          check_bits (Printf.sprintf "%squantile p=%g" tag p)
+            (Numerics.Sketch.quantile s1 p)
+            (Numerics.Sketch.quantile s2 p))
+        [ 0.0; 0.05; 0.5; 0.95; 1.0 ])
+    [ (8, 20_000); (2, (3 * Sim.Mc.batch_size) + 17) ]
 
 (* ------------------------------------------------------------------ *)
 (* Empirical sharing contract *)

@@ -108,23 +108,25 @@ let test_estimate_par_degenerate_chunking () =
      zero-size chunks without touching its scratch buffer). *)
   let batched d =
     P.with_pool ~num_domains:d (fun pool ->
-        Mc.estimate_par_batched ~pool ~n:3 ~chunks:16 ~seed:101 (fun () ->
-            fun rng buf ~pos ~len -> Numerics.Rng.fill_floats rng buf ~pos ~len))
+        Mc.estimate_par_batched_col ~pool ~n:3 ~chunks:16 ~seed:101 (fun () ->
+            fun rng buf ~pos ~len ->
+              Numerics.Rng.fill_floats_col rng buf ~pos ~len))
   in
   let ba = batched 1 and bb = batched 4 in
   check_true "batched: 1 domain = 4 domains" (estimates_equal ba bb);
-  (* fill_floats is bit-compatible with scalar [Rng.float] and the
-     floatarray Welford fold with per-element add, so here the batched
-     path reproduces the scalar stream exactly. *)
+  (* fill_floats_col is bit-compatible with scalar [Rng.float] and the
+     column Welford fold with per-element add, so here the batched path
+     reproduces the scalar stream exactly. *)
   check_true "batched = scalar stream" (estimates_equal a ba)
 
 let test_estimate_par_batched_determinism () =
   let run d =
     P.with_pool ~num_domains:d (fun pool ->
-        Mc.estimate_par_batched ~pool ~n:20_000 ~chunks:16 ~seed:917
+        Mc.estimate_par_batched_col ~pool ~n:20_000 ~chunks:16 ~seed:917
           (fun () ->
             fun rng buf ~pos ~len ->
-              Numerics.Rng.fill_normals rng buf ~pos ~len ~mu:1.0 ~sigma:2.0))
+              Numerics.Rng.fill_normals_col rng buf ~pos ~len ~mu:1.0
+                ~sigma:2.0))
   in
   let a = run 1 and b = run 2 and c = run 4 in
   check_true "1 domain = 2 domains" (estimates_equal a b);
@@ -137,12 +139,50 @@ let test_estimate_par_batched_determinism () =
     (estimates_equal a scalar);
   check_raises_invalid "n < 2" (fun () ->
       ignore
-        (Mc.estimate_par_batched ~n:1 ~chunks:1 ~seed:0 (fun () ->
+        (Mc.estimate_par_batched_col ~n:1 ~chunks:1 ~seed:0 (fun () ->
              fun _ _ ~pos:_ ~len:_ -> ())));
   check_raises_invalid "chunks < 1" (fun () ->
       ignore
-        (Mc.estimate_par_batched ~n:10 ~chunks:0 ~seed:0 (fun () ->
+        (Mc.estimate_par_batched_col ~n:10 ~chunks:0 ~seed:0 (fun () ->
              fun _ _ ~pos:_ ~len:_ -> ())))
+
+let test_nested_batched_scratch () =
+  (* A sampler that itself runs a batched estimate: the inner run borrows
+     scratch on the same domain while the outer run's column holds filled
+     slots.  With distinct borrows the outer batched path replays the
+     scalar stream exactly, as [fill_col_of_scalar] promises. *)
+  P.with_pool ~num_domains:1 (fun inner_pool ->
+      let inner rng =
+        let seed = Numerics.Rng.int rng 1_000_000 in
+        (Mc.estimate_par_batched_col ~pool:inner_pool ~chunks:1 ~n:8 ~seed
+           (fun () -> Mc.fill_col_of_scalar Numerics.Rng.float))
+          .mean
+      in
+      List.iter
+        (fun (d, chunks) ->
+          P.with_pool ~num_domains:d (fun pool ->
+              let scalar =
+                Mc.estimate_par ~pool ~chunks ~n:64 ~seed:5 inner
+              in
+              let batched =
+                Mc.estimate_par_batched_col ~pool ~chunks ~n:64 ~seed:5
+                  (fun () -> Mc.fill_col_of_scalar inner)
+              in
+              check_true
+                (Printf.sprintf "nested = scalar at %d domains, %d chunks" d
+                   chunks)
+                (estimates_equal scalar batched)))
+        [ (1, 1); (2, 1); (1, 4); (2, 4) ]);
+  (* Nested borrows are distinct columns, and a borrow ended by an
+     exception is handed back: the next borrow gets the same column (the
+     columns escape here only to compare identities). *)
+  check_true "nested borrows are distinct columns"
+    (Mc.with_scratch 4 (fun outer ->
+         Mc.with_scratch 4 (fun inner -> outer != inner)));
+  let first = Mc.with_scratch 4 Fun.id in
+  (try Mc.with_scratch 4 (fun _ -> failwith "boom") with Failure _ -> ());
+  check_true "a raising borrow returns its column"
+    (Mc.with_scratch 4 Fun.id == first)
 
 let test_failure_probability_par_batched () =
   let claim = Confidence.Claim.make ~bound:1e-3 ~confidence:0.99 in
@@ -297,6 +337,8 @@ let suite =
     case "degenerate chunking (zero-size chunks)" test_estimate_par_degenerate_chunking;
     case "estimate_par_batched bit-identical across domains"
       test_estimate_par_batched_determinism;
+    case "nested batched runs borrow distinct scratch"
+      test_nested_batched_scratch;
     case "batched failure_probability_par" test_failure_probability_par_batched;
     case "global pool is shared and reusable" test_global_pool;
     case "create degrades gracefully when over-committed" test_create_overcommit;

@@ -183,59 +183,66 @@ let test_bernoulli_edge () =
   check_true "p=1 always" (R.bernoulli rng 1.0)
 
 let test_fill_bit_compat () =
-  (* The contract of the batched kernels: [fill_xs t buf ~pos ~len] writes
-     exactly what [len] scalar [xs t] calls would return and leaves the
-     generator in the same state.  257 draws crosses nothing special — it
-     just exercises many rejection-loop paths of the polar method. *)
+  (* The contract of the batched kernels: [fill_xs_col t buf ~pos ~len]
+     writes exactly what [len] scalar [xs t] calls would return and leaves
+     the generator in the same state.  257 draws crosses nothing special —
+     it just exercises many rejection-loop paths of the polar method. *)
   let n = 257 in
   let check_kernel name fill scalar =
     let a = R.create 4242 and b = R.create 4242 in
-    let buf = Stdlib.Float.Array.make (n + 3) Stdlib.Float.nan in
+    let buf =
+      Numerics.Columns.unsafe_data (Numerics.Columns.make (n + 3) Float.nan)
+    in
     fill a buf 3 n;
     for i = 0 to n - 1 do
       let expected = scalar b in
-      if Stdlib.Float.Array.get buf (3 + i) <> expected then
-        Alcotest.failf "%s: value diverged at draw %d" name i
+      if
+        Int64.bits_of_float (Bigarray.Array1.get buf (3 + i))
+        <> Int64.bits_of_float expected
+      then Alcotest.failf "%s: value diverged at draw %d" name i
     done;
     if R.bits64 a <> R.bits64 b then
       Alcotest.failf "%s: final state diverged" name;
     check_true (name ^ " leaves prefix untouched")
-      (Stdlib.Float.is_nan (Stdlib.Float.Array.get buf 0))
+      (Float.is_nan (Bigarray.Array1.get buf 0))
   in
-  check_kernel "fill_floats"
-    (fun t buf pos len -> R.fill_floats t buf ~pos ~len)
+  check_kernel "fill_floats_col"
+    (fun t buf pos len -> R.fill_floats_col t buf ~pos ~len)
     R.float;
-  check_kernel "fill_floats_pos"
-    (fun t buf pos len -> R.fill_floats_pos t buf ~pos ~len)
+  check_kernel "fill_floats_pos_col"
+    (fun t buf pos len -> R.fill_floats_pos_col t buf ~pos ~len)
     R.float_pos;
-  check_kernel "fill_uniforms"
-    (fun t buf pos len -> R.fill_uniforms t buf ~pos ~len ~a:(-2.0) ~b:3.0)
+  check_kernel "fill_uniforms_col"
+    (fun t buf pos len -> R.fill_uniforms_col t buf ~pos ~len ~a:(-2.0) ~b:3.0)
     (fun t -> R.uniform t (-2.0) 3.0);
-  check_kernel "fill_exponentials"
-    (fun t buf pos len -> R.fill_exponentials t buf ~pos ~len ~rate:4.0)
+  check_kernel "fill_exponentials_col"
+    (fun t buf pos len -> R.fill_exponentials_col t buf ~pos ~len ~rate:4.0)
     (fun t -> R.exponential t ~rate:4.0);
-  check_kernel "fill_normals"
-    (fun t buf pos len -> R.fill_normals t buf ~pos ~len ~mu:1.0 ~sigma:2.0)
+  check_kernel "fill_normals_col"
+    (fun t buf pos len -> R.fill_normals_col t buf ~pos ~len ~mu:1.0 ~sigma:2.0)
     (fun t -> R.normal t ~mu:1.0 ~sigma:2.0);
-  check_kernel "fill_lognormals"
-    (fun t buf pos len -> R.fill_lognormals t buf ~pos ~len ~mu:(-9.0) ~sigma:0.7)
+  check_kernel "fill_lognormals_col"
+    (fun t buf pos len ->
+      R.fill_lognormals_col t buf ~pos ~len ~mu:(-9.0) ~sigma:0.7)
     (fun t -> R.lognormal t ~mu:(-9.0) ~sigma:0.7)
 
 let test_fill_edges () =
   let rng = R.create 5 in
-  let buf = Stdlib.Float.Array.make 4 0.0 in
+  let buf = Numerics.Columns.unsafe_data (Numerics.Columns.make 4 0.0) in
   let before = R.copy rng in
-  R.fill_floats rng buf ~pos:2 ~len:0;
+  R.fill_floats_col rng buf ~pos:2 ~len:0;
   check_true "len 0 does not advance the state"
     (R.bits64 rng = R.bits64 before);
   check_raises_invalid "negative pos" (fun () ->
-      R.fill_floats rng buf ~pos:(-1) ~len:1);
+      R.fill_floats_col rng buf ~pos:(-1) ~len:1);
   check_raises_invalid "negative len" (fun () ->
-      R.fill_floats rng buf ~pos:0 ~len:(-1));
+      R.fill_floats_col rng buf ~pos:0 ~len:(-1));
   check_raises_invalid "past the end" (fun () ->
-      R.fill_floats rng buf ~pos:2 ~len:3);
+      R.fill_floats_col rng buf ~pos:2 ~len:3);
+  check_raises_invalid "past the end (normals)" (fun () ->
+      R.fill_normals_col rng buf ~pos:4 ~len:1 ~mu:0.0 ~sigma:1.0);
   check_raises_invalid "rate <= 0" (fun () ->
-      R.fill_exponentials rng buf ~pos:0 ~len:1 ~rate:0.0)
+      R.fill_exponentials_col rng buf ~pos:0 ~len:1 ~rate:0.0)
 
 let test_shuffle_choose () =
   let rng = R.create 29 in

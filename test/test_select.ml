@@ -16,11 +16,15 @@ let same_slot expected got =
   Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)
   || (expected = 0.0 && got = 0.0)
 
+(* Selection runs on a column copy, so [xs] itself is never reordered. *)
+let nth xs k =
+  Numerics.Select.nth_in_place_col (Numerics.Columns.of_array xs) k
+
 let check_nth_matches_sort name xs =
   let s = sorted_copy xs in
   Array.iteri
     (fun k expected ->
-      let got = Numerics.Select.nth xs k in
+      let got = nth xs k in
       if not (same_slot expected got) then
         Alcotest.failf "%s: k=%d expected %h got %h" name k expected got)
     s
@@ -45,11 +49,11 @@ let nth_handles_nans () =
   (* Array.sort Float.compare puts NaNs first; nth must agree positionally
      (NaN slots yield NaN, later slots the sorted finite values). *)
   let xs = [| 3.0; Float.nan; 1.0; Float.nan; 2.0 |] in
-  check_true "k=0 is nan" (Float.is_nan (Numerics.Select.nth xs 0));
-  check_true "k=1 is nan" (Float.is_nan (Numerics.Select.nth xs 1));
-  check_close "k=2" 1.0 (Numerics.Select.nth xs 2);
-  check_close "k=3" 2.0 (Numerics.Select.nth xs 3);
-  check_close "k=4" 3.0 (Numerics.Select.nth xs 4)
+  check_true "k=0 is nan" (Float.is_nan (nth xs 0));
+  check_true "k=1 is nan" (Float.is_nan (nth xs 1));
+  check_close "k=2" 1.0 (nth xs 2);
+  check_close "k=3" 2.0 (nth xs 3);
+  check_close "k=4" 3.0 (nth xs 4)
 
 let quantile_matches_summary () =
   let rng = rng_of_seed 12 in
@@ -74,12 +78,13 @@ let quantile_duplicates () =
     [ 0.0; 0.3; 1.0 ]
 
 let in_place_is_partial_reorder () =
-  (* nth_in_place permutes but preserves the multiset. *)
+  (* nth_in_place_col permutes but preserves the multiset. *)
   let rng = rng_of_seed 13 in
   let xs = Array.init 300 (fun _ -> Numerics.Rng.float rng) in
   let before = sorted_copy xs in
-  let a = Array.copy xs in
-  let _ = Numerics.Select.nth_in_place a 150 in
+  let col = Numerics.Columns.of_array xs in
+  let _ = Numerics.Select.nth_in_place_col col 150 in
+  let a = Numerics.Columns.to_array col in
   let after = sorted_copy a in
   Array.iteri
     (fun i x -> check_close (Printf.sprintf "multiset slot %d" i) x after.(i))
@@ -95,13 +100,19 @@ let in_place_is_partial_reorder () =
   done
 
 let rejects_bad_args () =
-  check_raises_invalid "empty" (fun () -> Numerics.Select.nth [||] 0);
-  check_raises_invalid "k < 0" (fun () -> Numerics.Select.nth [| 1.0 |] (-1));
-  check_raises_invalid "k >= n" (fun () -> Numerics.Select.nth [| 1.0 |] 1);
+  check_raises_invalid "empty" (fun () -> nth [||] 0);
+  check_raises_invalid "k < 0" (fun () -> nth [| 1.0 |] (-1));
+  check_raises_invalid "k >= n" (fun () -> nth [| 1.0 |] 1);
   check_raises_invalid "p < 0" (fun () ->
       Numerics.Summary.quantile_unsorted [| 1.0; 2.0 |] (-0.1));
   check_raises_invalid "p > 1" (fun () ->
-      Numerics.Summary.quantile_unsorted [| 1.0; 2.0 |] 1.1)
+      Numerics.Summary.quantile_unsorted [| 1.0; 2.0 |] 1.1);
+  check_raises_invalid "empty column quantile" (fun () ->
+      Numerics.Select.quantile_in_place_col (Numerics.Columns.of_array [||])
+        0.5);
+  check_raises_invalid "column p > 1" (fun () ->
+      Numerics.Select.quantile_in_place_col
+        (Numerics.Columns.of_array [| 1.0 |]) 1.1)
 
 let qcheck_select_equals_sort =
   qcheck ~count:300 "select quantile = sorted quantile (bitwise)"
@@ -128,7 +139,7 @@ let qcheck_nth_equals_sort =
       ||
       let k = min (n - 1) (int_of_float (u *. float_of_int n)) in
       let s = sorted_copy xs in
-      same_slot s.(k) (Numerics.Select.nth xs k))
+      same_slot s.(k) (nth xs k))
 
 let suite =
   [ case "nth agrees with sort on mixed specials" nth_agrees_with_sort;

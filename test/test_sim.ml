@@ -86,7 +86,7 @@ let test_sketch_par_determinism () =
     Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
         Mc.quantiles_par ~pool ~n:50_000 ~chunks:16 ~seed:88 ~ps (fun () ->
             fun rng buf ~pos ~len ->
-              Numerics.Rng.fill_floats rng buf ~pos ~len))
+              Numerics.Rng.fill_floats_col rng buf ~pos ~len))
   in
   let a = run 1 in
   List.iter
@@ -109,29 +109,29 @@ let test_sketch_par_determinism () =
 
 let test_sketch_par_counts_and_validation () =
   let sk =
-    Mc.sketch_par ~n:10_000 ~chunks:8 ~seed:9 (fun () ->
-        fun rng buf ~pos ~len -> Numerics.Rng.fill_floats rng buf ~pos ~len)
+    Mc.sketch_par_col ~n:10_000 ~chunks:8 ~seed:9 (fun () ->
+        fun rng buf ~pos ~len -> Numerics.Rng.fill_floats_col rng buf ~pos ~len)
   in
   Alcotest.(check int) "every sample observed" 10_000
     (Numerics.Sketch.count sk);
   check_raises_invalid "n < 1" (fun () ->
       ignore
-        (Mc.sketch_par ~n:0 ~chunks:1 ~seed:0 (fun () ->
+        (Mc.sketch_par_col ~n:0 ~chunks:1 ~seed:0 (fun () ->
              fun _ _ ~pos:_ ~len:_ -> ())));
   check_raises_invalid "chunks < 1" (fun () ->
       ignore
-        (Mc.sketch_par ~n:10 ~chunks:0 ~seed:0 (fun () ->
+        (Mc.sketch_par_col ~n:10 ~chunks:0 ~seed:0 (fun () ->
              fun _ _ ~pos:_ ~len:_ -> ())))
 
-let test_fill_of_scalar () =
+let test_fill_col_of_scalar () =
   (* The lifted fill consumes the generator exactly like a scalar loop,
-     so the batched estimate over [fill_of_scalar f] reproduces the
+     so the batched estimate over [fill_col_of_scalar f] reproduces the
      scalar [estimate_par] stream bit for bit. *)
   let f rng = Numerics.Rng.normal rng ~mu:2.0 ~sigma:0.5 in
   let scalar = Mc.estimate_par ~n:20_000 ~chunks:16 ~seed:91 f in
   let lifted =
-    Mc.estimate_par_batched ~n:20_000 ~chunks:16 ~seed:91 (fun () ->
-        Mc.fill_of_scalar f)
+    Mc.estimate_par_batched_col ~n:20_000 ~chunks:16 ~seed:91 (fun () ->
+        Mc.fill_col_of_scalar f)
   in
   check_true "same mean" (scalar.mean = lifted.mean);
   check_true "same stderr" (scalar.std_error = lifted.std_error)
@@ -176,7 +176,7 @@ let suite =
   [ case "MC estimator" test_mc_estimate;
     case "sketch_par bit-identical across domains" test_sketch_par_determinism;
     case "sketch_par counts and validation" test_sketch_par_counts_and_validation;
-    case "fill_of_scalar replays the scalar stream" test_fill_of_scalar;
+    case "fill_of_scalar replays the scalar stream" test_fill_col_of_scalar;
     case "pfd_sketch_par matches analytic quantiles" test_pfd_sketch_par;
     case "MC probability" test_mc_probability;
     case "equation (4) verified by simulation" test_equation_4;
