@@ -374,6 +374,47 @@ let headline_case ?shared () =
   Casekit.Generate.case ~seed:case_seed ~legs:9 ~fanout:10 ~depth:5 ?shared
     ~leaf:(leaf_lo, leaf_hi) ()
 
+(* The headline shape as an authored case file: ids G<i>, E<i> and A<i>
+   in document order, a statement unique to every node (C009 matches
+   evidence by statement, so repeats would turn the audit into a stream
+   of warnings) and an assumption on every 97th goal.  The two case rows
+   time the file path on it: the streamed loader behind [confcase
+   propagate FILE] and the lint-plus-audit behind [confcase audit
+   FILE]. *)
+let named_case_text () =
+  let rng = Numerics.Rng.create (case_seed + 2) in
+  let buf = Buffer.create (90 * 1_000_000) in
+  let goals = ref 0 and leaves = ref 0 and assumptions = ref 0 in
+  let pad indent = Buffer.add_string buf (String.make (2 * indent) ' ') in
+  let rec node indent level =
+    if level = 0 then begin
+      let e = !leaves in
+      incr leaves;
+      pad indent;
+      Printf.bprintf buf "evidence E%d \"Evidence E%d supports its parent claim\" %.17g\n"
+        e e (Numerics.Rng.uniform rng leaf_lo leaf_hi)
+    end
+    else begin
+      let g = !goals in
+      incr goals;
+      let any = indent = 0 || Numerics.Rng.bernoulli rng 0.2 in
+      pad indent;
+      Printf.bprintf buf "goal G%d \"Claim G%d holds\" %s\n" g g (if any then "any" else "all");
+      if g mod 97 = 96 then begin
+        let a = !assumptions in
+        incr assumptions;
+        pad (indent + 1);
+        Printf.bprintf buf "assume A%d \"Assumption A%d about G%d is valid\" %.17g\n" a a g
+          (Numerics.Rng.uniform rng 0.9995 0.99999)
+      end;
+      for _ = 1 to if indent = 0 then 9 else 10 do
+        node (indent + 1) (level - 1)
+      done
+    end
+  in
+  node 0 6;
+  Buffer.contents buf
+
 (* [g] is the headline case, not yet propagated. *)
 let graph_rows g =
   let module G = Casekit.Graph in
@@ -381,6 +422,13 @@ let graph_rows g =
   let dag = headline_case ~shared:0.1 () in
   let build = ols_nanos ~name:"graph_build_1e6" headline_case in
   let prop = ols_nanos ~name:"graph_propagate_1e6" (fun () -> G.propagate dep g) in
+  (* Level-parallel propagation at a fixed 2 domains and 64 chunks; its
+     bit-identity to [propagate] is a test, this row is its cost. *)
+  let prop_par =
+    Numerics.Parallel.with_pool ~num_domains:2 (fun pool ->
+        ols_nanos ~name:"graph_propagate_par_1e6" (fun () ->
+            G.propagate_par ~pool ~chunks:64 dep g))
+  in
   let prop_dag =
     ols_nanos ~name:"graph_propagate_dag_1e6" (fun () -> G.propagate dep dag)
   in
@@ -404,7 +452,14 @@ let graph_rows g =
   let audit =
     ols_nanos ~name:"graph_audit_1e6" (fun () -> Analysis.Audit.graph ~options g)
   in
-  [ build; prop; prop_dag; edit; lint; audit ]
+  let text = named_case_text () in
+  let case_graph =
+    ols_nanos ~name:"case_graph_1e6" (fun () -> Casekit.Case_format.graph text)
+  in
+  let case_audit =
+    ols_nanos ~name:"case_audit_1e6" (fun () -> Analysis.Audit.case ~options text)
+  in
+  [ build; prop; prop_par; prop_dag; edit; lint; audit; case_graph; case_audit ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine rows: the daemon's request path on the headline case — JSON

@@ -296,11 +296,12 @@ let case ?file ?(options = default_options) text =
     match file with Some f -> D.with_file f diags | None -> diags
   in
   (* One lex: the rules, the graph and the source positions all read the
-     same raw lines. *)
+     same columns, and the duplicate-id rule and the loader one id
+     table. *)
   match Case_rules.lex text with
   | Error static -> with_file static
   | Ok raw -> (
-    let static = with_file (Case_rules.check_raw raw) in
+    let static = with_file (Case_rules.check_lexed raw) in
     match Casekit.Case_format.load raw with
     | exception Casekit.Case_format.Parse_error _ -> static
     | g, { lines; cols } ->

@@ -92,5 +92,6 @@ val graph :
     the strict loader accepts the document — the semantic graph passes
     anchored to each node's source position.  The document is lexed
     once: the rules, {!Casekit.Case_format.load} and the positions share
-    one raw list.  Returns the combined, sorted diagnostic list. *)
+    one set of columns, and the duplicate-id rule and the loader one id
+    table.  Returns the combined, sorted diagnostic list. *)
 val case : ?file:string -> ?options:options -> string -> Diagnostic.t list

@@ -1,5 +1,6 @@
 module D = Diagnostic
 module F = Casekit.Case_format
+module Intern = Casekit.Intern
 
 (* Argument-shape smells (C007/C008): deeper or wider than this and the
    case has stopped being reviewable by a human assessor. *)
@@ -24,7 +25,10 @@ let codes =
     ("C011", D.Error, "multiple root nodes");
     ("C012", D.Error, "evidence cannot have children") ]
 
-let is_assume rn = match rn.F.item with F.Raw_assume _ -> true | _ -> false
+module R = F.Raw
+
+let is_assume raw k = R.kind raw k = R.Assume
+let is_evidence raw k = R.kind raw k = R.Evidence
 let add acc d = acc := d :: !acc
 
 (* --- the lenient shape -----------------------------------------------------
@@ -40,17 +44,17 @@ let add acc d = acc := d :: !acc
    is [n]; it has no subtree. *)
 
 let shape raw =
-  let n = Array.length raw in
+  let n = R.length raw in
   let parent = Array.make n (-1) and ends = Array.make n n in
   let stack = Array.make n 0 and top = ref 0 in
   for k = 0 to n - 1 do
-    let indent = raw.(k).F.indent in
-    while !top > 0 && raw.(stack.(!top - 1)).F.indent >= indent do
+    let indent = R.indent raw k in
+    while !top > 0 && R.indent raw stack.(!top - 1) >= indent do
       decr top;
       ends.(stack.(!top)) <- k
     done;
     if !top > 0 then parent.(k) <- stack.(!top - 1);
-    if not (is_assume raw.(k)) then begin
+    if not (is_assume raw k) then begin
       stack.(!top) <- k;
       incr top
     end
@@ -59,162 +63,151 @@ let shape raw =
 
 (* C006, C010, C011, C012: where each line hangs. *)
 let check_structure acc raw parent =
-  Array.iteri
-    (fun k (rn : F.raw_node) ->
-      let p = parent.(k) in
-      if p < 0 then begin
-        (* Line 0 is always the first root. *)
-        if k > 0 then
-          add acc
-            (D.make ~code:"C011" ~severity:D.Error ~line:rn.line ~col:rn.id_col
-               (Printf.sprintf
-                  "node %s is a second root: a case document holds one argument"
-                  rn.id))
-        else if rn.indent > 0 then
-          add acc
-            (D.make ~code:"C010" ~severity:D.Error ~line:rn.line
-               "root must not be indented");
-        if is_assume rn then
-          add acc
-            (D.make ~code:"C006" ~severity:D.Error ~line:rn.line ~col:rn.id_col
-               (Printf.sprintf
-                  "assumption %s is attached to no goal (it is at top level)"
-                  rn.id))
-      end
-      else begin
-        let up = raw.(p) in
-        if rn.indent > up.F.indent + 1 then
-          add acc
-            (D.make ~code:"C010" ~severity:D.Error ~line:rn.line
-               (Printf.sprintf "indentation jumps more than one level (%d to %d)"
-                  up.F.indent rn.indent));
-        match up.F.item with
-        | F.Raw_evidence _ ->
-          if is_assume rn then
-            add acc
-              (D.make ~code:"C006" ~severity:D.Error ~line:rn.line ~col:rn.id_col
-                 (Printf.sprintf
-                    "assumption %s is attached to evidence %s, not a goal" rn.id
-                    up.F.id))
-          else
-            add acc
-              (D.make ~code:"C012" ~severity:D.Error ~line:rn.line ~col:rn.id_col
-                 (Printf.sprintf "evidence %s cannot support child %s" up.F.id
-                    rn.id))
-        | _ -> ()
-      end)
-    raw
-
-(* C001 and C009 match lines by a key (an id, a normalised statement):
-   each interns its line indices in a [Casekit.Intern] table, so keys are
-   compared only when their hashes agree and no bucket is allocated per
-   line.  A line interns to the first line with an equal key. *)
-
-let check_duplicates acc raw =
-  let ids = Casekit.Intern.create (Array.length raw) in
-  Array.iteri
-    (fun k (rn : F.raw_node) ->
-      let same j = String.equal raw.(j).F.id rn.id in
-      let first = Casekit.Intern.intern ids (Hashtbl.hash rn.id) same k in
-      if first <> k then
+  for k = 0 to R.length raw - 1 do
+    let line = R.line raw k and col = R.id_col raw k in
+    let p = parent.(k) in
+    if p < 0 then begin
+      (* Line 0 is always the first root. *)
+      if k > 0 then
         add acc
-          (D.make ~code:"C001" ~severity:D.Error ~line:rn.line ~col:rn.id_col
-             (Printf.sprintf "duplicate node id %s (first declared at line %d)"
-                rn.id raw.(first).F.line)))
-    raw
+          (D.make ~code:"C011" ~severity:D.Error ~line ~col
+             (Printf.sprintf
+                "node %s is a second root: a case document holds one argument"
+                (R.id raw k)))
+      else if R.indent raw k > 0 then
+        add acc
+          (D.make ~code:"C010" ~severity:D.Error ~line "root must not be indented");
+      if is_assume raw k then
+        add acc
+          (D.make ~code:"C006" ~severity:D.Error ~line ~col
+             (Printf.sprintf
+                "assumption %s is attached to no goal (it is at top level)"
+                (R.id raw k)))
+    end
+    else begin
+      if R.indent raw k > R.indent raw p + 1 then
+        add acc
+          (D.make ~code:"C010" ~severity:D.Error ~line
+             (Printf.sprintf "indentation jumps more than one level (%d to %d)"
+                (R.indent raw p) (R.indent raw k)));
+      if is_evidence raw p then
+        if is_assume raw k then
+          add acc
+            (D.make ~code:"C006" ~severity:D.Error ~line ~col
+               (Printf.sprintf
+                  "assumption %s is attached to evidence %s, not a goal"
+                  (R.id raw k) (R.id raw p)))
+        else
+          add acc
+            (D.make ~code:"C012" ~severity:D.Error ~line ~col
+               (Printf.sprintf "evidence %s cannot support child %s" (R.id raw p)
+                  (R.id raw k)))
+    end
+  done
+
+(* C001: the document's id table ([Raw.first_ids]) maps each line to the
+   first line with the same id; the loader reuses the same table. *)
+let check_duplicates acc raw =
+  let first = R.first_ids raw in
+  for k = 0 to R.length raw - 1 do
+    if first.(k) <> k then
+      add acc
+        (D.make ~code:"C001" ~severity:D.Error ~line:(R.line raw k)
+           ~col:(R.id_col raw k)
+           (Printf.sprintf "duplicate node id %s (first declared at line %d)"
+              (R.id raw k) (R.line raw first.(k))))
+  done
 
 let check_values acc raw =
-  Array.iter
-    (fun (rn : F.raw_node) ->
-      let value =
-        match rn.item with
-        | F.Raw_evidence { confidence } -> Some ("confidence", confidence)
-        | F.Raw_assume { p_valid } -> Some ("validity probability", p_valid)
-        | F.Raw_goal _ -> None
-      in
-      match value with
-      | None -> ()
-      | Some (what, v) ->
-        if not (v > 0.0 && v <= 1.0) then
-          add acc
-            (D.make ~code:"C002" ~severity:D.Error ~line:rn.line ~col:rn.value_col
-               (Printf.sprintf "%s %g of %s is outside (0,1]" what v rn.id))
-        else if v = 1.0 then
-          add acc
-            (D.make ~code:"C003" ~severity:D.Warning ~line:rn.line
-               ~col:rn.value_col
-               (Printf.sprintf
-                  "%s 1.0 of %s claims certainty; the paper's point is that \
-                   doubt never vanishes — use a value below 1"
-                  what rn.id)))
-    raw
+  for k = 0 to R.length raw - 1 do
+    let what =
+      match R.kind raw k with
+      | R.Evidence -> "confidence"
+      | R.Assume -> "validity probability"
+      | R.All_goal | R.Any_goal -> ""
+    in
+    if what <> "" then begin
+      let v = R.value raw k in
+      let line = R.line raw k and col = R.value_col raw k in
+      if not (v > 0.0 && v <= 1.0) then
+        add acc
+          (D.make ~code:"C002" ~severity:D.Error ~line ~col
+             (Printf.sprintf "%s %g of %s is outside (0,1]" what v (R.id raw k)))
+      else if v = 1.0 then
+        add acc
+          (D.make ~code:"C003" ~severity:D.Warning ~line ~col
+             (Printf.sprintf
+                "%s 1.0 of %s claims certainty; the paper's point is that \
+                 doubt never vanishes — use a value below 1"
+                what (R.id raw k)))
+    end
+  done
 
 (* C004, C005, C008: each goal's count of non-assumption children. *)
 let check_children acc raw parent =
-  let n = Array.length raw in
+  let n = R.length raw in
   let kids = Array.make n 0 in
   for k = 0 to n - 1 do
     let p = parent.(k) in
-    if p >= 0 && not (is_assume raw.(k)) then kids.(p) <- kids.(p) + 1
+    if p >= 0 && not (is_assume raw k) then kids.(p) <- kids.(p) + 1
   done;
-  Array.iteri
-    (fun k (rn : F.raw_node) ->
-      match rn.item with
-      | F.Raw_goal { combinator } ->
-        let n = kids.(k) in
-        if n = 0 then
-          add acc
-            (D.make ~code:"C004" ~severity:D.Error ~line:rn.line ~col:rn.id_col
-               (Printf.sprintf "goal %s has no supporting children" rn.id))
-        else if n = 1 then
-          add acc
-            (D.make ~code:"C005" ~severity:D.Warning ~line:rn.line ~col:rn.id_col
-               (match combinator with
-               | Casekit.Node.Any ->
-                 Printf.sprintf
-                   "`any` goal %s has a single leg: the alternative is vacuous"
-                   rn.id
-               | Casekit.Node.All ->
-                 Printf.sprintf
-                   "goal %s has a single child: it adds a layer without adding \
-                    an argument"
-                   rn.id))
-        else if n > max_fan_out then
-          add acc
-            (D.make ~code:"C008" ~severity:D.Warning ~line:rn.line ~col:rn.id_col
-               (Printf.sprintf
-                  "goal %s combines %d children (more than %d): consider \
-                   grouping them into subgoals"
-                  rn.id n max_fan_out))
-      | _ -> ())
-    raw
+  for k = 0 to n - 1 do
+    let kind = R.kind raw k in
+    if kind = R.All_goal || kind = R.Any_goal then begin
+      let n = kids.(k) in
+      let line = R.line raw k and col = R.id_col raw k in
+      if n = 0 then
+        add acc
+          (D.make ~code:"C004" ~severity:D.Error ~line ~col
+             (Printf.sprintf "goal %s has no supporting children" (R.id raw k)))
+      else if n = 1 then
+        add acc
+          (D.make ~code:"C005" ~severity:D.Warning ~line ~col
+             (if kind = R.Any_goal then
+                Printf.sprintf
+                  "`any` goal %s has a single leg: the alternative is vacuous"
+                  (R.id raw k)
+              else
+                Printf.sprintf
+                  "goal %s has a single child: it adds a layer without adding \
+                   an argument"
+                  (R.id raw k)))
+      else if n > max_fan_out then
+        add acc
+          (D.make ~code:"C008" ~severity:D.Warning ~line ~col
+             (Printf.sprintf
+                "goal %s combines %d children (more than %d): consider \
+                 grouping them into subgoals"
+                (R.id raw k) n max_fan_out))
+    end
+  done
 
 (* C007: a root's depth counts the levels of non-assumption lines in its
    subtree, the root itself being level 1.  An assumption root has depth
    1 and no subtree. *)
 let check_depth acc raw parent ends =
-  let n = Array.length raw in
+  let n = R.length raw in
   let depth = Array.make n 1 in
   for k = 0 to n - 1 do
     let p = parent.(k) in
     if p >= 0 then depth.(k) <- depth.(p) + 1
   done;
-  Array.iteri
-    (fun r (rn : F.raw_node) ->
-      if parent.(r) < 0 && not (is_assume rn) then begin
-        let d = ref 1 in
-        for k = r + 1 to ends.(r) - 1 do
-          if (not (is_assume raw.(k))) && depth.(k) > !d then d := depth.(k)
-        done;
-        if !d > max_depth then
-          add acc
-            (D.make ~code:"C007" ~severity:D.Warning ~line:rn.line ~col:rn.id_col
-               (Printf.sprintf
-                  "argument is %d levels deep (more than %d): deep chains \
-                   multiply doubt and are hard to review"
-                  !d max_depth))
-      end)
-    raw
+  for r = 0 to n - 1 do
+    if parent.(r) < 0 && not (is_assume raw r) then begin
+      let d = ref 1 in
+      for k = r + 1 to ends.(r) - 1 do
+        if (not (is_assume raw k)) && depth.(k) > !d then d := depth.(k)
+      done;
+      if !d > max_depth then
+        add acc
+          (D.make ~code:"C007" ~severity:D.Warning ~line:(R.line raw r)
+             ~col:(R.id_col raw r)
+             (Printf.sprintf
+                "argument is %d levels deep (more than %d): deep chains \
+                 multiply doubt and are hard to review"
+                !d max_depth))
+    end
+  done
 
 (* C009: independence between legs of an `any` goal is what two-leg
    composition (Section 4.2) relies on; the same piece of evidence cited in
@@ -230,35 +223,72 @@ let check_depth acc raw parent ends =
 
    Statements are normalised by [String.trim] then [String.lowercase_ascii],
    but without copies: the hash and the comparison skip the trimmed blanks
-   and fold the case byte by byte. *)
+   and fold the case in place, the hash eight bytes at a time. *)
 
-(* FNV-1a over the folded bytes, finished with a shift so the low bits,
-   which pick the slot, depend on every byte. *)
-let statement_hash s =
-  let stop = F.trim_end s 0 (String.length s) in
-  let h = ref 0x3bf29ce484222325 in
-  for i = F.skip_blanks s stop 0 to stop - 1 do
-    h := (!h lxor Char.code (Char.lowercase_ascii s.[i])) * 0x100000001b3
+(* [fold_case w] — the eight bytes of [w] with ASCII upper case made
+   lower: a byte is upper case when its high bit is clear and its low
+   seven bits lie in 0x41..0x5a, found for all eight at once by adding
+   0x3f (bit 7 set iff >= 0x41) and 0x25 (bit 7 set iff >= 0x5b); no sum
+   carries into the next byte. *)
+let[@inline] fold_case w =
+  let low = Int64.logand w 0x7f7f7f7f7f7f7f7fL in
+  let upper =
+    Int64.logand
+      (Int64.logand (Int64.add low 0x3f3f3f3f3f3f3f3fL)
+         (Int64.lognot (Int64.add low 0x2525252525252525L)))
+      (Int64.logand (Int64.lognot w) 0x8080808080808080L)
+  in
+  Int64.logor w (Int64.shift_right_logical upper 2)
+
+external word : string -> int -> int64 = "%caml_string_get64"
+
+(* The normalised span of [s.[at..at+len)]: its blanks trimmed. *)
+let trimmed s at len =
+  let stop = F.trim_end s at (at + len) in
+  (F.skip_blanks s stop at, stop)
+
+(* The folded bytes mixed as [Intern.span_hash] mixes bytes: equal
+   normalised statements have equal trimmed lengths and equal folded
+   words, so they hash equal. *)
+let span_statement_hash s at len =
+  let start, stop = trimmed s at len in
+  let h = ref (Intern.mix 0x3bf29ce484222325 (stop - start)) in
+  let i = ref start in
+  while !i + 8 <= stop do
+    h := Intern.mix !h (Int64.to_int (fold_case (word s !i)));
+    i := !i + 8
   done;
-  (!h lxor (!h lsr 29)) land max_int
+  while !i < stop do
+    h := Intern.mix !h (Char.code (Char.lowercase_ascii (String.unsafe_get s !i)));
+    incr i
+  done;
+  Intern.finish !h
+
+let statement_hash s = span_statement_hash s 0 (String.length s)
 
 let rec folded_equal a i b j n =
   n = 0
   || Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[j]
      && folded_equal a (i + 1) b (j + 1) (n - 1)
 
-let same_statement a b =
-  let a1 = F.trim_end a 0 (String.length a) and b1 = F.trim_end b 0 (String.length b) in
-  let a0 = F.skip_blanks a a1 0 and b0 = F.skip_blanks b b1 0 in
+let same_span a ai an b bi bn =
+  let a0, a1 = trimmed a ai an and b0, b1 = trimmed b bi bn in
   a1 - a0 = b1 - b0 && folded_equal a a0 b b0 (a1 - a0)
 
+let same_statement a b = same_span a 0 (String.length a) b 0 (String.length b)
+
+(* The statement a C009 key lookup compares against: a probe record read
+   by one closure, so a lookup allocates nothing. *)
+type probe = { mutable at : int; mutable len : int }
+
 let check_shared_evidence acc raw ends =
-  let n = Array.length raw in
+  let n = R.length raw in
+  let text = R.text raw in
   (* [iter_legs g f] calls [f leg c] for each child line [c] of [g]. *)
   let iter_legs g f =
     let p = ref (g + 1) and leg = ref 0 in
     while !p < ends.(g) do
-      if is_assume raw.(!p) then incr p
+      if is_assume raw !p then incr p
       else begin
         f !leg !p;
         incr leg;
@@ -267,26 +297,29 @@ let check_shared_evidence acc raw ends =
     done
   in
   let iter_leaves c f =
-    match raw.(c).F.item with
-    | F.Raw_evidence _ -> f c
-    | _ ->
+    if is_evidence raw c then f c
+    else
       let p = ref (c + 1) in
       while !p < ends.(c) do
-        match raw.(!p).F.item with
-        | F.Raw_evidence _ ->
+        if is_evidence raw !p then begin
           f !p;
           p := ends.(!p)
-        | _ -> incr p
+        end
+        else incr p
       done
   in
-  let statements = Casekit.Intern.create n in
+  let statements = Intern.create n in
+  let q = { at = 0; len = 0 } in
+  let same j =
+    same_span text (R.statement_at raw j) (R.statement_len raw j) text q.at q.len
+  in
   (* [key.(e)]: the first line citing [e]'s statement, once interned. *)
   let key = Array.make n (-1) in
   let key_of e =
     if key.(e) < 0 then begin
-      let s = raw.(e).F.statement in
-      let same j = same_statement raw.(j).F.statement s in
-      key.(e) <- Casekit.Intern.intern statements (statement_hash s) same e
+      q.at <- R.statement_at raw e;
+      q.len <- R.statement_len raw e;
+      key.(e) <- Intern.intern statements (span_statement_hash text q.at q.len) same e
     end;
     key.(e)
   in
@@ -295,8 +328,7 @@ let check_shared_evidence acc raw ends =
   let seen = Array.make n (-1) and counted = Array.make n (-1) in
   let first_leg = Array.make n 0 and first_ev = Array.make n 0 in
   for g = 0 to n - 1 do
-    match raw.(g).F.item with
-    | F.Raw_goal { combinator = Casekit.Node.Any } ->
+    if R.kind raw g = R.Any_goal then begin
       let legs = ref 0 in
       iter_legs g (fun _ _ -> incr legs);
       if !legs >= 2 then begin
@@ -329,10 +361,10 @@ let check_shared_evidence acc raw ends =
               iter_leaves c (fun e ->
                   let k = key.(e) in
                   if first_leg.(k) <> leg then begin
-                    let ev = raw.(e) and first = raw.(first_ev.(k)) in
+                    let first = first_ev.(k) in
                     add acc
-                      (D.make ~code:"C009" ~severity:D.Warning ~line:ev.F.line
-                         ~col:ev.F.id_col
+                      (D.make ~code:"C009" ~severity:D.Warning ~line:(R.line raw e)
+                         ~col:(R.id_col raw e)
                          ~data:[ ("overlap_fraction", fraction) ]
                          (Printf.sprintf
                             "evidence %s restates %s (line %d) from another \
@@ -340,19 +372,17 @@ let check_shared_evidence acc raw ends =
                              independent, which invalidates multi-leg \
                              composition (%.0f%% of this goal's evidence \
                              is shared)"
-                            ev.F.id first.F.id first.F.line raw.(g).F.id
-                            (100.0 *. fraction)))
+                            (R.id raw e) (R.id raw first) (R.line raw first)
+                            (R.id raw g) (100.0 *. fraction)))
                   end))
         end
       end
-    | _ -> ()
+    end
   done
 
-let check_raw nodes =
-  match nodes with
-  | [] -> []
-  | _ ->
-    let raw = Array.of_list nodes in
+let check_lexed raw =
+  if R.length raw = 0 then []
+  else begin
     let parent, ends = shape raw in
     let acc = ref [] in
     check_structure acc raw parent;
@@ -362,15 +392,18 @@ let check_raw nodes =
     check_depth acc raw parent ends;
     check_shared_evidence acc raw ends;
     D.sort !acc
+  end
+
+let check_raw nodes = check_lexed (R.of_nodes nodes)
 
 let lex text =
-  match F.parse_raw text with
+  match F.lex text with
   | exception F.Parse_error e ->
     Error
       [ D.make ~code:"C000" ~severity:D.Error ~line:e.line ~col:e.col e.message ]
-  | [] ->
+  | raw when R.length raw = 0 ->
     Error [ D.make ~code:"C000" ~severity:D.Error ~line:0 "empty case document" ]
-  | nodes -> Ok nodes
+  | raw -> Ok raw
 
 let check text =
-  match lex text with Error diags -> diags | Ok nodes -> check_raw nodes
+  match lex text with Error diags -> diags | Ok raw -> check_lexed raw

@@ -26,14 +26,19 @@ val max_fan_out : int
 (** [(code, severity, one-line description)] for every rule above. *)
 val codes : (string * Diagnostic.severity * string) list
 
-(** [check_raw nodes] — run every rule over a raw document, sorted by
+(** [check_lexed raw] — run every rule over a lexed document, sorted by
     position.  Never raises: the raw layer admits broken documents by
-    design. *)
+    design.  Reads ids and statements in place; only a diagnostic's
+    message copies an id out. *)
+val check_lexed : Casekit.Case_format.Raw.t -> Diagnostic.t list
+
+(** [check_raw nodes] — [check_lexed] over the columns of a raw list
+    ({!Casekit.Case_format.Raw.of_nodes}). *)
 val check_raw : Casekit.Case_format.raw_node list -> Diagnostic.t list
 
 (** [statement_hash s] — a hash of C009's normalised statement,
-    [String.lowercase_ascii (String.trim s)], computed without the copy:
-    equal normalised statements hash equal. *)
+    [String.lowercase_ascii (String.trim s)], computed without the copy,
+    eight bytes at a time: equal normalised statements hash equal. *)
 val statement_hash : string -> int
 
 (** [same_statement a b] — [normalise a = normalise b] for C009's
@@ -41,12 +46,13 @@ val statement_hash : string -> int
     folded byte by byte). *)
 val same_statement : string -> string -> bool
 
-(** [lex text] — [parse_raw text], or the [C000] diagnostic [check]
-    reports when the document does not lex or is empty.  For callers that
-    share one raw list between {!check_raw} and the strict loader. *)
+(** [lex text] — [Casekit.Case_format.lex text], or the [C000]
+    diagnostic [check] reports when the document does not lex or is
+    empty.  For callers that share one lexed document between
+    {!check_lexed} and the strict loader. *)
 val lex :
-  string -> (Casekit.Case_format.raw_node list, Diagnostic.t list) result
+  string -> (Casekit.Case_format.Raw.t, Diagnostic.t list) result
 
-(** [check text] — [parse_raw] + {!check_raw}; lexical faults become a
+(** [check text] — [lex] + {!check_lexed}; lexical faults become a
     single [C000] diagnostic (and an empty document is [C000] at line 0). *)
 val check : string -> Diagnostic.t list

@@ -75,7 +75,7 @@ let case ?file text =
       | g -> Some (Casekit.Graph.to_node g)
       | exception Casekit.Case_format.Parse_error _ -> None
     in
-    { value; diagnostics = with_file (Case_rules.check_raw raw) }
+    { value; diagnostics = with_file (Case_rules.check_lexed raw) }
 
 let belief ?file text =
   let diagnostics = check_string ?file Belief text in

@@ -28,10 +28,11 @@ exception
 (** {1 Raw layer}
 
     The lenient tokenised form consumed by the static analyser
-    ([Analysis.Case_rules]): every line becomes a position-annotated
-    {!raw_node} with no structural or range invariant enforced, so a checker
+    ([Analysis.Case_rules]): every node line is lexed into columns
+    ({!Raw}) with no structural or range invariant enforced, so a checker
     can report all defects of a broken document instead of stopping at the
-    first.  Only lexical faults raise {!Parse_error}. *)
+    first.  Only lexical faults raise {!Parse_error}.  A {!raw_node} is
+    the record view of one line. *)
 
 type raw_item =
   | Raw_goal of { combinator : Node.combinator }
@@ -71,52 +72,121 @@ val line_end : string -> int -> int -> int
     [#]. *)
 val is_node_line : string -> int -> int -> bool
 
-(** [parse_raw text] — the document as a flat list of raw nodes in source
-    order.  Accepts structurally broken documents (duplicate ids, dangling
-    assumptions, out-of-range values, bad indentation).  A single scan of
-    the text by offsets: lines split on ['\n'], blank lines and lines
-    whose first non-blank character is [#] skipped.
+(** {2 Columns}
+
+    The one lexer reads each line into a reused row and copies it into
+    columns: no record, list cell or string per line.  Ids and
+    statements stay in the text as (offset, length) spans. *)
+
+module Raw : sig
+  type kind = All_goal | Any_goal | Evidence | Assume
+
+  (** A lexed document: line [k] (0-based, in document order, blank and
+      comment lines skipped) has each field of a {!raw_node} in a
+      column. *)
+  type t
+
+  (** [lex text] — the columns of a document.  Accepts structurally
+      broken documents (duplicate ids, dangling assumptions,
+      out-of-range values, bad indentation).  A single scan of the text
+      by offsets: lines split on ['\n'], blank lines and lines whose
+      first non-blank character is [#] skipped.
+      @raise Parse_error only on lexical faults. *)
+  val lex : string -> t
+
+  val length : t -> int
+
+  (** [text t] — the document the spans point into. *)
+  val text : t -> string
+
+  val kind : t -> int -> kind
+  val line : t -> int -> int
+  val indent : t -> int -> int
+
+  (** [id_at t k], [id_len t k] — the span of line [k]'s id in
+      [text t]; [statement_at], [statement_len] likewise. *)
+  val id_at : t -> int -> int
+
+  val id_len : t -> int -> int
+  val statement_at : t -> int -> int
+  val statement_len : t -> int -> int
+  val id_col : t -> int -> int
+  val value_col : t -> int -> int
+
+  (** [value t k] — the confidence or validity of an evidence or
+      assumption line (0 for a goal). *)
+  val value : t -> int -> float
+
+  (** [id t k], [statement t k] — copies of the spans. *)
+  val id : t -> int -> string
+
+  val statement : t -> int -> string
+
+  (** [first_ids t] — [first.(k)] is the first line whose id equals line
+      [k]'s ([k] when none earlier does).  Computed once per document
+      and kept: the duplicate-id rule and {!load} share it, and the
+      graph {!load} builds keeps the table behind it as its id index. *)
+  val first_ids : t -> int array
+
+  (** [node t k] — line [k] as a {!raw_node}. *)
+  val node : t -> int -> raw_node
+
+  (** [to_nodes t] — every line as a {!raw_node}, in order. *)
+  val to_nodes : t -> raw_node list
+
+  (** [of_nodes nodes] — the columns of a raw list; [to_nodes (of_nodes
+      l)] is [l]. *)
+  val of_nodes : raw_node list -> t
+end
+
+(** [lex text] — {!Raw.lex}. *)
+val lex : string -> Raw.t
+
+(** [parse_raw text] — [Raw.to_nodes (lex text)]: the document as a flat
+    list of raw nodes in source order.
     @raise Parse_error only on lexical faults. *)
 val parse_raw : string -> raw_node list
 
 (** {1 Strict layer}
 
     The strict loader builds the evaluation graph ({!Graph.t}) straight
-    from the raw lines, without an intermediate {!Node.t} tree: one pass
-    keeps a stack of open goals and emits each into {!Graph.Builder} when
-    it closes, children first.  That is the postorder {!Graph.of_node}
-    walks, so [graph text] is bit for bit [Graph.of_node (parse text)]:
-    the same node indices, CSR layout, ids, evidence confidences,
-    assumption-validity products (folded in document order), and hence
-    the same propagated values and {!Graph.root_hash}.  The builder's id
-    table is the duplicate-id check.
+    from the lexed rows, without an intermediate {!Node.t} tree: one
+    pass keeps a stack of open goals and emits each into {!Graph.Builder}
+    when it closes, children first.  That is the postorder
+    {!Graph.of_node} walks, so [graph text] is bit for bit
+    [Graph.of_node (parse text)]: the same node indices, CSR layout,
+    ids, evidence confidences, assumption-validity products (folded in
+    document order), and hence the same propagated values and
+    {!Graph.root_hash}.  Ids and statements go from the text into the
+    graph's byte arena as spans.
 
     A caller that needs both the lint and the graph lexes once and shares
-    the raw list: [Analysis.Audit.case] and [Analysis.Check.case] hand
-    one {!parse_raw} result to the rules, to {!load} and (for the audit)
-    to its source locations.  A caller that needs only the graph uses
-    {!graph}, which feeds each lexed line straight to the loader and
-    never builds the raw list. *)
+    the columns: [Analysis.Audit.case] and [Analysis.Check.case] hand one
+    {!lex} result to the rules, to {!load} and (for the audit) to its
+    source locations, and the duplicate-id rule and the loader share one
+    id table ({!Raw.first_ids}).  A caller that needs only the graph uses
+    {!graph}, which feeds each lexed row straight to the loader and never
+    builds the columns. *)
 
 (** Source position of every graph node: [lines.(i)] and [cols.(i)] are
     the line and column of the id token of node [i]. *)
 type positions = { lines : int array; cols : int array }
 
-(** [load raw] — the strict graph of a raw document, with each node's
-    source position.  Errors are those of {!parse}, in the same order:
-    an empty or indented first line, then the first duplicate id in
-    document order, then the first structural or range fault.
+(** [load raw] — the strict graph of a lexed document, with each node's
+    source position.  Errors come in a fixed order: an indented first
+    line, then the first duplicate id in document order, then the first
+    structural or range fault (an empty document is "empty case").
     @raise Parse_error with position information on malformed input. *)
-val load : raw_node list -> Graph.t * positions
+val load : Raw.t -> Graph.t * positions
 
 (** [graph_of_raw raw] — [fst (load raw)]. *)
-val graph_of_raw : raw_node list -> Graph.t
+val graph_of_raw : Raw.t -> Graph.t
 
-(** [graph text] — [graph_of_raw (parse_raw text)], streamed: each line
-    goes to the loader as it is lexed, so no raw list is built, and no
-    positions are recorded.  On any fault it reruns
-    [load (parse_raw text)] for the error, so errors and their order
-    (lexical first, then duplicate id, then structural) are {!load}'s.
+(** [graph text] — [graph_of_raw (lex text)], streamed: each line goes
+    to the loader as it is lexed, so no columns are built and no
+    positions are recorded.  On any fault it reruns [load (lex text)]
+    for the error, so errors and their order (lexical first, then
+    duplicate id, then structural) are {!load}'s.
     @raise Parse_error with position information on malformed input. *)
 val graph : string -> Graph.t
 

@@ -68,41 +68,107 @@ module Iheap = struct
     top
 end
 
-(* Interned ids: [Intern] keeps positions in [keys]/[vals], so interning
-   an id allocates no bucket and costs one hash and one probe sequence (a
-   [Hashtbl] adds a bucket per id, and the 10^5 ids of a large case then
-   cost more than hashing them). *)
+(* Node text lives in one byte arena per graph: ids and statements are
+   (offset, length) spans into it, so a graph of 10^6 named nodes holds
+   one block of bytes rather than two million strings.  A builder appends
+   to the arena; a built graph never writes to it again. *)
+module Arena = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int }
+
+  let create n = { bytes = Bytes.create (max n 16); len = 0 }
+
+  (* [add a s at n] — append [s.[at..at+n)]; returns where it landed. *)
+  let add a s at n =
+    let cap = Bytes.length a.bytes in
+    if a.len + n > cap then begin
+      let bigger = Bytes.create (max (2 * cap) (a.len + n)) in
+      Bytes.blit a.bytes 0 bigger 0 a.len;
+      a.bytes <- bigger
+    end;
+    let at' = a.len in
+    if n > 0 then Bytes.blit_string s at a.bytes at' n;
+    a.len <- at' + n;
+    at'
+end
+
+(* Interned ids: [Intern] keeps positions, and position [k] names the
+   arena span [at.(k), len.(k)) and the value [vals.(k)], so interning
+   an id allocates no bucket and hashes and compares the arena's bytes
+   in place.  A builder fed a document's own id table ({!Builder.of_text})
+   takes its positions as given instead of interning again. *)
 module Ids = struct
   type t = {
     table : Intern.t;
-    mutable keys : string array;
+    mutable at : int array;
+    mutable len : int array;
     mutable vals : int array;
     mutable count : int;
+    (* The span [add] compares positions against, [bytes.[key_at ..
+       key_at + key_len)] of the arena's current bytes.  One closure
+       reads it, so interning allocates nothing. *)
+    mutable bytes : string;
+    mutable key_at : int;
+    mutable key_len : int;
+    same : int -> bool;
   }
 
-  let create n =
-    { table = Intern.create n;
-      keys = Array.make (max n 1) "";
-      vals = Array.make (max n 1) 0;
-      count = 0 }
+  let create ?table n =
+    let n = max n 1 in
+    let rec t =
+      { table = (match table with Some t -> t | None -> Intern.create n);
+        at = Array.make n 0;
+        len = Array.make n 0;
+        vals = Array.make n 0;
+        count = 0;
+        bytes = "";
+        key_at = 0;
+        key_len = 0;
+        same =
+          (fun j ->
+            t.len.(j) = t.key_len
+            && Intern.span_equal t.bytes t.at.(j) t.bytes t.key_at t.key_len) }
+    in
+    t
 
-  let find_opt t id =
-    let j = Intern.find t.table (Hashtbl.hash id) (fun j -> String.equal t.keys.(j) id) in
+  let grow t k =
+    let n = Array.length t.at in
+    if k >= n then begin
+      let m = max (2 * n) (k + 1) in
+      let extend a = Array.append a (Array.make (m - n) 0) in
+      t.at <- extend t.at;
+      t.len <- extend t.len;
+      t.vals <- extend t.vals
+    end
+
+  (* A lookup on a built graph makes its own closure rather than share the
+     probe, so reads stay free of writes. *)
+  let find_opt t (arena : Arena.t) id =
+    let n = String.length id in
+    let bytes = Bytes.unsafe_to_string arena.bytes in
+    let same j = t.len.(j) = n && Intern.span_equal bytes t.at.(j) id 0 n in
+    let j = Intern.find t.table (Intern.span_hash id 0 n) same in
     if j < 0 then None else Some t.vals.(j)
 
-  (* [add t id v] — [false], and no change, when [id] is already in. *)
-  let add t id v =
-    let n = Array.length t.keys in
-    if t.count = n then begin
-      t.keys <- Array.append t.keys (Array.make n "");
-      t.vals <- Array.append t.vals (Array.make n 0)
-    end;
+  (* [place t k at len v] — position [k] is the arena span [at, len) with
+     value [v]. *)
+  let place t k at len v =
+    grow t k;
+    t.at.(k) <- at;
+    t.len.(k) <- len;
+    t.vals.(k) <- v;
+    if k >= t.count then t.count <- k + 1
+
+  (* [add t arena at len v] — intern the arena span [at, len) at the next
+     position; [false], and no change, when an equal id is already in. *)
+  let add t (arena : Arena.t) at len v =
     let k = t.count in
-    Intern.intern t.table (Hashtbl.hash id) (fun j -> String.equal t.keys.(j) id) k = k
+    let bytes = Bytes.unsafe_to_string arena.bytes in
+    t.bytes <- bytes;
+    t.key_at <- at;
+    t.key_len <- len;
+    Intern.intern t.table (Intern.span_hash bytes at len) t.same k = k
     && begin
-      t.keys.(k) <- id;
-      t.vals.(k) <- v;
-      t.count <- k + 1;
+      place t k at len v;
       true
     end
 end
@@ -119,8 +185,12 @@ type t = {
   child : int array;
   parent_off : int array;
   parent : int array;
-  ids : string array; (* "" = anonymous *)
-  statements : string array;
+  (* Node [i]'s id is the arena span [id_at.(i), st_at.(i)) (empty =
+     anonymous) and its statement [st_at.(i), st_end.(i)). *)
+  arena : Arena.t;
+  id_at : int array;
+  st_at : int array;
+  st_end : int array;
   (* One namespace for node and assumption ids: a node id maps to its
      index (>= 0), an assumption id to [lnot] of its owning goal (< 0). *)
   index : Ids.t;
@@ -267,8 +337,10 @@ module Builder = struct
   type b = {
     mutable bn : int;
     mutable bkinds : Bytes.t;
-    mutable bids : string array;
-    mutable bstatements : string array;
+    barena : Arena.t;
+    mutable bid_at : int array;
+    mutable bst_at : int array;
+    mutable bst_end : int array;
     mutable bassumptions : Node.assumption list array;
     bbase : Columns.t;
     bavalid : Columns.t;
@@ -276,25 +348,33 @@ module Builder = struct
     mutable bchild : int array;
     mutable bchild_len : int;
     bindex : Ids.t;
+    preset : bool; (* ids come already interned, named by their keys *)
   }
 
-  (* [ids] sizes the id table apart from [capacity]: a generated graph of
-     anonymous nodes interns nothing and should not pay for a table. *)
-  let create ?(capacity = 16) ?(ids = 64) () =
+  let make ~capacity ~ids ~text ?table () =
     let cap = max capacity 1 in
     {
       bn = 0;
       bkinds = Bytes.make cap tag_evidence;
-      bids = Array.make cap "";
-      bstatements = Array.make cap "";
+      barena = Arena.create text;
+      bid_at = Array.make cap 0;
+      bst_at = Array.make cap 0;
+      bst_end = Array.make cap 0;
       bassumptions = Array.make cap [];
       bbase = Columns.create ~capacity:cap ();
       bavalid = Columns.create ~capacity:cap ();
       bchild_off = Array.make (cap + 1) 0;
       bchild = Array.make (max cap 16) 0;
       bchild_len = 0;
-      bindex = Ids.create ids;
+      bindex = Ids.create ?table ids;
+      preset = Option.is_some table;
     }
+
+  (* [ids] sizes the id table apart from [capacity]: a generated graph of
+     anonymous nodes interns nothing and should not pay for a table. *)
+  let create ?(capacity = 16) ?(ids = 64) () = make ~capacity ~ids ~text:64 ()
+
+  let of_text ~capacity ~text ?table () = make ~capacity ~ids:capacity ~text ?table ()
 
   let grow_nodes b =
     let cap = Bytes.length b.bkinds in
@@ -308,84 +388,124 @@ module Builder = struct
         Array.blit a 0 na 0 cap;
         na
       in
-      b.bids <- garr b.bids "";
-      b.bstatements <- garr b.bstatements "";
+      b.bid_at <- garr b.bid_at 0;
+      b.bst_at <- garr b.bst_at 0;
+      b.bst_end <- garr b.bst_end 0;
       b.bassumptions <- garr b.bassumptions [];
       let noff = Array.make (ncap + 1) 0 in
       Array.blit b.bchild_off 0 noff 0 (cap + 1);
       b.bchild_off <- noff
     end
 
-  (* [slot] is the node index, or [lnot owner] for an assumption id. *)
-  let intern b id slot =
-    if id <> "" && not (Ids.add b.bindex id slot) then
-      invalid_arg (Printf.sprintf "Graph.Builder: duplicate id %s" id)
+  (* [name b s at len key slot] — copy the id [s.[at..at+len)] into the
+     arena and intern it; [slot] is the node index, or [lnot owner] for
+     an assumption id.  An empty id is anonymous and not interned.  With
+     a preset table the id is already interned at position [key]. *)
+  let name b s at len key slot =
+    if len > 0 then begin
+      let a = Arena.add b.barena s at len in
+      if b.preset then begin
+        if key < 0 then invalid_arg "Graph.Builder: a preset id table needs every id's key";
+        Ids.place b.bindex key a len slot
+      end
+      else if not (Ids.add b.bindex b.barena a len slot) then
+        invalid_arg
+          (Printf.sprintf "Graph.Builder: duplicate id %s" (String.sub s at len))
+    end
 
-  let evidence b ?(id = "") ?(statement = "") ~confidence () =
+  (* Node [i]'s id [s.[id..id+id_len)], then its statement
+     [t.[statement..statement+statement_len)] right after it in the
+     arena. *)
+  let texts b i ~key s ~id ~id_len t ~statement ~statement_len =
+    let at = b.barena.len in
+    name b s id id_len key i;
+    b.bid_at.(i) <- at;
+    b.bst_at.(i) <- Arena.add b.barena t statement statement_len;
+    b.bst_end.(i) <- b.barena.len
+
+  let add_evidence b ~key s ~id ~id_len t ~statement ~statement_len ~confidence =
     if not (confidence > 0.0 && confidence <= 1.0) then
       invalid_arg "Graph.Builder.evidence: confidence must be in (0,1]";
     grow_nodes b;
     let i = b.bn in
-    intern b id i;
+    texts b i ~key s ~id ~id_len t ~statement ~statement_len;
     Bytes.set b.bkinds i tag_evidence;
-    b.bids.(i) <- id;
-    b.bstatements.(i) <- statement;
     Columns.push b.bbase confidence;
     Columns.push b.bavalid 1.0;
     b.bchild_off.(i + 1) <- b.bchild_len;
     b.bn <- i + 1;
     i
 
-  let goal b ?(id = "") ?(statement = "") ?(assumptions = []) ~combinator kids
-      =
-    if Array.length kids = 0 then
-      invalid_arg "Graph.Builder.goal: a goal needs support";
-    Array.iter
-      (fun c ->
-        if c < 0 || c >= b.bn then
-          invalid_arg "Graph.Builder.goal: child index out of range")
-      kids;
+  let evidence b ?(id = "") ?(statement = "") ~confidence () =
+    add_evidence b ~key:(-1) id ~id:0 ~id_len:(String.length id) statement
+      ~statement:0 ~statement_len:(String.length statement) ~confidence
+
+  let evidence_span b s ~key ~id ~id_len ~statement ~statement_len ~confidence =
+    add_evidence b ~key s ~id ~id_len s ~statement ~statement_len ~confidence
+
+  let add_goal b ~key s ~id ~id_len t ~statement ~statement_len ~assumptions ~keys
+      ~combinator kids ~pos ~len =
+    if len = 0 then invalid_arg "Graph.Builder.goal: a goal needs support";
+    for k = pos to pos + len - 1 do
+      let c = kids.(k) in
+      if c < 0 || c >= b.bn then
+        invalid_arg "Graph.Builder.goal: child index out of range"
+    done;
     grow_nodes b;
     let i = b.bn in
-    intern b id i;
-    List.iter
-      (fun (a : Node.assumption) ->
+    texts b i ~key s ~id ~id_len t ~statement ~statement_len;
+    let rec name_assumptions keys = function
+      | [] -> ()
+      | (a : Node.assumption) :: rest ->
         if not (a.p_valid > 0.0 && a.p_valid <= 1.0) then
           invalid_arg "Graph.Builder.goal: p_valid must be in (0,1]";
-        intern b a.aid (lnot i))
-      assumptions;
+        let key, keys = match keys with k :: ks -> (k, ks) | [] -> (-1, []) in
+        name b a.aid 0 (String.length a.aid) key (lnot i);
+        name_assumptions keys rest
+    in
+    name_assumptions keys assumptions;
     Bytes.set b.bkinds i
       (match combinator with Node.All -> tag_all | Node.Any -> tag_any);
-    b.bids.(i) <- id;
-    b.bstatements.(i) <- statement;
     b.bassumptions.(i) <- assumptions;
     Columns.push b.bbase 0.0;
     Columns.push b.bavalid (validity_product assumptions);
-    if b.bchild_len + Array.length kids > Array.length b.bchild then begin
-      let ncap =
-        max (2 * Array.length b.bchild) (b.bchild_len + Array.length kids)
-      in
+    if b.bchild_len + len > Array.length b.bchild then begin
+      let ncap = max (2 * Array.length b.bchild) (b.bchild_len + len) in
       let nc = Array.make ncap 0 in
       Array.blit b.bchild 0 nc 0 b.bchild_len;
       b.bchild <- nc
     end;
-    Array.blit kids 0 b.bchild b.bchild_len (Array.length kids);
-    b.bchild_len <- b.bchild_len + Array.length kids;
+    Array.blit kids pos b.bchild b.bchild_len len;
+    b.bchild_len <- b.bchild_len + len;
     b.bchild_off.(i + 1) <- b.bchild_len;
     b.bn <- i + 1;
     i
+
+  let goal b ?(id = "") ?(statement = "") ?(assumptions = []) ~combinator kids =
+    add_goal b ~key:(-1) id ~id:0 ~id_len:(String.length id) statement ~statement:0
+      ~statement_len:(String.length statement) ~assumptions ~keys:[] ~combinator kids
+      ~pos:0 ~len:(Array.length kids)
+
+  let goal_span b s ~key ~id ~id_len ~statement ~statement_len ~assumptions ~keys
+      ~combinator kids ~pos ~len =
+    add_goal b ~key s ~id ~id_len s ~statement ~statement_len ~assumptions ~keys
+      ~combinator kids ~pos ~len
 
   let build b ~root =
     if b.bn = 0 then invalid_arg "Graph.Builder.build: empty graph";
     if root < 0 || root >= b.bn then
       invalid_arg "Graph.Builder.build: root out of range";
     let n = b.bn in
-    let kinds = Bytes.sub b.bkinds 0 n in
-    let ids = Array.sub b.bids 0 n in
-    let statements = Array.sub b.bstatements 0 n in
-    let assumption_lists = Array.sub b.bassumptions 0 n in
-    let child_off = Array.sub b.bchild_off 0 (n + 1) in
-    let child = Array.sub b.bchild 0 b.bchild_len in
+    (* The builder is consumed: a column that is already the right length
+       becomes the graph's own without a copy. *)
+    let fit a len = if Array.length a = len then a else Array.sub a 0 len in
+    let kinds = if Bytes.length b.bkinds = n then b.bkinds else Bytes.sub b.bkinds 0 n in
+    let id_at = fit b.bid_at n in
+    let st_at = fit b.bst_at n in
+    let st_end = fit b.bst_end n in
+    let assumption_lists = fit b.bassumptions n in
+    let child_off = fit b.bchild_off (n + 1) in
+    let child = fit b.bchild b.bchild_len in
     (* Parent CSR by counting sort over the child array. *)
     let parent_off = Array.make (n + 1) 0 in
     Array.iter (fun c -> parent_off.(c + 1) <- parent_off.(c + 1) + 1) child;
@@ -438,8 +558,10 @@ module Builder = struct
       child;
       parent_off;
       parent;
-      ids;
-      statements;
+      arena = b.barena;
+      id_at;
+      st_at;
+      st_end;
       index = b.bindex;
       assumption_lists;
       base = b.bbase;
@@ -509,6 +631,10 @@ let of_node root_node =
   done;
   Builder.build b ~root:!result
 
+let span t at stop = Bytes.sub_string t.arena.Arena.bytes at (stop - at)
+let id_of t i = span t t.id_at.(i) t.st_at.(i)
+let statement_of t i = span t t.st_at.(i) t.st_end.(i)
+
 let is_tree t =
   let ok = ref true in
   for i = 0 to t.n - 1 do
@@ -525,7 +651,7 @@ let to_node t =
      that never come back through here. *)
   let rec build i =
     if Bytes.get t.kinds i = tag_evidence then
-      Node.evidence ~id:t.ids.(i) ~statement:t.statements.(i)
+      Node.evidence ~id:(id_of t i) ~statement:(statement_of t i)
         ~confidence:(Columns.get t.base i)
     else begin
       let kids = ref [] in
@@ -535,7 +661,7 @@ let to_node t =
       let combinator =
         if Bytes.get t.kinds i = tag_all then Node.All else Node.Any
       in
-      Node.goal ~id:t.ids.(i) ~statement:t.statements.(i) ~combinator
+      Node.goal ~id:(id_of t i) ~statement:(statement_of t i) ~combinator
         ~assumptions:t.assumption_lists.(i) !kids
     end
   in
@@ -723,7 +849,7 @@ let set_evidence t i confidence =
 let set_assumption t ~id ~p_valid =
   if not (p_valid > 0.0 && p_valid <= 1.0) then
     invalid_arg "Graph.set_assumption: p_valid must be in (0,1]";
-  match Ids.find_opt t.index id with
+  match Ids.find_opt t.index t.arena id with
   | None -> raise Not_found
   | Some slot when slot >= 0 -> raise Not_found
   | Some slot ->
@@ -1006,9 +1132,8 @@ let kind_of t i =
   | c when c = tag_all -> All_goal
   | _ -> Any_goal
 
-let id_of t i = t.ids.(i)
 let find t id =
-  match Ids.find_opt t.index id with
+  match Ids.find_opt t.index t.arena id with
   | Some i when i >= 0 -> Some i
   | _ -> None
 let value t i = Columns.get t.value i
@@ -1075,7 +1200,7 @@ let leaf_sensitivities dep t =
          let s = central_difference perturb c in
          set_evidence t i c;
          ignore (refresh dep t);
-         (t.ids.(i), s))
+         (id_of t i, s))
 
 let assumption_sensitivities dep t =
   (* Preorder from the root, each goal's assumptions ahead of its

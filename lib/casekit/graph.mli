@@ -5,7 +5,8 @@
     everything on every query, and evidence shared between legs has to be
     duplicated.  [Graph.t] is the evaluation representation: nodes are
     dense [int] indices, child and parent adjacency are CSR arrays,
-    per-node kind tags live in a byte string, and confidences /
+    per-node kind tags live in a byte string, ids and statements are
+    spans into one byte arena, and confidences /
     assumption-validity products / computed values live in unboxed
     {!Numerics.Columns} float64 columns.  It is a true DAG — one evidence
     node may be [supported_by] several legs — with {!of_node}/{!to_node}
@@ -97,6 +98,61 @@ module Builder : sig
     ?assumptions:Node.assumption list ->
     combinator:Node.combinator ->
     int array ->
+    int
+
+  (** {2 Loading text}
+
+      The entry points a case-file loader ({!Case_format}) builds
+      through.  Ids and statements are spans [s.[at..at+len)] of the
+      document text [s], copied straight into the graph's byte arena: no
+      string is made per node.  [key] names the id's position in a
+      preset id table (see {!of_text}); without one it is ignored and
+      the id is interned as {!evidence}/{!goal} would. *)
+
+  (** [of_text ~capacity ~text ?table ()] — a builder for a document of
+      at most [capacity] nodes whose ids and statements total at most
+      [text] bytes (the document's length bounds both).  [table], when
+      given, is the document's id table: its positions are the [key]s
+      of every id the load will name, all distinct, so the builder
+      records each id at its key instead of interning it again, and the
+      graph keeps [table] as its own.  Such a builder takes ids only
+      through {!evidence_span} and {!goal_span} with their keys; any
+      other id raises [Invalid_argument]. *)
+  val of_text : capacity:int -> text:int -> ?table:Intern.t -> unit -> b
+
+  (** [evidence_span b s ~key ~id ~id_len ~statement ~statement_len
+      ~confidence] — {!evidence} with the id [s.[id..id+id_len)] and the
+      statement [s.[statement..statement+statement_len)]. *)
+  val evidence_span :
+    b ->
+    string ->
+    key:int ->
+    id:int ->
+    id_len:int ->
+    statement:int ->
+    statement_len:int ->
+    confidence:float ->
+    int
+
+  (** [goal_span b s ~key ~id ~id_len ~statement ~statement_len
+      ~assumptions ~keys ~combinator kids ~pos ~len] — {!goal} over the
+      children [kids.(pos) .. kids.(pos+len-1)], with its id and
+      statement spans of [s]; [keys] lists each assumption's key, in
+      the order of [assumptions] (or is [[]] without a preset table). *)
+  val goal_span :
+    b ->
+    string ->
+    key:int ->
+    id:int ->
+    id_len:int ->
+    statement:int ->
+    statement_len:int ->
+    assumptions:Node.assumption list ->
+    keys:int list ->
+    combinator:Node.combinator ->
+    int array ->
+    pos:int ->
+    len:int ->
     int
 
   (** [build b ~root] — freeze into a graph: derive the parent CSR, the
@@ -257,8 +313,15 @@ val levels : t -> int
 
 val kind_of : t -> int -> kind
 
+(** Node text lives in one byte arena per graph: ids and statements are
+    spans into it, and these copy a node's span out on demand. *)
+
 (** [id_of t i] — the interned id, or [""] for anonymous nodes. *)
 val id_of : t -> int -> string
+
+(** [statement_of t i] — node [i]'s statement ([""] when none was
+    given). *)
+val statement_of : t -> int -> string
 
 (** [find t id] — index of the node with interned id [id]. *)
 val find : t -> string -> int option

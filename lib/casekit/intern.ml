@@ -45,3 +45,32 @@ let intern t h matches k =
     t.count <- t.count + 1;
     k
   end
+
+(* Eight bytes at a time: each word is mixed in with a multiply, the tail
+   byte by byte, and a final shift-multiply-shift makes the low bits,
+   which pick the slot, depend on every byte.  [Int64.to_int] keeps 63 of
+   a word's 64 bits, which costs a hash nothing but its top bit. *)
+external word : string -> int -> int64 = "%caml_string_get64"
+
+let mix h w = (h lxor w) * 0x100000001b3
+
+let finish h =
+  let h = (h lxor (h lsr 31)) * 0x7fb5d329728ea185 in
+  (h lxor (h lsr 29)) land max_int
+
+let span_hash s at len =
+  let h = ref (mix 0x3bf29ce484222325 len) in
+  let stop = at + len in
+  let i = ref at in
+  while !i + 8 <= stop do
+    h := mix !h (Int64.to_int (word s !i));
+    i := !i + 8
+  done;
+  while !i < stop do
+    h := mix !h (Char.code (String.unsafe_get s !i));
+    incr i
+  done;
+  finish !h
+
+let rec span_equal a i b j n =
+  n = 0 || (String.unsafe_get a i = String.unsafe_get b j && span_equal a (i + 1) b (j + 1) (n - 1))

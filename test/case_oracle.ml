@@ -11,6 +11,7 @@
 
    - [parse_raw]: the lexer that split the text into a line list, trimmed
      each line to filter blanks and comments, then tokenised it;
+   - [print]: the printer that made a string per line;
    - [parse]: the recursive-descent strict parser that built a [Node.t]
      tree from the raw lines (duplicate ids checked first, then
      [Node.validate]);
@@ -227,6 +228,35 @@ let parse_raw text =
          let t = String.trim raw in
          t <> "" && not (String.length t > 0 && t.[0] = '#'))
   |> List.map (fun (number, raw) -> parse_line number raw)
+
+(* --- printer ------------------------------------------------------------------
+
+   [Case_format.print] as it was before it wrote into one buffer: a
+   [sprintf] per line and a padding string per depth.  Documents it can
+   print are checked by the library printer; it checks nothing. *)
+
+let print node =
+  let buf = Buffer.create 256 in
+  let pad depth = String.make (2 * depth) ' ' in
+  let rec go depth = function
+    | N.Evidence e ->
+      Buffer.add_string buf
+        (Printf.sprintf "%sevidence %s \"%s\" %.17g\n" (pad depth) e.id e.statement
+           e.confidence)
+    | N.Goal g ->
+      let comb = match g.combinator with N.All -> "all" | N.Any -> "any" in
+      Buffer.add_string buf
+        (Printf.sprintf "%sgoal %s \"%s\" %s\n" (pad depth) g.id g.statement comb);
+      List.iter
+        (fun (a : N.assumption) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%sassume %s \"%s\" %.17g\n" (pad (depth + 1)) a.aid
+               a.a_statement a.p_valid))
+        g.assumptions;
+      List.iter (go (depth + 1)) g.supported_by
+  in
+  go 0 node;
+  Buffer.contents buf
 
 (* --- strict parser ---------------------------------------------------------- *)
 

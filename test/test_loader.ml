@@ -3,12 +3,16 @@
    random line soups — goes through both the library and the pre-loader
    pipeline kept in [Case_oracle]:
 
-   - [parse_raw] returns the same raw lines, or raises the same error;
+   - [parse_raw] returns the same raw lines, or raises the same error,
+     and the columns [lex] fills hold the same lines field for field,
+     their id and statement spans spelling the oracle's strings;
    - [Case_format.graph] raises the same [Parse_error] as the oracle
      parser (line, col, token and message), or returns a graph equal to
      [Graph.of_node (oracle parse)] in size, ids, children, base and
      assumption-validity bits, root bits under all four dependence models
-     and root hash, with each node located at its id token;
+     and root hash, with each node located at its id token, and each
+     node's [id_of], [statement_of] and [find] (assumption ids included)
+     reading the oracle tree's strings;
    - [Case_format.parse] is the oracle tree;
    - [Case_rules.check], [Audit.case] and [Check.case] return the same
      diagnostics as their pre-change compositions. *)
@@ -45,6 +49,84 @@ let same_raw (a : F.raw_node) (b : F.raw_node) =
   | F.Raw_evidence x, F.Raw_evidence y -> same_float x.confidence y.confidence
   | F.Raw_assume x, F.Raw_assume y -> same_float x.p_valid y.p_valid
   | _ -> false
+
+module R = F.Raw
+
+(* The columns against the oracle's raw lines: every accessor, the spans
+   read out of the text, the record view, and the first-id table against
+   a [Hashtbl] of first occurrences. *)
+let columns_mismatch text =
+  match (outcome (fun () -> F.lex text), outcome (fun () -> O.parse_raw text)) with
+  | Ok raw, Ok rows ->
+    let s = R.text raw in
+    let rows = Array.of_list rows in
+    let firsts = Hashtbl.create 16 in
+    let first = R.first_ids raw in
+    let row_ok k (rn : F.raw_node) =
+      if not (Hashtbl.mem firsts rn.id) then Hashtbl.add firsts rn.id k;
+      R.line raw k = rn.line
+      && R.indent raw k = rn.indent
+      && String.sub s (R.id_at raw k) (R.id_len raw k) = rn.id
+      && R.id raw k = rn.id
+      && String.sub s (R.statement_at raw k) (R.statement_len raw k) = rn.statement
+      && R.statement raw k = rn.statement
+      && R.id_col raw k = rn.id_col
+      && R.value_col raw k = rn.value_col
+      && (match (R.kind raw k, rn.item) with
+         | R.All_goal, F.Raw_goal { combinator = N.All }
+         | R.Any_goal, F.Raw_goal { combinator = N.Any } -> true
+         | R.Evidence, F.Raw_evidence { confidence = v } | R.Assume, F.Raw_assume { p_valid = v }
+           -> same_float (R.value raw k) v
+         | _ -> false)
+      && same_raw (R.node raw k) rn
+      && first.(k) = Hashtbl.find firsts rn.id
+    in
+    let rec check k =
+      if k = Array.length rows then
+        let back = R.to_nodes (R.of_nodes (Array.to_list rows)) in
+        if List.for_all2 same_raw back (Array.to_list rows) then None
+        else Some "of_nodes round trip"
+      else if row_ok k rows.(k) then check (k + 1)
+      else Some (Printf.sprintf "columns differ at line index %d" k)
+    in
+    if R.length raw <> Array.length rows then Some "columns length" else check 0
+  | Error a, Error b -> if a = b then None else Some ("lex error " ^ a ^ " vs " ^ b)
+  | Ok _, Error e -> Some ("lex accepted; oracle: " ^ e)
+  | Error e, Ok _ -> Some ("lex rejected: " ^ e)
+
+(* The oracle tree's (id, statement, assumptions) per node, in the
+   postorder node indices follow. *)
+let postorder tree =
+  let rec go acc = function
+    | N.Evidence e -> (e.id, e.statement, []) :: acc
+    | N.Goal g ->
+      (g.id, g.statement, g.assumptions) :: List.fold_left go acc g.supported_by
+  in
+  Array.of_list (List.rev (go [] tree))
+
+(* A loaded graph's text against the oracle tree: each node's id and
+   statement out of the arena, [find] on every node id, and every
+   assumption id interned as an assumption (not a node).  Re-setting an
+   assumption to its own validity leaves the graph's bits as they were. *)
+let texts_mismatch g tree =
+  let nodes = postorder tree in
+  let node_ok i (id, statement, assumptions) =
+    G.id_of g i = id
+    && G.statement_of g i = statement
+    && G.find g id = Some i
+    && List.for_all
+         (fun (a : N.assumption) ->
+           G.find g a.aid = None
+           &&
+           match G.set_assumption g ~id:a.aid ~p_valid:a.p_valid with
+           | () -> true
+           | exception Not_found -> false)
+         assumptions
+  in
+  if Array.length nodes <> G.size g then Some "texts: size"
+  else if not (List.for_all (fun i -> node_ok i nodes.(i)) (List.init (G.size g) Fun.id))
+  then Some "texts: id_of/statement_of/find"
+  else None
 
 let deps = [ G.Independent; G.Frechet_lower; G.Frechet_upper; G.Correlated 0.4 ]
 
@@ -100,8 +182,9 @@ let mismatch text =
         | Error a, Error b -> if a = b then None else Some ("parse_raw error " ^ a ^ " vs " ^ b)
         | Ok _, Error e -> Some ("parse_raw accepted; oracle: " ^ e)
         | Error e, Ok _ -> Some ("parse_raw rejected: " ^ e));
+      (fun () -> columns_mismatch text);
       (fun () ->
-        let loaded = outcome (fun () -> F.load (F.parse_raw text)) in
+        let loaded = outcome (fun () -> F.load (F.lex text)) in
         let graph = outcome (fun () -> F.graph text) in
         match (loaded, graph, outcome (fun () -> O.parse text)) with
         | Error a, Error a', Error b ->
@@ -109,10 +192,13 @@ let mismatch text =
         | Ok l, Ok g, Ok tree -> (
           match graph_mismatch l tree (O.parse_raw text) with
           | Some m -> Some ("graph " ^ m)
-          | None ->
+          | None -> (
             if G.size g <> G.size (fst l) then Some "graph vs load"
             else if F.parse text <> tree then Some "parse tree"
-            else None)
+            else
+              match texts_mismatch (fst l) tree with
+              | Some m -> Some ("load " ^ m)
+              | None -> Option.map (( ^ ) "graph ") (texts_mismatch g tree)))
         | _, _, Error e -> Some ("loader accepted; oracle: " ^ e)
         | Error e, _, _ | _, Error e, _ -> Some ("loader rejected: " ^ e));
       (fun () ->
@@ -188,6 +274,9 @@ let edge_documents =
     "goal G \"g\" all\n  assume A \"a\"\n  evidence E \"e\" 0.9";
     "goal G \"g\" all\n  assume A \"a\" x\n  evidence E \"e\" 0.9";
     "goal G \"g\" all\n  evidence E \"e\" 0x1p-2\n  evidence F \"f\" 1_0e-1";
+    "goal G \"g\" all\n  evidence E \"long value\" 0.50000000000000000000000000000000000000001\n  \
+     evidence F \"32 bytes\" 0.5000000000000000000000000000001\n  \
+     evidence H \"long junk\" 0.5000000000000000000000000000000000000000x";
     "goal G \"g\" any\n  goal L1 \"leg\" all\n    evidence E1 \"Shared\" 0.9\n    \
      evidence E2 \"x\" 0.9\n  goal L2 \"leg\" all\n    evidence E3 \" shared \" 0.9\n    \
      assume A \"a\" 0.9\n    evidence E4 \"SHARED\" 0.9" ]
@@ -419,13 +508,20 @@ let hostile text =
     if a <> b then QCheck2.Test.fail_reportf "parse_raw error %s vs oracle %s" a b
   | Ok _, Error e -> QCheck2.Test.fail_reportf "parse_raw accepted; oracle: %s" e
   | Error e, Ok _ -> QCheck2.Test.fail_reportf "parse_raw rejected: %s" e);
-  (match (outcome (fun () -> F.graph text), outcome (fun () -> fst (F.load (F.parse_raw text)))) with
+  (match (outcome (fun () -> F.graph text), outcome (fun () -> fst (F.load (F.lex text)))) with
   | Ok a, Ok b ->
     if not (same_graph a b) then QCheck2.Test.fail_report "streamed graph differs from load's"
   | Error a, Error b ->
     if a <> b then QCheck2.Test.fail_reportf "streamed error %s vs load's %s" a b
   | Ok _, Error e -> QCheck2.Test.fail_reportf "streamed load accepted; load: %s" e
   | Error e, Ok _ -> QCheck2.Test.fail_reportf "streamed load rejected: %s" e);
+  (match columns_mismatch text with
+  | None -> ()
+  | Some m -> QCheck2.Test.fail_report m);
+  (match (outcome (fun () -> F.graph text), outcome (fun () -> O.parse text)) with
+  | Ok g, Ok tree -> (
+    match texts_mismatch g tree with None -> () | Some m -> QCheck2.Test.fail_report m)
+  | _ -> ());
   (match Analysis.Case_rules.check text with
   | _ -> ()
   | exception e -> QCheck2.Test.fail_reportf "Case_rules.check raised %s" (Printexc.to_string e));
@@ -516,6 +612,177 @@ let test_c009_many_spellings () =
   check_true "C009 fires" (oracle <> []);
   match diags_mismatch "C009" lib oracle with None -> () | Some m -> Alcotest.fail m
 
+(* --- ids as spans ---------------------------------------------------------------- *)
+
+(* [Intern.span_equal] is byte equality of two spans, and equal bytes hash
+   equal wherever they sit: the graph's id index finds, in its arena, ids
+   a document's table hashed in the text.  Half the pairs copy the first
+   span into the second string at another offset. *)
+let gen_spans =
+  let open QCheck2.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; 'b'; '\t'; '\xC9'; '\000' ]) (int_range 0 40) in
+  let* a = text and* b = text in
+  let* i = int_bound (String.length a) in
+  let* n = int_bound (String.length a - i) in
+  let* copy = bool and* pad = string_size ~gen:(pure 'x') (int_range 0 9) in
+  let b = if copy then pad ^ String.sub a i n ^ b else b in
+  let* j = int_bound (String.length b) in
+  let j = if copy then String.length pad else j in
+  let* m = int_bound (String.length b - j) in
+  pure (a, i, b, j, if copy then n else min n m)
+
+let test_spans =
+  qcheck ~count:2000 "id spans: in-place equality and hash" gen_spans (fun (a, i, b, j, n) ->
+      let equal = String.sub a i n = String.sub b j n in
+      Casekit.Intern.span_equal a i b j n = equal
+      && ((not equal) || Casekit.Intern.span_hash a i n = Casekit.Intern.span_hash b j n))
+
+(* --- builder text --------------------------------------------------------------- *)
+
+(* Ids and statements the lexer never produces: tabs, high bytes, empty
+   statements, anonymous nodes, ids that are prefixes of others; then
+   enough nodes with long statements that the arena is reallocated
+   several times, and every id is still found and still a duplicate. *)
+let test_builder_texts () =
+  let b = G.Builder.create ~capacity:2 ~ids:1 () in
+  let named =
+    [ ("E\t1", ""); ("\xC9tude", "\xE9t\xE9 \"quoted\""); ("E", "plain"); ("E\t", "tab");
+      ("\xC9tudE", "") ]
+  in
+  let leaves =
+    List.map (fun (id, statement) -> G.Builder.evidence b ~id ~statement ~confidence:0.9 ()) named
+  in
+  let anonymous = List.init 3 (fun _ -> G.Builder.evidence b ~confidence:0.8 ()) in
+  let a = N.assumption ~id:"A\xFF" ~statement:"" ~p_valid:0.95 in
+  check_raises_invalid "duplicate of a tab id" (fun () ->
+      ignore (G.Builder.evidence b ~id:"E\t1" ~confidence:0.5 ()));
+  check_raises_invalid "duplicate of a high-byte id" (fun () ->
+      ignore (G.Builder.evidence b ~id:"\xC9tude" ~statement:"other" ~confidence:0.5 ()));
+  let root =
+    G.Builder.goal b ~id:"G" ~statement:"root" ~assumptions:[ a ] ~combinator:N.All
+      (Array.of_list (leaves @ anonymous))
+  in
+  let g = G.Builder.build b ~root in
+  List.iteri
+    (fun i (id, statement) ->
+      Alcotest.(check string) "id_of" id (G.id_of g i);
+      Alcotest.(check string) "statement_of" statement (G.statement_of g i);
+      Alcotest.(check (option int)) "find" (Some i) (G.find g id))
+    named;
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "anonymous id" "" (G.id_of g i);
+      Alcotest.(check string) "no statement" "" (G.statement_of g i))
+    anonymous;
+  Alcotest.(check (option int)) "anonymous is not found" None (G.find g "");
+  Alcotest.(check (option int)) "the assumption is not a node" None (G.find g "A\xFF");
+  G.set_assumption g ~id:"A\xFF" ~p_valid:0.5;
+  check_true "to_node keeps every string"
+    (match G.to_node g with
+    | N.Goal { id = "G"; statement = "root"; assumptions = [ { aid = "A\xFF"; _ } ]; _ } -> true
+    | _ -> false);
+  let b = G.Builder.create ~capacity:2 ~ids:1 () in
+  let long i = String.make 100 (Char.chr (0x80 + (i mod 128))) in
+  let ids = Array.init 2_000 (Printf.sprintf "N\t%d") in
+  let nodes =
+    Array.mapi (fun i id -> G.Builder.evidence b ~id ~statement:(long i) ~confidence:0.9 ()) ids
+  in
+  check_raises_invalid "duplicate after the arena grew" (fun () ->
+      ignore (G.Builder.evidence b ~id:ids.(0) ~confidence:0.9 ()));
+  let g = G.Builder.build b ~root:(G.Builder.goal b ~id:"R" ~combinator:N.Any nodes) in
+  check_true "every id and statement survives the growth"
+    (Array.for_all
+       (fun i -> G.find g ids.(i) = Some i && G.statement_of g i = long i && G.id_of g i = ids.(i))
+       nodes)
+
+(* --- printing ------------------------------------------------------------------- *)
+
+(* One buffer, no string per line, the same bytes: random trees and every
+   shipped example that loads print exactly as the per-line printer did. *)
+let test_print_bytes () =
+  List.iter
+    (fun path ->
+      let text = read_file path in
+      match O.parse text with
+      | exception (F.Parse_error _ | Invalid_argument _) -> ()
+      | tree ->
+        Alcotest.(check string) path (O.print tree) (F.print (F.parse text)))
+    [ "examples/shutdown.case"; "examples/bad_shutdown.case"; "examples/unattainable.case" ]
+
+let test_print_random =
+  qcheck ~count:300 "print writes the per-line printer's bytes" gen_tree (fun tree ->
+      F.print tree = O.print tree)
+
+(* --- allocation budget ---------------------------------------------------------- *)
+
+(* A named case like the confbench fixture, without randomness: a root
+   [any] over [legs] complete [fanout]-ary goal trees of [depth] levels,
+   ids G<i>/E<i>/A<i> in document order, statements unique to each node,
+   an assumption on every 97th goal. *)
+let named_case ~legs ~fanout ~depth =
+  let buf = Buffer.create 4096 in
+  let goals = ref 0 and leaves = ref 0 and assumptions = ref 0 in
+  let rec node indent level =
+    let pad = String.make (2 * indent) ' ' in
+    if level = 0 then begin
+      let e = !leaves in
+      incr leaves;
+      Printf.bprintf buf "%sevidence E%d \"Evidence E%d supports its parent claim\" %.17g\n" pad e e
+        (0.999 +. (float_of_int (e mod 997) *. 1e-7))
+    end
+    else begin
+      let g = !goals in
+      incr goals;
+      Printf.bprintf buf "%sgoal G%d \"Claim G%d holds\" %s\n" pad g g
+        (if indent = 0 || g mod 5 = 0 then "any" else "all");
+      if g mod 97 = 96 then begin
+        let a = !assumptions in
+        incr assumptions;
+        Printf.bprintf buf "%s  assume A%d \"Assumption A%d about G%d is valid\" %.17g\n" pad a a
+          g
+          (0.9995 +. (float_of_int (a mod 89) *. 1e-6))
+      end;
+      for _ = 1 to if indent = 0 then legs else fanout do
+        node (indent + 1) (level - 1)
+      done
+    end
+  in
+  node 0 (depth + 1);
+  Buffer.contents buf
+
+(* Words allocated (minor heap) and promoted per document line by [f
+   text], from an empty minor heap and with a minor collection at the
+   end, so what survives the call is counted whatever the heap size.
+   Deterministic: no clock is read. *)
+let words_per_line f text =
+  let lines = float_of_int (List.length (String.split_on_char '\n' text) - 1) in
+  Gc.full_major ();
+  let m0, p0, _ = Gc.counters () in
+  ignore (Sys.opaque_identity (f text));
+  Gc.minor ();
+  let m1, p1, _ = Gc.counters () in
+  ((m1 -. m0) /. lines, (p1 -. p0) /. lines)
+
+(* Bounds: the words measured on this 10^4-node case under the test
+   build (4.29 minor and 0.022 promoted a line for the streamed graph,
+   45.3 and 0.154 for the audit, most of it the semantic graph passes)
+   with 25% headroom.  With a record, a list cell and two strings per
+   line the graph took 37.8 minor and 8.6 promoted words a line, and the
+   audit 87.2 and 23.3. *)
+let test_allocation_budget () =
+  let text = named_case ~legs:9 ~fanout:10 ~depth:3 in
+  check_true "10^4 nodes" (G.size (F.graph text) = 10_000);
+  let options =
+    { Analysis.Audit.default_options with target = Some 0.9; dependence = G.Correlated 0.3 }
+  in
+  let within what (minor, promoted) (max_minor, max_promoted) =
+    if not (minor <= max_minor && promoted <= max_promoted) then
+      Alcotest.failf "%s: %.3f minor and %.3f promoted words a line (bounds %.3f, %.3f)" what
+        minor promoted max_minor max_promoted
+  in
+  within "Case_format.graph" (words_per_line F.graph text) (5.37, 0.0275);
+  within "Audit.case" (words_per_line (Analysis.Audit.case ~options) text) (56.6, 0.193)
+
 let suite =
   [ case "examples agree with the oracle" test_examples;
     case "edge documents agree with the oracle" test_edge_documents;
@@ -525,4 +792,9 @@ let suite =
     test_c009_direct;
     test_hostile;
     test_normalisation;
-    case "C009 over many spellings of a few statements" test_c009_many_spellings ]
+    case "C009 over many spellings of a few statements" test_c009_many_spellings;
+    test_spans;
+    case "builder text: odd bytes, anonymous nodes, arena growth" test_builder_texts;
+    case "print writes the examples' bytes" test_print_bytes;
+    test_print_random;
+    case "allocation per line stays within budget" test_allocation_budget ]
