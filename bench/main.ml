@@ -214,7 +214,8 @@ let print_vr_rows rows =
    copies and fully sorts; [Summary.quantile_unsorted] runs Floyd–Rivest
    selection on the copy); the sketch rows guard the streaming add path
    and the chunk-order merge (now over SoA centroid columns); the RNG
-   pair records the scalar-vs-batched draw gap; the SoA-vs-boxed pairs
+   pair records the scalar-vs-batched draw gap; the posterior row times
+   one grid posterior end to end; the SoA-vs-boxed pairs
    record what the columnar migration bought on the empirical-quantile
    and mixture-sampling hot paths; the snapshot trio times the on-disk
    column round-trip (copying and mmapped loads). *)
@@ -290,6 +291,20 @@ let micro_rows () =
         Numerics.Sketch.add_column sk col ~pos:0 ~len:micro_n;
         Numerics.Sketch.quantile sk 0.99)
   in
+  (* One demand-evidence posterior on a fresh lognormal belief (a
+     1025-point grid) and its confidence read-off: the unit of work the
+     decision-impact study repeats for every tested system. *)
+  let posterior_demands =
+    ols_nanos ~name:"posterior_demands_1025" (fun () ->
+        let belief =
+          Dist.Mixture.of_dist
+            (Dist.Lognormal.of_mode_mean ~mode:3e-3 ~mean:1e-2)
+        in
+        let post, _ =
+          Experience.Bayes.update_demands belief ~failures:1 ~demands:500
+        in
+        Dist.Mixture.prob_le post 1e-2)
+  in
   (* 64 pre-built 16k-value sketches folded in chunk order: the shape of
      the parallel reduction.  [merge] allocates a fresh sketch per step;
      [merge_into] recycles one accumulator's columns (the fold the
@@ -351,8 +366,8 @@ let micro_rows () =
   in
   [ quantile_sort; quantile_select; empirical_quantile_boxed;
     empirical_quantile_soa; mixture_scalar; mixture_soa; sketch_add;
-    sketch_merge; sketch_merge_into; columns_save; columns_load;
-    columns_load_mmap; rng_scalar; rng_fill ]
+    posterior_demands; sketch_merge; sketch_merge_into; columns_save;
+    columns_load; columns_load_mmap; rng_scalar; rng_fill ]
 
 (* ------------------------------------------------------------------ *)
 (* Case-graph rows at the ROADMAP's 10^6-node scale.  The headline

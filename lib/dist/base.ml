@@ -60,24 +60,42 @@ let check_grid grid =
 (* Shared back half of the grid constructors: [raw] holds the (possibly
    unnormalised) density tabulated on [grid].  Error messages keep the
    historical "Dist.of_grid_pdf" prefix — callers (Reweighted) match on
-   them to detect annihilated components. *)
+   them to detect annihilated components.
+
+   Every pass is a monomorphic loop over [float array]s, so no float is
+   boxed per grid point, and the only array allocated is the cdf table:
+   [raw] is normalised in place into the density.  The float operations
+   and their order are those of the trapezoid rule term by term: the
+   cumulative table is
+   [c.(i) = c.(i-1) +. 0.5 *. (y_i +. y_(i-1)) *. (x_i -. x_(i-1))], and
+   the moments are the last entries of the same recurrence over
+   [y = x·d] and [y = x·x·d]. *)
 let of_grid_values ~name ~grid ~values:raw () =
   check_grid grid;
   let n = Array.length grid in
   if Array.length raw <> n then
     invalid_arg "Dist.of_grid_values: values length differs from grid";
-  Array.iteri
-    (fun i v ->
-      if v < 0.0 || not (Float.is_finite v) then
-        invalid_arg
-          (Printf.sprintf "Dist.of_grid_pdf: bad density %g at grid point %g" v
-             grid.(i)))
-    raw;
-  let cum = Numerics.Integrate.trapezoid_cumulative grid raw in
-  let z = cum.(n - 1) in
+  for i = 0 to n - 1 do
+    let v = raw.(i) in
+    if v < 0.0 || not (Float.is_finite v) then
+      invalid_arg
+        (Printf.sprintf "Dist.of_grid_pdf: bad density %g at grid point %g" v
+           grid.(i))
+  done;
+  let cdf_tab = Array.create_float n in
+  cdf_tab.(0) <- 0.0;
+  for i = 1 to n - 1 do
+    cdf_tab.(i) <-
+      cdf_tab.(i - 1)
+      +. (0.5 *. (raw.(i) +. raw.(i - 1)) *. (grid.(i) -. grid.(i - 1)))
+  done;
+  let z = cdf_tab.(n - 1) in
   if z <= 0.0 then invalid_arg "Dist.of_grid_pdf: density integrates to zero";
-  let density = Array.map (fun v -> v /. z) raw in
-  let cdf_tab = Array.map (fun v -> v /. z) cum in
+  let density = raw in
+  for i = 0 to n - 1 do
+    density.(i) <- density.(i) /. z;
+    cdf_tab.(i) <- cdf_tab.(i) /. z
+  done;
   let pdf_fn x = Numerics.Interp.linear grid density x in
   let pdf_fn x =
     if x < grid.(0) || x > grid.(n - 1) then 0.0 else pdf_fn x
@@ -91,20 +109,27 @@ let of_grid_values ~name ~grid ~values:raw () =
     check_prob p;
     Numerics.Interp.inverse_monotone grid cdf_tab p
   in
-  (* Moments by trapezoid on the same grid. *)
-  let weighted f =
-    let ys = Array.mapi (fun i x -> f x *. density.(i)) grid in
-    let c = Numerics.Integrate.trapezoid_cumulative grid ys in
-    c.(n - 1)
-  in
-  let mean = weighted (fun x -> x) in
-  let second = weighted (fun x -> x *. x) in
-  let variance = max 0.0 (second -. (mean *. mean)) in
-  let mode =
-    let best = ref 0 in
-    Array.iteri (fun i v -> if v > density.(!best) then best := i) density;
-    Some grid.(!best)
-  in
+  (* Moments by trapezoid on the same grid, both in one pass. *)
+  let m1 = ref 0.0 and m2 = ref 0.0 in
+  let x0 = grid.(0) in
+  let y1_prev = ref (x0 *. density.(0)) in
+  let y2_prev = ref (x0 *. x0 *. density.(0)) in
+  for i = 1 to n - 1 do
+    let x = grid.(i) and d = density.(i) in
+    let dx = x -. grid.(i - 1) in
+    let y1 = x *. d and y2 = x *. x *. d in
+    m1 := !m1 +. (0.5 *. (y1 +. !y1_prev) *. dx);
+    m2 := !m2 +. (0.5 *. (y2 +. !y2_prev) *. dx);
+    y1_prev := y1;
+    y2_prev := y2
+  done;
+  let mean = !m1 in
+  let variance = max 0.0 (!m2 -. (mean *. mean)) in
+  let best = ref 0 in
+  for i = 1 to n - 1 do
+    if density.(i) > density.(!best) then best := i
+  done;
+  let mode = Some grid.(!best) in
   let sample rng = quantile_fn (Numerics.Rng.float_pos rng) in
   ( {
       name;
@@ -123,7 +148,12 @@ let of_grid_values ~name ~grid ~values:raw () =
 
 let of_grid_pdf ~name ~grid ~pdf () =
   check_grid grid;
-  of_grid_values ~name ~grid ~values:(Array.map pdf grid) ()
+  let n = Array.length grid in
+  let values = Array.create_float n in
+  for i = 0 to n - 1 do
+    values.(i) <- pdf grid.(i)
+  done;
+  of_grid_values ~name ~grid ~values ()
 
 let expect t f =
   let g u = f (t.quantile u) in

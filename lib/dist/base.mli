@@ -64,7 +64,11 @@ val of_grid_pdf :
     instead of re-evaluating the pdf per query.  [of_grid_pdf ~pdf] is
     exactly [of_grid_values ~values:(Array.map pdf grid)], so the two
     paths are bit-identical on the same inputs (error messages keep the
-    "Dist.of_grid_pdf" prefix for compatibility). *)
+    "Dist.of_grid_pdf" prefix for compatibility).
+
+    [values] is taken over: once the checks pass it is normalised in
+    place and becomes the returned distribution's density table, so the
+    caller must pass a fresh array and not touch it afterwards. *)
 val of_grid_values :
   name:string -> grid:float array -> values:float array -> unit -> t * float
 

@@ -8,8 +8,9 @@ let make ~mu ~sigma =
   let log_pdf x =
     if x <= 0.0 then neg_infinity
     else begin
-      let z = (log x -. mu) /. sigma in
-      log_norm -. log x -. (0.5 *. z *. z)
+      let lx = log x in
+      let z = (lx -. mu) /. sigma in
+      log_norm -. lx -. (0.5 *. z *. z)
     end
   in
   let variance =

@@ -23,7 +23,12 @@ let prepare ?(grid_size = 1025) belief =
         | Mixture.Atom a -> (w, P_atom a)
         | Mixture.Cont d ->
           let grid = component_grid d grid_size in
-          (w, P_cont { dist = d; grid; density = Array.map d.Base.pdf grid }))
+          let n = Array.length grid in
+          let density = Array.create_float n in
+          for i = 0 to n - 1 do
+            density.(i) <- d.Base.pdf grid.(i)
+          done;
+          (w, P_cont { dist = d; grid; density }))
       (Mixture.components belief)
   in
   { parts }
@@ -35,7 +40,11 @@ let prepared_conts prepared =
       | _, P_cont { dist; grid; _ } -> Some (dist, grid))
     prepared.parts
 
-let posterior_prepared_tables prepared ~cont_weight ~atom_weight =
+(* [reweight ~consume] — with [~consume:true] the prepared density
+   tables are multiplied in place and handed to the posteriors, which
+   spares one grid-sized array per component when the prepared state is
+   used once ([posterior]); a cached state is never consumed. *)
+let reweight ~consume prepared ~cont_weight ~atom_weight =
   let ci = ref (-1) in
   let updated =
     List.map
@@ -50,7 +59,7 @@ let posterior_prepared_tables prepared ~cont_weight ~atom_weight =
           incr ci;
           let c = !ci in
           let n = Array.length grid in
-          let values = Array.make n 0.0 in
+          let values = if consume then density else Array.create_float n in
           (try
              for i = 0 to n - 1 do
                let x = grid.(i) in
@@ -81,10 +90,14 @@ let posterior_prepared_tables prepared ~cont_weight ~atom_weight =
   let normalised = List.map (fun (w, c) -> (w /. evidence, c)) updated in
   (Mixture.make normalised, evidence)
 
+let posterior_prepared_tables = reweight ~consume:false
+
 let posterior_prepared prepared ~weight =
   posterior_prepared_tables prepared
     ~cont_weight:(fun _ _ x -> weight x)
     ~atom_weight:weight
 
 let posterior ?grid_size belief ~weight =
-  posterior_prepared (prepare ?grid_size belief) ~weight
+  reweight ~consume:true (prepare ?grid_size belief)
+    ~cont_weight:(fun _ _ x -> weight x)
+    ~atom_weight:weight

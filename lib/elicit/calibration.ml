@@ -52,14 +52,14 @@ let pit_values beliefs_and_truths =
 
 let ks_uniform_stat xs =
   if xs = [] then invalid_arg "Calibration.ks_uniform_stat: empty input";
-  let arr = Array.of_list xs in
-  Array.sort Float.compare arr;
-  let n = Array.length arr in
+  let sorted = Numerics.Columns.of_array (Array.of_list xs) in
+  Numerics.Columns.sort sorted;
+  let n = Numerics.Columns.length sorted in
   let stat = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let ecdf_hi = float_of_int (i + 1) /. float_of_int n in
-      let ecdf_lo = float_of_int i /. float_of_int n in
-      stat := max !stat (max (abs_float (ecdf_hi -. x)) (abs_float (x -. ecdf_lo))))
-    arr;
+  for i = 0 to n - 1 do
+    let x = Numerics.Columns.unsafe_get sorted i in
+    let ecdf_hi = float_of_int (i + 1) /. float_of_int n in
+    let ecdf_lo = float_of_int i /. float_of_int n in
+    stat := max !stat (max (abs_float (ecdf_hi -. x)) (abs_float (x -. ecdf_lo)))
+  done;
   !stat

@@ -141,7 +141,7 @@ let variance t =
 
 (* ------------------------------------------------------------------ *)
 (* Sorting: introsort over the NaN-free suffix.  A single pre-pass moves
-   NaNs to the front — where [Array.sort Float.compare] puts them — after
+   NaNs to the front — where a [Float.compare] sort puts them — after
    which primitive [<] is the [Float.compare] order (mixed-sign zeros are
    compare-equal and interchangeable).  Quicksort with median-of-three
    pivots, insertion sort below 16 elements, heapsort past the depth

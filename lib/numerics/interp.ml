@@ -46,10 +46,18 @@ let inverse_monotone xs ys y =
 
 let linspace a b n =
   if n < 2 then invalid_arg "Interp.linspace: n < 2";
-  Array.init n (fun i ->
-      a +. ((b -. a) *. float_of_int i /. float_of_int (n - 1)))
+  let xs = Array.create_float n in
+  for i = 0 to n - 1 do
+    xs.(i) <- a +. ((b -. a) *. float_of_int i /. float_of_int (n - 1))
+  done;
+  xs
 
+(* Exponentiated in place: one array, and no closure boxing a float per
+   point. *)
 let logspace a b n =
   if a <= 0.0 || b <= 0.0 then invalid_arg "Interp.logspace: bounds <= 0";
-  let la = log a and lb = log b in
-  Array.map exp (linspace la lb n)
+  let xs = linspace (log a) (log b) n in
+  for i = 0 to n - 1 do
+    xs.(i) <- exp xs.(i)
+  done;
+  xs

@@ -2,8 +2,8 @@
    order.
 
    NaNs cannot be ordered by primitive comparisons, so a single O(n)
-   pre-pass swaps them to the front of the column — exactly where
-   [Array.sort Float.compare] would put them — and selection proper runs
+   pre-pass swaps them to the front of the column — exactly where a
+   [Float.compare] sort would put them — and selection proper runs
    on the NaN-free suffix with fast primitive comparisons.  On that
    suffix the primitive order IS the [Float.compare] order:
    [Float.compare] is IEEE-numeric apart from NaN placement (in

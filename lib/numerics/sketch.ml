@@ -3,27 +3,29 @@
    buffer; a flush sorts the buffer, merges it with the existing centroid
    list (both sorted by mean), and recompresses greedily under the k1
    scale function k(q) = δ/2π·asin(2q−1).  Everything is a deterministic
-   function of the insertion/merge history: sorting uses [Float.compare],
-   merging breaks ties by provenance (existing centroids first), and the
-   greedy compression scans left to right.
+   function of the insertion/merge history: the buffer sorts in the
+   [Float.compare] order, merging breaks ties by provenance (existing
+   centroids first), and the greedy compression scans left to right.
 
-   Centroids live in unboxed columns ([Columns.t]), with a pair of
-   reusable scratch columns for the merge step: once one merge input is
-   exhausted the other's tail is moved with a single [Columns.blit], and
-   repeated merges ([merge_into]) recycle the scratch instead of
-   allocating fresh arrays per merge. *)
+   The buffer and the centroids live in unboxed columns ([Columns.t]).
+   A flush sorts the buffer in place with [Columns.sort] (no copy, no
+   boxed compare), and the merge step writes into a pair of scratch
+   columns kept per domain: once one merge input is exhausted the
+   other's tail is moved with a single [Columns.blit], and flushes and
+   merges recycle the scratch instead of allocating per merge.
+   Distinct floats that compare equal ([-0.] and [0.]) may land in
+   either order in the sorted buffer; every other input orders exactly
+   as a comparison sort would. *)
 
 type t = {
   compression : float;
   c_mean : Columns.t;  (* centroid means, ascending; length = centroid count *)
   c_weight : Columns.t;
   mutable c_total : float;  (* total weight held in centroids *)
-  buf : float array;  (* unsummarised points *)
+  buf : Columns.t;  (* unsummarised points, in [0, n_buf) *)
   mutable n_buf : int;
   mutable lo : float;  (* exact stream minimum *)
   mutable hi : float;  (* exact stream maximum *)
-  scratch_mean : Columns.t;  (* reusable merge scratch *)
-  scratch_weight : Columns.t;
 }
 
 let create ?(compression = 200.0) () =
@@ -35,12 +37,10 @@ let create ?(compression = 200.0) () =
     c_mean = Columns.create ~capacity:cap ();
     c_weight = Columns.create ~capacity:cap ();
     c_total = 0.0;
-    buf = Array.make (4 * int_of_float (ceil compression)) 0.0;
+    buf = Columns.create ~capacity:(4 * int_of_float (ceil compression)) ();
     n_buf = 0;
     lo = infinity;
     hi = neg_infinity;
-    scratch_mean = Columns.create ~capacity:cap ();
-    scratch_weight = Columns.create ~capacity:cap ();
   }
 
 let compression t = t.compression
@@ -66,17 +66,44 @@ let q_limit_after t q =
   if k >= t.compression /. 4.0 then 1.0
   else 0.5 *. (sin (two_pi *. k /. t.compression) +. 1.0)
 
+(* Merge scratch: one (mean, weight) column pair per domain, grown
+   geometrically.  A flush or merge writes every slot it reads and calls
+   nothing that could reach another sketch meanwhile, so the sketches of
+   one domain can share it; sharing keeps each sketch at three columns,
+   which matters when a fan-out holds one sketch per chunk live at once. *)
+type scratch = { mutable s_mean : Columns.t; mutable s_weight : Columns.t }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        s_mean = Columns.create ~capacity:0 ();
+        s_weight = Columns.create ~capacity:0 ();
+      })
+
+(* [scratch m] — the calling domain's scratch pair, [m] long. *)
+let scratch m =
+  let sc = Domain.DLS.get scratch_key in
+  if Columns.capacity sc.s_mean < m then begin
+    let capacity = max m (2 * Columns.capacity sc.s_mean) in
+    sc.s_mean <- Columns.create ~capacity ();
+    sc.s_weight <- Columns.create ~capacity ()
+  end;
+  Columns.set_length sc.s_mean m;
+  Columns.set_length sc.s_weight m;
+  sc
+
 (* Greedily recompress the merged, mean-sorted (mean, weight) sequence
-   held in the scratch columns (length [m]) into [t]'s centroid columns.
+   held in the scratch pair [sc] into [t]'s centroid columns.
    Output size is bounded by the scale function at ≈ δ/2 + 1 centroids.
    The fp sequence is identical to the historical array implementation,
    so centroid states are bit-identical across the columnar migration. *)
-let compress_scratch t m total =
+let compress_scratch t sc total =
+  let m = Columns.length sc.s_mean in
   Columns.clear t.c_mean;
   Columns.clear t.c_weight;
   if m > 0 then begin
-    let sm = Columns.unsafe_data t.scratch_mean in
-    let sw = Columns.unsafe_data t.scratch_weight in
+    let sm = Columns.unsafe_data sc.s_mean in
+    let sw = Columns.unsafe_data sc.s_weight in
     let emit mean weight =
       Columns.push t.c_mean mean;
       Columns.push t.c_weight weight
@@ -106,27 +133,16 @@ let compress_scratch t m total =
   end;
   t.c_total <- total
 
-let scratch_reserve t m =
-  Columns.clear t.scratch_mean;
-  Columns.clear t.scratch_weight;
-  (* Grow by appending then rewinding: scratch stays a plain growable
-     column but the merge loops below can write through [unsafe_data]. *)
-  if Columns.capacity t.scratch_mean < m then begin
-    Columns.append_array t.scratch_mean (Array.make m 0.0);
-    Columns.clear t.scratch_mean;
-    Columns.append_array t.scratch_weight (Array.make m 0.0);
-    Columns.clear t.scratch_weight
-  end
-
 let flush t =
   if t.n_buf > 0 then begin
-    let b = Array.sub t.buf 0 t.n_buf in
-    Array.sort Float.compare b;
+    Columns.set_length t.buf t.n_buf;
+    Columns.sort t.buf;
+    let b = Columns.unsafe_data t.buf in
     let nc = n_c t in
     let m = nc + t.n_buf in
-    scratch_reserve t m;
-    let sm = Columns.unsafe_data t.scratch_mean in
-    let sw = Columns.unsafe_data t.scratch_weight in
+    let sc = scratch m in
+    let sm = Columns.unsafe_data sc.s_mean in
+    let sw = Columns.unsafe_data sc.s_weight in
     let cm = Columns.unsafe_data t.c_mean in
     let cw = Columns.unsafe_data t.c_weight in
     (* Two-pointer merge of the sorted centroid list with the sorted
@@ -137,7 +153,10 @@ let flush t =
       let take_centroid =
         !i < nc
         && (!j >= t.n_buf
-            || Float.compare (Bigarray.Array1.unsafe_get cm !i) b.(!j) <= 0)
+            || Float.compare
+                 (Bigarray.Array1.unsafe_get cm !i)
+                 (Bigarray.Array1.unsafe_get b !j)
+               <= 0)
       in
       if take_centroid then begin
         Bigarray.Array1.unsafe_set sm !k (Bigarray.Array1.unsafe_get cm !i);
@@ -145,33 +164,55 @@ let flush t =
         incr i
       end
       else begin
-        Bigarray.Array1.unsafe_set sm !k b.(!j);
+        Bigarray.Array1.unsafe_set sm !k (Bigarray.Array1.unsafe_get b !j);
         Bigarray.Array1.unsafe_set sw !k 1.0;
         incr j
       end;
       incr k
     done;
-    Columns.set_length t.scratch_mean m;
-    Columns.set_length t.scratch_weight m;
     let total = t.c_total +. float_of_int t.n_buf in
     t.n_buf <- 0;
-    compress_scratch t m total
+    compress_scratch t sc total
   end
 
 let add t x =
   if x <> x then invalid_arg "Sketch.add: NaN";
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x;
-  t.buf.(t.n_buf) <- x;
+  Bigarray.Array1.unsafe_set (Columns.unsafe_data t.buf) t.n_buf x;
   t.n_buf <- t.n_buf + 1;
-  if t.n_buf = Array.length t.buf then flush t
+  if t.n_buf = Columns.capacity t.buf then flush t
 
+(* [add] once per element, a buffer's worth at a time: the slice is
+   copied into the buffer with the running min/max in unboxed locals,
+   and the buffer flushes whenever it fills, exactly where [add] would.
+   A NaN raises [add]'s error with the elements before it added. *)
 let add_column t col ~pos ~len =
   if pos < 0 || len < 0 || len > Columns.length col - pos then
     invalid_arg "Sketch.add_column";
-  let d = Columns.unsafe_data col in
-  for i = pos to pos + len - 1 do
-    add t (Bigarray.Array1.unsafe_get d i)
+  let src = Columns.unsafe_data col in
+  let dst = Columns.unsafe_data t.buf in
+  let cap = Columns.capacity t.buf in
+  let i = ref pos and stop = pos + len in
+  while !i < stop do
+    let n0 = t.n_buf and from = !i in
+    let upto = from + min (stop - from) (cap - n0) in
+    let lo = ref t.lo and hi = ref t.hi in
+    while
+      !i < upto
+      && Bigarray.Array1.unsafe_get src !i = Bigarray.Array1.unsafe_get src !i
+    do
+      let x = Bigarray.Array1.unsafe_get src !i in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x;
+      Bigarray.Array1.unsafe_set dst (n0 + !i - from) x;
+      incr i
+    done;
+    t.lo <- !lo;
+    t.hi <- !hi;
+    t.n_buf <- n0 + !i - from;
+    if !i < upto then invalid_arg "Sketch.add: NaN";
+    if t.n_buf = cap then flush t
   done
 
 let centroid_count t =
@@ -272,17 +313,15 @@ let cdf t x =
     end
   end
 
-(* Two-pointer merge of [a]'s and [b]'s centroid columns into [dst]'s
-   scratch; once one side is exhausted the other's tail is moved with a
-   single blit.  Tie rule: [a] first (same provenance rule as flush). *)
-let merge_centroids_into_scratch dst a b =
+(* Two-pointer merge of [a]'s and [b]'s centroid columns into the
+   domain's scratch pair, returned with length [n_c a + n_c b]; once one
+   side is exhausted the other's tail is moved with a single blit.  Tie
+   rule: [a] first (same provenance rule as flush). *)
+let merge_centroids a b =
   let na = n_c a and nb = n_c b in
-  let m = na + nb in
-  scratch_reserve dst m;
-  Columns.set_length dst.scratch_mean m;
-  Columns.set_length dst.scratch_weight m;
-  let sm = Columns.unsafe_data dst.scratch_mean in
-  let sw = Columns.unsafe_data dst.scratch_weight in
+  let sc = scratch (na + nb) in
+  let sm = Columns.unsafe_data sc.s_mean in
+  let sw = Columns.unsafe_data sc.s_weight in
   let am = Columns.unsafe_data a.c_mean and aw = Columns.unsafe_data a.c_weight in
   let bm = Columns.unsafe_data b.c_mean and bw = Columns.unsafe_data b.c_weight in
   let i = ref 0 and j = ref 0 and k = ref 0 in
@@ -305,18 +344,18 @@ let merge_centroids_into_scratch dst a b =
     incr k
   done;
   if !i < na then begin
-    Columns.blit ~src:a.c_mean ~src_pos:!i ~dst:dst.scratch_mean ~dst_pos:!k
+    Columns.blit ~src:a.c_mean ~src_pos:!i ~dst:sc.s_mean ~dst_pos:!k
       ~len:(na - !i);
-    Columns.blit ~src:a.c_weight ~src_pos:!i ~dst:dst.scratch_weight
-      ~dst_pos:!k ~len:(na - !i)
+    Columns.blit ~src:a.c_weight ~src_pos:!i ~dst:sc.s_weight ~dst_pos:!k
+      ~len:(na - !i)
   end
   else if !j < nb then begin
-    Columns.blit ~src:b.c_mean ~src_pos:!j ~dst:dst.scratch_mean ~dst_pos:!k
+    Columns.blit ~src:b.c_mean ~src_pos:!j ~dst:sc.s_mean ~dst_pos:!k
       ~len:(nb - !j);
-    Columns.blit ~src:b.c_weight ~src_pos:!j ~dst:dst.scratch_weight
-      ~dst_pos:!k ~len:(nb - !j)
+    Columns.blit ~src:b.c_weight ~src_pos:!j ~dst:sc.s_weight ~dst_pos:!k
+      ~len:(nb - !j)
   end;
-  m
+  sc
 
 let merge a b =
   if a.compression <> b.compression then
@@ -326,8 +365,9 @@ let merge a b =
   let t = create ~compression:a.compression () in
   t.lo <- min a.lo b.lo;
   t.hi <- max a.hi b.hi;
-  let m = merge_centroids_into_scratch t a b in
-  if m > 0 then compress_scratch t m (a.c_total +. b.c_total);
+  let sc = merge_centroids a b in
+  if Columns.length sc.s_mean > 0 then
+    compress_scratch t sc (a.c_total +. b.c_total);
   t
 
 let merge_into ~into src =
@@ -337,9 +377,10 @@ let merge_into ~into src =
   flush src;
   into.lo <- min into.lo src.lo;
   into.hi <- max into.hi src.hi;
-  let m = merge_centroids_into_scratch into into src in
+  let sc = merge_centroids into src in
   let total = into.c_total +. src.c_total in
-  if m > 0 then compress_scratch into m total else into.c_total <- total
+  if Columns.length sc.s_mean > 0 then compress_scratch into sc total
+  else into.c_total <- total
 
 (* Snapshot seam: the summarised state as named columns ("mean",
    "weight", and a 4-slot "meta" of compression/total/lo/hi).  [flush]

@@ -61,8 +61,8 @@ val merge : t -> t -> t
 
 (** [merge_into ~into src] — absorb [src]'s stream into [into] in place:
     equivalent to [into := merge into src] but recycling [into]'s centroid
-    and scratch columns, so a fold over many per-chunk sketches allocates
-    nothing per step.  Produces bit-identical centroid state to {!merge}
+    columns and the calling domain's merge scratch, so a fold over many
+    per-chunk sketches allocates nothing per step.  Produces bit-identical centroid state to {!merge}
     (same merge and compression sequence).  [src] is not mutated beyond a
     buffer flush. *)
 val merge_into : into:t -> t -> unit
@@ -71,6 +71,12 @@ val merge_into : into:t -> t -> unit
     [pos+len-1] of [col] in order; equivalent to calling {!add} per
     element (the batched Monte-Carlo hot path). *)
 val add_column : t -> Columns.t -> pos:int -> len:int -> unit
+
+(** [flush t] — summarise the buffered values into centroids now, as
+    every query and merge does first; the state reached is the same
+    whenever it runs.  A fan-out flushes each chunk's sketch in the
+    chunk's own domain, so the chunk-order merge does no sorting. *)
+val flush : t -> unit
 
 (** [centroid_count t] — number of centroids currently held (compresses
     first); bounded by ≈ compression/2 interior centroids plus a handful

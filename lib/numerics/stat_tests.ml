@@ -43,17 +43,16 @@ let kolmogorov_survival lambda =
   end
 
 let ks_statistic xs ~cdf =
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
+  let sorted = Columns.of_array xs in
+  Columns.sort sorted;
+  let n = Columns.length sorted in
   let stat = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let f = cdf x in
-      let hi = float_of_int (i + 1) /. float_of_int n in
-      let lo = float_of_int i /. float_of_int n in
-      stat := max !stat (max (abs_float (hi -. f)) (abs_float (f -. lo))))
-    sorted;
+  for i = 0 to n - 1 do
+    let f = cdf (Columns.unsafe_get sorted i) in
+    let hi = float_of_int (i + 1) /. float_of_int n in
+    let lo = float_of_int i /. float_of_int n in
+    stat := max !stat (max (abs_float (hi -. f)) (abs_float (f -. lo)))
+  done;
   !stat
 
 let ks_one_sample xs ~cdf =

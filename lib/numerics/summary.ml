@@ -28,12 +28,12 @@ let quantile_sorted sorted p =
 let quantile xs p =
   check_nonempty "Summary.quantile" xs;
   check_p "Summary.quantile" p;
-  let sorted = Array.copy xs in
-  (* [Float.compare], not polymorphic [compare]: no generic-compare
-     dispatch per element, and a total order that places NaNs first
-     instead of raising surprises deep inside the sort. *)
-  Array.sort Float.compare sorted;
-  quantile_sorted sorted p
+  (* The one float sort: [Columns.sort] in the [Float.compare] order (NaNs
+     first), unboxed and in place on a column copy.  [-0.] and [0.]
+     compare equal and may come out in either order. *)
+  let sorted = Columns.of_array xs in
+  Columns.sort sorted;
+  Columns.quantile_sorted sorted p
 
 let quantile_unsorted xs p =
   check_nonempty "Summary.quantile_unsorted" xs;

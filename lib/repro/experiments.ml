@@ -9,8 +9,14 @@ let mc_chunks = 64
 
 (* All experiment sections share one lazily-created pool ([global_pool]):
    spawning domains per section was a large fixed cost and, worse, per-call
-   spawn/join barriers dominated the PR-1 parallel numbers. *)
-let with_default_pool f = f (Numerics.Parallel.global_pool ())
+   spawn/join barriers dominated the PR-1 parallel numbers.  [run_one
+   ~pool] swaps in another pool for the duration of one experiment. *)
+let pool_override = ref None
+
+let with_default_pool f =
+  match !pool_override with
+  | Some pool -> f pool
+  | None -> f (Numerics.Parallel.global_pool ())
 
 let table1 () =
   section "Table 1: IEC 61508 safety integrity levels"
@@ -144,19 +150,15 @@ let figure5 () =
     in
     (Elicit.Delphi.final result).confidence_sil2
   in
-  let replication =
+  (* One fan-out for both views of the replication: each chunk's panels
+     run once, and the column of outcomes feeds a Welford state (the mean
+     and CI, equal bit for bit to [estimate_par] over [replicate], since
+     [fill_col_of_scalar] draws slot by slot) and a mergeable quantile
+     sketch (percentiles without materialising the sample array). *)
+  let replication, rep_quantiles =
     with_default_pool (fun pool ->
-        Sim.Mc.estimate_par ~pool ~n:200 ~chunks:16 ~seed:(Paper.seed + 5)
-          replicate)
-  in
-  (* Same streams ([fill_col_of_scalar] draws slot by slot, so chunk i replays
-     exactly the samples [estimate_par] saw), folded into a mergeable
-     quantile sketch instead of a Welford state: percentiles of the
-     replication distribution without materialising the sample array. *)
-  let rep_quantiles =
-    with_default_pool (fun pool ->
-        Sim.Mc.quantiles_par ~pool ~n:200 ~chunks:16 ~seed:(Paper.seed + 5)
-          ~ps:[| 0.1; 0.5; 0.9 |]
+        Sim.Mc.estimate_quantiles_par ~pool ~n:200 ~chunks:16
+          ~seed:(Paper.seed + 5) ~ps:[| 0.1; 0.5; 0.9 |]
           (fun () -> Sim.Mc.fill_col_of_scalar replicate))
   in
   (* QMC variant of the replication: panel seeds come from a scrambled
@@ -184,10 +186,17 @@ let figure5 () =
         ~scramble:(Numerics.Rng.create (Paper.seed + 8)) ~dim:1 ()
     in
     let buf = Stdlib.Float.Array.create 1 (* lint: allow-floatarray *) in
-    let outcomes =
+    let us =
       Array.init 200 (fun _ ->
           Numerics.Sobol.next s buf;
-          panel_of_u (Stdlib.Float.Array.get buf 0) (* lint: allow-floatarray *))
+          Stdlib.Float.Array.get buf 0 (* lint: allow-floatarray *))
+    in
+    (* The net is drawn in order; the panels are independent, so they run
+       over the pool and come back in point order. *)
+    let outcomes =
+      with_default_pool (fun pool ->
+          Numerics.Parallel.map_chunks ~pool ~chunks:200 (fun i ->
+              panel_of_u us.(i)))
     in
     Array.map
       (fun p -> Numerics.Summary.quantile_unsorted outcomes p)
@@ -947,9 +956,14 @@ let all =
     ("decisions", "Section 1 decision impact", decision_impact);
     ("vr", "Variance reduction", variance_reduction) ]
 
-let run_one id =
+let run_one ?pool id =
   let _, _, f = List.find (fun (i, _, _) -> i = id) all in
-  f ()
+  match pool with
+  | None -> f ()
+  | Some _ ->
+    let saved = !pool_override in
+    pool_override := pool;
+    Fun.protect ~finally:(fun () -> pool_override := saved) f
 
 let csv_exports () =
   let figure4_series =

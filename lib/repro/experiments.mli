@@ -85,6 +85,8 @@ val all : (string * string * (unit -> string)) list
     series, for external plotting. *)
 val csv_exports : unit -> (string * string) list
 
-(** [run_one id] — regenerate a single experiment.
+(** [run_one ?pool id] — regenerate a single experiment, running its
+    Monte-Carlo loops on [pool] (default: [Parallel.global_pool ()]).
+    The output does not depend on the pool's domain count.
     @raise Not_found for unknown ids. *)
-val run_one : string -> string
+val run_one : ?pool:Numerics.Parallel.pool -> string -> string

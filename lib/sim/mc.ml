@@ -166,6 +166,26 @@ let probability_par ?pool ?chunks ~n ~seed event =
   estimate_par ?pool ?chunks ~n ~seed (fun rng ->
       if event rng then 1.0 else 0.0)
 
+(* One chunk of a sketch fan-out: [size] samples drawn segment by segment
+   into a fresh sketch, each segment also handed to [also].  The sketch
+   is flushed here, in the chunk's domain, so the chunk-order fold only
+   merges centroids. *)
+let chunk_sketch ?compression ~size rng make_fill also =
+  let sk = Numerics.Sketch.create ?compression () in
+  if size > 0 then begin
+    let fill = make_fill () in
+    segments ~size (fun col ~start:_ ~len ->
+        fill rng (Numerics.Columns.unsafe_data col) ~pos:0 ~len;
+        also col len;
+        Numerics.Sketch.add_column sk col ~pos:0 ~len);
+    Numerics.Sketch.flush sk
+  end;
+  sk
+
+let merge_sketch into sk =
+  Numerics.Sketch.merge_into ~into sk;
+  into
+
 (* Sketch fan-out: same stream discipline as [estimate_par_batched_col] —
    one stream per chunk, [batch_size] segments — but each chunk
    accumulates a t-digest instead of a Welford state, and the digests
@@ -174,29 +194,38 @@ let probability_par ?pool ?chunks ~n ~seed event =
    [parallel_for_reduce], so the resulting sketch — hence every quantile
    read from it — is a pure function of (seed, chunks, n, compression):
    bit-identical at any domain count.  The fold is the allocation-free
-   in-place [Sketch.merge_into], which recycles the accumulator's
-   centroid and scratch columns and is bit-identical to [Sketch.merge] by
-   construction. *)
+   in-place [Sketch.merge_into], which is bit-identical to
+   [Sketch.merge] by construction. *)
 let sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill =
   if n < 1 then invalid_arg "Mc.sketch_par_col: n < 1";
   fan_out ?pool ?chunks ~name:"Mc.sketch_par_col" ~n ~seed
     ~init:(Numerics.Sketch.create ?compression ())
-    ~merge:(fun into sk ->
-      Numerics.Sketch.merge_into ~into sk;
-      into)
+    ~merge:merge_sketch
     (fun ~size rng ->
-      let sk = Numerics.Sketch.create ?compression () in
-      if size > 0 then begin
-        let fill = make_fill () in
-        segments ~size (fun col ~start:_ ~len ->
-            fill rng (Numerics.Columns.unsafe_data col) ~pos:0 ~len;
-            Numerics.Sketch.add_column sk col ~pos:0 ~len)
-      end;
-      sk)
+      chunk_sketch ?compression ~size rng make_fill (fun _ _ -> ()))
 
-let quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill =
-  let sk = sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill in
-  Array.map (Numerics.Sketch.quantile sk) ps
+(* [estimate_par_batched_col] and [sketch_par_col] on one fan-out: each
+   chunk fills its column once and feeds it to both a Welford state and a
+   sketch, and the pairs fold in chunk order, so both halves equal the
+   separate calls bit for bit at half the sampling cost. *)
+let estimate_quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill =
+  if n < 2 then invalid_arg "Mc.estimate_quantiles_par: n < 2";
+  let acc, sk =
+    fan_out ?pool ?chunks ~name:"Mc.estimate_quantiles_par" ~n ~seed
+      ~init:
+        ( Numerics.Summary.Online.create (),
+          Numerics.Sketch.create ?compression () )
+      ~merge:(fun (acc, into) (chunk_acc, sk) ->
+        (Numerics.Summary.Online.merge acc chunk_acc, merge_sketch into sk))
+      (fun ~size rng ->
+        let acc = Numerics.Summary.Online.create () in
+        let sk =
+          chunk_sketch ?compression ~size rng make_fill (fun col len ->
+              Numerics.Summary.Online.add_column acc col ~pos:0 ~len)
+        in
+        (acc, sk))
+  in
+  (of_online acc n, Array.map (Numerics.Sketch.quantile sk) ps)
 
 (* ------------------------------------------------------------------ *)
 (* Importance sampling.

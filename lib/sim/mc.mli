@@ -146,9 +146,15 @@ val sketch_par_col :
   (unit -> batch_fill_col) ->
   Numerics.Sketch.t
 
-(** [quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill] —
-    [Array.map (Sketch.quantile (sketch_par_col ...)) ps]. *)
-val quantiles_par :
+(** [estimate_quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps
+    make_fill] — [estimate_par_batched_col] and the [ps]-quantiles of
+    [sketch_par_col] over the same arguments, from one fan-out: each chunk
+    fills its column once and feeds it to both the Welford state and the
+    sketch.
+    Both halves equal the separate calls bit for bit, so with a
+    {!fill_col_of_scalar} fill the estimate also equals [estimate_par]
+    over the scalar sampler.  [n >= 2]. *)
+val estimate_quantiles_par :
   ?pool:Numerics.Parallel.pool ->
   ?compression:float ->
   ?chunks:int ->
@@ -156,7 +162,7 @@ val quantiles_par :
   seed:int ->
   ps:float array ->
   (unit -> batch_fill_col) ->
-  float array
+  estimate * float array
 
 (** {1 Variance reduction}
 

@@ -14,6 +14,9 @@
 #      keeps a floatarray is the QMC point vector (Sobol.next and the
 #      Mc.estimate_qmc callback take one point of `dim` coordinates, not
 #      a batch).
+#   4. `Array.sort Float.compare` (or stable_sort/fast_sort) in lib/: the
+#      one float sort is Columns.sort, in place and unboxed, in the same
+#      order; the polymorphic sort boxes both operands of every compare.
 #
 # A line can be exempted from rules 1-2 with a trailing
 # `(* lint: allow-poly-compare *)`, and from rule 3 with
@@ -48,6 +51,16 @@ if [ -n "$hits" ]; then
   echo "lint-src: floatarray in lib/ (batches are Columns):" >&2
   echo "$hits" >&2
   echo "  use a Columns kernel; only the QMC point seam is exempt" >&2
+  fail=1
+fi
+
+hits=$(grep -rn --include='*.ml' -E \
+  'Array\.(sort|stable_sort|fast_sort)[[:space:]]+(Stdlib\.)?Float\.compare' \
+  lib/)
+if [ -n "$hits" ]; then
+  echo "lint-src: float array sorted with Float.compare in lib/:" >&2
+  echo "$hits" >&2
+  echo "  sort a column copy with Columns.sort instead" >&2
   fail=1
 fi
 

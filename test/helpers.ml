@@ -30,6 +30,28 @@ let qcheck ?(count = 200) name gen prop =
 
 let rng_of_seed seed = Numerics.Rng.create seed
 
+(* A sample for sort checks: [n] values in [0,1] with ties (a few
+   repeated values, [0.] and [1.]), and NaNs when [nans].  No [-0.]: it
+   compares equal to [0.], so two correct sorts may order the pair
+   differently. *)
+let tied_sample ?(nans = false) rng n =
+  let pool = Array.init 4 (fun _ -> Numerics.Rng.float rng) in
+  Array.init n (fun _ ->
+      match Numerics.Rng.int rng 8 with
+      | 0 | 1 -> pool.(Numerics.Rng.int rng 4)
+      | 2 -> 0.0
+      | 3 -> 1.0
+      | 4 when nans -> Float.nan
+      | _ -> Numerics.Rng.float rng)
+
+(* The reference sort: a sorted copy by the stdlib's polymorphic sort. *)
+let sorted_copy xs =
+  let s = Array.copy xs in
+  Array.sort Float.compare s;
+  s
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 (* A random case tree with unique ids ("n0", "n1", ...; assumptions
    "a0", "a1", ...), driven by one deterministic Rng so every qcheck
    counterexample is a reproducible (seed, depth) pair.  The root is

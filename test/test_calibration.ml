@@ -64,10 +64,32 @@ let test_ks_bounds () =
     (C.ks_uniform_stat [ 0.5; 0.5; 0.5; 0.5 ] >= 0.5);
   check_raises_invalid "empty" (fun () -> ignore (C.ks_uniform_stat []))
 
+(* The statistic as computed before it sorted through [Columns.sort]. *)
+let ks_uniform_stat_ref xs =
+  let arr = sorted_copy (Array.of_list xs) in
+  let n = Array.length arr in
+  let stat = ref 0.0 in
+  Array.iteri
+    (fun i x ->
+      let ecdf_hi = float_of_int (i + 1) /. float_of_int n in
+      let ecdf_lo = float_of_int i /. float_of_int n in
+      stat := max !stat (max (abs_float (ecdf_hi -. x)) (abs_float (x -. ecdf_lo))))
+    arr;
+  !stat
+
+let test_ks_matches_sort =
+  qcheck ~count:300 "KS statistic matches a sorted copy bitwise"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of_seed seed in
+      let xs = Array.to_list (tied_sample rng (1 + Numerics.Rng.int rng 300)) in
+      same_bits (C.ks_uniform_stat xs) (ks_uniform_stat_ref xs))
+
 let suite =
   [ case "brier score" test_brier;
     case "log score" test_log_score;
     case "calibration curve" test_calibration_curve;
     case "PIT of a calibrated expert" test_pit_calibrated_expert;
     case "PIT flags overconfidence" test_pit_overconfident_expert;
-    case "KS statistic bounds" test_ks_bounds ]
+    case "KS statistic bounds" test_ks_bounds;
+    test_ks_matches_sort ]

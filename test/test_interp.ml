@@ -53,9 +53,28 @@ let test_roundtrip =
         abs_float (Ip.linear xs ys x -. y) < 1e-9
       end)
 
+let test_spaces_match_oracle =
+  qcheck ~count:300 "linspace/logspace match the Array.init oracle bitwise"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of_seed seed in
+      let n = Numerics.Rng.int rng 40 in
+      let a = Numerics.Rng.uniform rng (-2.0) 3.0 in
+      let b = Numerics.Rng.uniform rng (-2.0) 3.0 in
+      let outcome f =
+        match f () with
+        | xs -> Ok (Array.map Int64.bits_of_float xs)
+        | exception Invalid_argument m -> Error m
+      in
+      outcome (fun () -> Numerics.Interp.linspace a b n)
+      = outcome (fun () -> Grid_oracle.linspace a b n)
+      && outcome (fun () -> Numerics.Interp.logspace a b n)
+         = outcome (fun () -> Grid_oracle.logspace a b n))
+
 let suite =
   [ case "search_sorted" test_search_sorted;
     case "linear interpolation" test_linear;
     case "inverse of tabulated monotone fn" test_inverse_monotone;
     case "linspace / logspace" test_linspace_logspace;
+    test_spaces_match_oracle;
     test_roundtrip ]

@@ -63,6 +63,34 @@ let test_ablations_run () =
       if String.length out < 100 then Alcotest.failf "[%s] trivial output" id)
     Repro.Ablations.all
 
+(* MD5 of each Monte-Carlo figure's full output, recorded from the
+   [Array.sort]-flushing sketch and the array-per-pass grid posteriors
+   that the unboxed kernels replaced.  Every figure must hash the same on
+   a 1-domain and a 2-domain pool, and match its recorded digest. *)
+let recorded_digests =
+  [ ("conservative", "4e25843507c2af135761e9a010a8b3bf");
+    ("figure5", "c7aef6f98672678bfafd5626b0bc12d9");
+    ("tailcut", "890d78eeb6cfe373974a16418667fb63");
+    ("decisions", "0e7f3caa6326e4f0617f63f7696ee5cd");
+    ("vr", "600a31557383b2cc5f1d0eb43dab5d05") ]
+
+let test_figure_digests () =
+  let digests num_domains =
+    Numerics.Parallel.with_pool ~num_domains (fun pool ->
+        List.map
+          (fun (id, _) ->
+            Digest.to_hex (Digest.string (Repro.Experiments.run_one ~pool id)))
+          recorded_digests)
+  in
+  let one = digests 1 and two = digests 2 in
+  List.iteri
+    (fun i (id, recorded) ->
+      Alcotest.(check string) (id ^ ": 1 domain = 2 domains") (List.nth one i)
+        (List.nth two i);
+      Alcotest.(check string) (id ^ ": recorded digest") recorded
+        (List.nth one i))
+    recorded_digests
+
 let suite =
   [ case "registry completeness" test_registry_complete;
     case "paper constants" test_paper_constants;
@@ -93,5 +121,6 @@ let suite =
            "Samples to reach 10% relative standard error" ]);
     case "mtbf checkpoints"
       (expect_fragments "mtbf" [ "tight at t = 1/phi" ]);
+    case "Monte-Carlo figures byte-identical" test_figure_digests;
     case "csv exports" test_csv_exports;
     case "ablations run" test_ablations_run ]

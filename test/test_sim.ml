@@ -84,9 +84,12 @@ let test_sketch_par_determinism () =
   let ps = [| 0.05; 0.25; 0.5; 0.75; 0.95 |] in
   let run d =
     Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
-        Mc.quantiles_par ~pool ~n:50_000 ~chunks:16 ~seed:88 ~ps (fun () ->
-            fun rng buf ~pos ~len ->
-              Numerics.Rng.fill_floats_col rng buf ~pos ~len))
+        Array.map
+          (Numerics.Sketch.quantile
+             (Mc.sketch_par_col ~pool ~n:50_000 ~chunks:16 ~seed:88 (fun () ->
+                  fun rng buf ~pos ~len ->
+                    Numerics.Rng.fill_floats_col rng buf ~pos ~len)))
+          ps)
   in
   let a = run 1 in
   List.iter
@@ -122,6 +125,44 @@ let test_sketch_par_counts_and_validation () =
       ignore
         (Mc.sketch_par_col ~n:10 ~chunks:0 ~seed:0 (fun () ->
              fun _ _ ~pos:_ ~len:_ -> ())))
+
+let test_estimate_quantiles_par () =
+  (* One fan-out feeding both states equals the two separate runs bit for
+     bit at every domain count, and over a lifted scalar sampler the
+     estimate equals scalar [estimate_par]; a multi-segment run (chunks
+     longer than [batch_size]) and an empty chunk are included. *)
+  let bits = Int64.bits_of_float in
+  let f rng = Numerics.Rng.lognormal rng ~mu:(-5.0) ~sigma:1.2 in
+  let ps = [| 0.1; 0.5; 0.9 |] in
+  List.iter
+    (fun (n, chunks) ->
+      let make_fill () = Mc.fill_col_of_scalar f in
+      let scalar = Mc.estimate_par ~n ~chunks ~seed:17 f in
+      let sk = Mc.sketch_par_col ~n ~chunks ~seed:17 make_fill in
+      let sk = Array.map (Numerics.Sketch.quantile sk) ps in
+      List.iter
+        (fun d ->
+          let e, qs =
+            Numerics.Parallel.with_pool ~num_domains:d (fun pool ->
+                Mc.estimate_quantiles_par ~pool ~n ~chunks ~seed:17 ~ps
+                  make_fill)
+          in
+          let tag = Printf.sprintf "n=%d chunks=%d domains=%d" n chunks d in
+          check_true (tag ^ ": estimate = estimate_par")
+            (List.for_all2
+               (fun a b -> bits a = bits b)
+               [ e.Mc.mean; e.std_error; e.ci95_lo; e.ci95_hi ]
+               [ scalar.Mc.mean; scalar.std_error; scalar.ci95_lo;
+                 scalar.ci95_hi ]
+            && e.n = scalar.n);
+          check_true (tag ^ ": quantiles = sketch_par_col")
+            (Array.for_all2 (fun a b -> bits a = bits b) qs sk))
+        [ 1; 2 ])
+    [ (200, 16); (3 * Mc.batch_size + 17, 2); (5, 8) ];
+  check_raises_invalid "n < 2" (fun () ->
+      ignore
+        (Mc.estimate_quantiles_par ~n:1 ~chunks:1 ~seed:0 ~ps (fun () ->
+             Mc.fill_col_of_scalar f)))
 
 let test_fill_col_of_scalar () =
   (* The lifted fill consumes the generator exactly like a scalar loop,
@@ -177,6 +218,8 @@ let suite =
     case "sketch_par bit-identical across domains" test_sketch_par_determinism;
     case "sketch_par counts and validation" test_sketch_par_counts_and_validation;
     case "fill_of_scalar replays the scalar stream" test_fill_col_of_scalar;
+    case "estimate_quantiles_par = estimate_par + sketch_par_col"
+      test_estimate_quantiles_par;
     case "pfd_sketch_par matches analytic quantiles" test_pfd_sketch_par;
     case "MC probability" test_mc_probability;
     case "equation (4) verified by simulation" test_equation_4;

@@ -196,6 +196,115 @@ let qcheck_merge_chunk_order =
           = Int64.bits_of_float (Numerics.Sketch.quantile b p))
         [ 0.05; 0.5; 0.95 ])
 
+(* --- bit for bit against the Array.sort-flushing reference --- *)
+
+module O = Sketch_oracle
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let lib_state sk =
+  let cols = Numerics.Sketch.to_columns sk in
+  let get name = Numerics.Columns.to_array (Numerics.Columns.find cols name) in
+  let meta = get "meta" in
+  (get "mean", get "weight", meta.(1), meta.(2), meta.(3))
+
+let same_state (m, w, total, lo, hi) (m', w', total', lo', hi') =
+  same_floats m m' && same_floats w w'
+  && same_floats [| total; lo; hi |] [| total'; lo'; hi' |]
+
+(* A stream with duplicates: values from a small pool, small integers
+   (ties across flushes, and [0.]) and fresh uniforms.  No [-0.]: it
+   compares equal to [0.], so two correct sorts may order the pair
+   differently (see the next test). *)
+let dup_stream rng len =
+  let pool =
+    Array.init (1 + Numerics.Rng.int rng 6) (fun _ ->
+        Numerics.Rng.normal rng ~mu:0.0 ~sigma:1.0)
+  in
+  Array.init len (fun _ ->
+      match Numerics.Rng.int rng 4 with
+      | 0 | 1 -> pool.(Numerics.Rng.int rng (Array.length pool))
+      | 2 -> float_of_int (Numerics.Rng.int rng 7 - 3)
+      | _ -> Numerics.Rng.float rng)
+
+(* Feed [xs] to a library sketch and a reference sketch alike: runs of
+   [add] and [add_column] slices (at an offset inside a larger column),
+   with a NaN planted in some slices; both must raise the same error and
+   keep the same count after every step. *)
+let feed rng ~compression xs =
+  let sk = Numerics.Sketch.create ~compression () in
+  let ok = O.create ~compression () in
+  let n = Array.length xs in
+  let i = ref 0 and agree = ref true in
+  while !i < n do
+    let len = min (n - !i) (1 + Numerics.Rng.int rng 700) in
+    let slice = Array.sub xs !i len in
+    (if Numerics.Rng.bool rng then
+       Array.iter
+         (fun x ->
+           Numerics.Sketch.add sk x;
+           O.add ok x)
+         slice
+     else begin
+       let pos = Numerics.Rng.int rng 5 in
+       let col = Numerics.Columns.make (pos + len + 3) 7.0 in
+       Array.iteri (fun j x -> Numerics.Columns.set col (pos + j) x) slice;
+       if Numerics.Rng.int rng 10 = 0 then
+         Numerics.Columns.set col (pos + Numerics.Rng.int rng len) Float.nan;
+       let run f =
+         match f () with () -> None | exception Invalid_argument m -> Some m
+       in
+       let a = run (fun () -> Numerics.Sketch.add_column sk col ~pos ~len) in
+       let b = run (fun () -> O.add_column ok col ~pos ~len) in
+       if a <> b then agree := false
+     end);
+    if Numerics.Sketch.count sk <> O.count ok then agree := false;
+    i := !i + len
+  done;
+  (sk, ok, !agree)
+
+let qcheck_matches_sort_oracle =
+  qcheck ~count:150
+    "add/add_column/merge_into states match the Array.sort oracle"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of_seed seed in
+      let compression = [| 10.0; 25.0; 50.0; 200.0 |].(Numerics.Rng.int rng 4) in
+      let parts =
+        List.init (1 + Numerics.Rng.int rng 3) (fun _ ->
+            feed rng ~compression (dup_stream rng (Numerics.Rng.int rng 3000)))
+      in
+      let fed = List.for_all (fun (_, _, agree) -> agree) parts in
+      match parts with
+      | [] -> true
+      | (into, into', _) :: rest ->
+        List.iter
+          (fun (sk, ok, _) ->
+            Numerics.Sketch.merge_into ~into sk;
+            O.merge_into ~into:into' ok)
+          rest;
+        fed && same_state (lib_state into) (O.state into'))
+
+let mixed_sign_zeros () =
+  (* [-0.] and [0.] compare equal, so the in-place sort and the reference
+     may order them differently: the states agree as values. *)
+  let xs =
+    Array.init 3000 (fun i ->
+        match i mod 3 with
+        | 0 -> -0.0
+        | 1 -> 0.0
+        | _ -> float_of_int (i mod 17))
+  in
+  let sk = Numerics.Sketch.create ~compression:25.0 () in
+  let ok = O.create ~compression:25.0 () in
+  Numerics.Sketch.add_column sk (Numerics.Columns.of_array xs) ~pos:0 ~len:3000;
+  Array.iter (O.add ok) xs;
+  let m, w, total, lo, hi = lib_state sk in
+  let m', w', total', lo', hi' = O.state ok in
+  check_true "values equal"
+    (m = m' && w = w' && total = total' && lo = lo' && hi = hi')
+
 let suite =
   [ case "small sketches are exact" exact_small;
     case "uniform quantile error" uniform_error;
@@ -207,4 +316,6 @@ let suite =
     case "centroid count bounded" bounded_memory;
     case "argument validation" rejects_bad_input;
     qcheck_quantile_monotone;
-    qcheck_merge_chunk_order ]
+    qcheck_merge_chunk_order;
+    qcheck_matches_sort_oracle;
+    case "mixed-sign zeros agree as values" mixed_sign_zeros ]

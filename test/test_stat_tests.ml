@@ -79,6 +79,29 @@ let test_ks_p_values_calibrated () =
   let rate = float_of_int !rejections /. float_of_int trials in
   check_in_range "10% nominal rejection" ~lo:0.04 ~hi:0.17 rate
 
+(* The statistic as computed before it sorted through [Columns.sort]. *)
+let ks_statistic_ref xs ~cdf =
+  let sorted = sorted_copy xs in
+  let n = Array.length sorted in
+  let stat = ref 0.0 in
+  Array.iteri
+    (fun i x ->
+      let f = cdf x in
+      let hi = float_of_int (i + 1) /. float_of_int n in
+      let lo = float_of_int i /. float_of_int n in
+      stat := max !stat (max (abs_float (hi -. f)) (abs_float (f -. lo))))
+    sorted;
+  !stat
+
+let test_ks_statistic_matches_sort =
+  qcheck ~count:300 "KS statistic matches a sorted copy bitwise"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = rng_of_seed seed in
+      let xs = tied_sample rng (8 + Numerics.Rng.int rng 300) in
+      let cdf x = x *. x in
+      same_bits (St.ks_one_sample xs ~cdf).statistic (ks_statistic_ref xs ~cdf))
+
 let suite =
   [ case "chi-square by hand" test_chi_square_hand;
     case "chi-square rejects gross misfit" test_chi_square_rejects;
@@ -87,4 +110,5 @@ let suite =
     case "KS accepts uniform data" test_ks_uniform_accepts_uniform;
     case "KS rejects non-uniform data" test_ks_uniform_rejects_beta;
     case "KS one-sample" test_ks_one_sample;
+    test_ks_statistic_matches_sort;
     case "KS p-values calibrated under the null" test_ks_p_values_calibrated ]

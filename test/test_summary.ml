@@ -30,7 +30,8 @@ let test_quantile_total_order () =
   let data = [| 3.0; Float.nan; 1.0; 2.0 |] in
   check_true "NaNs sort first" (Float.is_nan (S.quantile data 0.0));
   check_close "top quantile is real data" 3.0 (S.quantile data 1.0);
-  (* Signed zeros are ordered, not treated as equal-and-arbitrary. *)
+  (* Signed zeros compare equal: either may sort first, and the
+     quantile is a zero. *)
   check_close "negative zero before positive" (-0.0)
     (S.quantile [| 0.0; -0.0 |] 0.0)
 
@@ -148,10 +149,22 @@ let test_merge_associative =
            (S.Online.variance l -. S.Online.variance r)
          < 1e-7)
 
+let test_quantile_matches_sort =
+  qcheck ~count:300 "quantile matches a sorted copy bitwise"
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (float_bound_inclusive 1.0))
+    (fun (seed, p) ->
+      let rng = rng_of_seed seed in
+      let xs = tied_sample ~nans:true rng (1 + Numerics.Rng.int rng 300) in
+      List.for_all
+        (fun p ->
+          same_bits (S.quantile xs p) (S.quantile_sorted (sorted_copy xs) p))
+        [ 0.0; p; 0.5; 1.0 ])
+
 let suite =
   [ case "moments" test_moments;
     case "quantiles" test_quantiles;
     case "quantile total order (NaN, signed zero)" test_quantile_total_order;
+    test_quantile_matches_sort;
     case "extrema" test_extrema;
     case "histogram" test_histogram;
     case "online accumulator" test_online_matches_batch;
