@@ -364,10 +364,30 @@ let micro_rows () =
         let rng = Numerics.Rng.create 7 in
         Numerics.Rng.fill_floats_col rng buf ~pos:0 ~len:micro_n)
   in
+  (* The case-file value reader: 10^6 confidences spelled %.17g, as a
+     case file's evidence lines spell them (the headline case's leaf
+     band below), read in place from one text by [Decimal.of_span]. *)
+  let decimal_parse =
+    let rng = Numerics.Rng.create 11 in
+    let buf = Buffer.create (20 * micro_n) in
+    let at = Array.make micro_n 0 and len = Array.make micro_n 0 in
+    for k = 0 to micro_n - 1 do
+      at.(k) <- Buffer.length buf;
+      Printf.bprintf buf "%.17g\n" (Numerics.Rng.uniform rng 0.999998 0.9999999);
+      len.(k) <- Buffer.length buf - at.(k) - 1
+    done;
+    let text = Buffer.contents buf in
+    ols_nanos ~name:"decimal_parse_1e6" (fun () ->
+        let sum = ref 0.0 in
+        for k = 0 to micro_n - 1 do
+          sum := !sum +. Numerics.Decimal.of_span text at.(k) len.(k)
+        done;
+        !sum)
+  in
   [ quantile_sort; quantile_select; empirical_quantile_boxed;
     empirical_quantile_soa; mixture_scalar; mixture_soa; sketch_add;
     posterior_demands; sketch_merge; sketch_merge_into; columns_save;
-    columns_load; columns_load_mmap; rng_scalar; rng_fill ]
+    columns_load; columns_load_mmap; rng_scalar; rng_fill; decimal_parse ]
 
 (* ------------------------------------------------------------------ *)
 (* Case-graph rows at the ROADMAP's 10^6-node scale.  The headline

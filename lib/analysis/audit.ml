@@ -52,8 +52,9 @@ let name g i =
    failure; reporting each would drown the reader and dominate the
    audit's runtime (C016 carries a sensitivity probe per finding).  The
    emitter counts every finding but materialises at most [cap] per code,
-   summarising the rest in one info diagnostic.  [emit] takes a thunk so
-   suppressed findings never pay for their payload. *)
+   summarising the rest in one info diagnostic.  [admit em code] counts a
+   finding and says whether to materialise it; only then does the caller
+   build it and [keep] it, so a suppressed finding allocates nothing. *)
 type emitter = {
   mutable acc : D.t list; (* reversed *)
   counts : (string, int ref) Hashtbl.t;
@@ -62,18 +63,16 @@ type emitter = {
 
 let emitter cap = { acc = []; counts = Hashtbl.create 8; cap }
 
-let emit em code mk =
-  let n =
-    match Hashtbl.find_opt em.counts code with
-    | Some r ->
-      incr r;
-      !r
-    | None ->
-      let r = ref 1 in
-      Hashtbl.add em.counts code r;
-      1
-  in
-  if n <= em.cap then em.acc <- mk () :: em.acc
+let admit em code =
+  match Hashtbl.find em.counts code with
+  | r ->
+    incr r;
+    !r <= em.cap
+  | exception Not_found ->
+    Hashtbl.add em.counts code (ref 1);
+    1 <= em.cap
+
+let keep em d = em.acc <- d :: em.acc
 
 let finish em =
   let notes =
@@ -105,53 +104,59 @@ let lint_into em ~locate g =
     | G.Evidence -> ()
     | G.All_goal | G.Any_goal ->
       let k = G.child_count g i in
-      if k = 1 then
-        emit em "C005" (fun () ->
-            let line, col = position locate i in
-            D.make ~code:"C005" ~severity:D.Warning ~line ~col
-              (match G.kind_of g i with
-              | G.Any_goal ->
-                Printf.sprintf
-                  "`any` goal %s has a single leg: the alternative is vacuous"
-                  (name g i)
-              | _ ->
-                Printf.sprintf
-                  "goal %s has a single child: it adds a layer without \
-                   adding an argument"
-                  (name g i)))
-      else if k > Case_rules.max_fan_out then
-        emit em "C008" (fun () ->
-            let line, col = position locate i in
-            D.make ~code:"C008" ~severity:D.Warning ~line ~col
-              (Printf.sprintf
-                 "goal %s combines %d children (more than %d): consider \
-                  grouping them into subgoals"
-                 (name g i) k Case_rules.max_fan_out));
+      if k = 1 then begin
+        if admit em "C005" then begin
+          let line, col = position locate i in
+          keep em
+            (D.make ~code:"C005" ~severity:D.Warning ~line ~col
+               (match G.kind_of g i with
+               | G.Any_goal ->
+                 Printf.sprintf
+                   "`any` goal %s has a single leg: the alternative is vacuous"
+                   (name g i)
+               | _ ->
+                 Printf.sprintf
+                   "goal %s has a single child: it adds a layer without \
+                    adding an argument"
+                   (name g i)))
+        end
+      end
+      else if k > Case_rules.max_fan_out && admit em "C008" then begin
+        let line, col = position locate i in
+        keep em
+          (D.make ~code:"C008" ~severity:D.Warning ~line ~col
+             (Printf.sprintf
+                "goal %s combines %d children (more than %d): consider \
+                 grouping them into subgoals"
+                (name g i) k Case_rules.max_fan_out))
+      end;
       (match G.kind_of g i with
       | G.Any_goal ->
         let ov = G.overlap_fraction g i in
-        if ov > 0.0 then
-          emit em "C009" (fun () ->
-              let line, col = position locate i in
-              D.make ~code:"C009" ~severity:D.Warning ~line ~col
-                ~data:[ ("overlap_fraction", ov) ]
-                (Printf.sprintf
-                   "legs of `any` goal %s share evidence (%.0f%% of the \
-                    goal's distinct evidence is cited from two or more \
-                    legs): they are not independent alternatives"
-                   (name g i) (100.0 *. ov)))
+        if ov > 0.0 && admit em "C009" then begin
+          let line, col = position locate i in
+          keep em
+            (D.make ~code:"C009" ~severity:D.Warning ~line ~col
+               ~data:[ ("overlap_fraction", ov) ]
+               (Printf.sprintf
+                  "legs of `any` goal %s share evidence (%.0f%% of the \
+                   goal's distinct evidence is cited from two or more \
+                   legs): they are not independent alternatives"
+                  (name g i) (100.0 *. ov)))
+        end
       | _ -> ())
   done;
   let depth = G.levels g in
-  if depth > Case_rules.max_depth then
-    emit em "C007" (fun () ->
-        let root = G.root g in
-        let line, col = position locate root in
-        D.make ~code:"C007" ~severity:D.Warning ~line ~col
-          (Printf.sprintf
-             "argument is %d levels deep (more than %d): deep chains \
-              multiply doubt and are hard to review"
-             depth Case_rules.max_depth))
+  if depth > Case_rules.max_depth && admit em "C007" then begin
+    let root = G.root g in
+    let line, col = position locate root in
+    keep em
+      (D.make ~code:"C007" ~severity:D.Warning ~line ~col
+         (Printf.sprintf
+            "argument is %d levels deep (more than %d): deep chains \
+             multiply doubt and are hard to review"
+            depth Case_rules.max_depth))
+  end
 
 (* --- semantic passes ---------------------------------------------------------- *)
 
@@ -167,9 +172,9 @@ let sensitivity g dep v root_value =
   ignore (G.refresh dep g);
   (root_value -. degraded) /. h
 
-let bits = Int64.bits_of_float
-let same_bits a b = Int64.equal (bits a) (bits b)
-
+(* The semantic passes allocate per document, not per node: the
+   vacuous-leg probe is one unboxed [G.leg_is_inert] call per column, and
+   a finding is built only when the emitter admits it. *)
 let semantic_into em ~locate options g =
   let dep = options.dependence in
   let root = G.root g in
@@ -183,34 +188,37 @@ let semantic_into em ~locate options g =
      assumption budget (rather than the evidence) what caps it? *)
   (match options.target with
   | Some target when root_hi < target ->
-    emit em "C013" (fun () ->
-        let line, col = position locate root in
-        D.make ~code:"C013" ~severity:D.Error ~line ~col
-          ~data:
-            [ ("attainable_lo", root_lo);
-              ("attainable_hi", root_hi);
-              ("target", target) ]
-          (Printf.sprintf
-             "top claim %s is unattainable: best-case confidence %.6g under \
-              %s is below the required target %.6g"
-             (name g root) root_hi (dependence_name dep) target));
+    if admit em "C013" then begin
+      let line, col = position locate root in
+      keep em
+        (D.make ~code:"C013" ~severity:D.Error ~line ~col
+           ~data:
+             [ ("attainable_lo", root_lo);
+               ("attainable_hi", root_hi);
+               ("target", target) ]
+           (Printf.sprintf
+              "top claim %s is unattainable: best-case confidence %.6g under \
+               %s is below the required target %.6g"
+              (name g root) root_hi (dependence_name dep) target))
+    end;
     let _, hi_na =
       G.propagate_bounds ~leaf_bounds ~with_assumptions:false dep g
     in
     let root_hi_na = Columns.get hi_na root in
-    if root_hi_na >= target then
-      emit em "C015" (fun () ->
-          let line, col = position locate root in
-          D.make ~code:"C015" ~severity:D.Warning ~line ~col
-            ~data:
-              [ ("attainable_hi", root_hi);
-                ("attainable_hi_no_assumptions", root_hi_na);
-                ("target", target) ]
-            (Printf.sprintf
-               "assumption validity alone caps %s below the target: without \
-                the assumption discounts the argument could reach %.6g \
-                (>= %.6g), with them at most %.6g"
-               (name g root) root_hi_na target root_hi))
+    if root_hi_na >= target && admit em "C015" then begin
+      let line, col = position locate root in
+      keep em
+        (D.make ~code:"C015" ~severity:D.Warning ~line ~col
+           ~data:
+             [ ("attainable_hi", root_hi);
+               ("attainable_hi_no_assumptions", root_hi_na);
+               ("target", target) ]
+           (Printf.sprintf
+              "assumption validity alone caps %s below the target: without \
+               the assumption discounts the argument could reach %.6g \
+               (>= %.6g), with them at most %.6g"
+              (name g root) root_hi_na target root_hi))
+    end
   | _ -> ());
   (* C014: a leg whose removal cannot change its goal — neither the
      propagated value nor the attainable interval, all compared bitwise.
@@ -223,49 +231,49 @@ let semantic_into em ~locate options g =
     | G.Evidence -> ()
     | G.All_goal | G.Any_goal ->
       let k = G.child_count g i in
-      if k >= 2 && k <= options.max_vacuity_children then begin
-        let av = G.assumption_validity g i in
-        let unchanged c col =
-          same_bits (G.combine ~skip:c dep g i col *. av) (Columns.get col i)
-        in
+      if k >= 2 && k <= options.max_vacuity_children then
         for c = 0 to k - 1 do
-          if unchanged c vals && unchanged c lo && unchanged c hi then
-            emit em "C014" (fun () ->
-                let child = (G.children g i).(c) in
-                let line, col = position locate child in
-                D.make ~code:"C014" ~severity:D.Warning ~line ~col
-                  ~data:[ ("goal_index", float_of_int i) ]
-                  (Printf.sprintf
-                     "leg %s of goal %s is vacuous under %s: removing it \
-                      cannot change the propagated value or the attainable \
-                      interval"
-                     (name g child) (name g i) (dependence_name dep)))
+          if G.leg_is_inert dep g i c vals && G.leg_is_inert dep g i c lo
+             && G.leg_is_inert dep g i c hi && admit em "C014"
+          then begin
+            let child = (G.children g i).(c) in
+            let line, col = position locate child in
+            keep em
+              (D.make ~code:"C014" ~severity:D.Warning ~line ~col
+                 ~data:[ ("goal_index", float_of_int i) ]
+                 (Printf.sprintf
+                    "leg %s of goal %s is vacuous under %s: removing it \
+                     cannot change the propagated value or the attainable \
+                     interval"
+                    (name g child) (name g i) (dependence_name dep)))
+          end
         done
-      end
   done;
   (* C016: dominator/articulation evidence — a single item whose
      refutation defeats the root regardless of the rest of the case. *)
   let spofs = G.spof_evidence g in
-  Array.iter
-    (fun v ->
-      emit em "C016" (fun () ->
-          let line, col = position locate v in
-          let parents = float_of_int (G.parent_count g v) in
-          let parent_overlap =
-            Array.fold_left
-              (fun acc p -> Float.max acc (G.overlap_fraction g p))
-              0.0 (G.parents g v)
-          in
-          D.make ~code:"C016" ~severity:D.Warning ~line ~col
-            ~data:
-              [ ("parent_count", parents);
-                ("parent_overlap", parent_overlap);
-                ("sensitivity", sensitivity g dep v root_value) ]
-            (Printf.sprintf
-               "evidence %s is a single point of failure: its refutation \
-                alone defeats root %s (no alternative leg avoids it)"
-               (name g v) (name g root))))
-    spofs
+  for s = 0 to Array.length spofs - 1 do
+    let v = spofs.(s) in
+    if admit em "C016" then begin
+      let line, col = position locate v in
+      let parents = float_of_int (G.parent_count g v) in
+      let parent_overlap =
+        Array.fold_left
+          (fun acc p -> Float.max acc (G.overlap_fraction g p))
+          0.0 (G.parents g v)
+      in
+      keep em
+        (D.make ~code:"C016" ~severity:D.Warning ~line ~col
+           ~data:
+             [ ("parent_count", parents);
+               ("parent_overlap", parent_overlap);
+               ("sensitivity", sensitivity g dep v root_value) ]
+           (Printf.sprintf
+              "evidence %s is a single point of failure: its refutation \
+               alone defeats root %s (no alternative leg avoids it)"
+              (name g v) (name g root)))
+    end
+  done
 
 let check_options options =
   (match options.target with

@@ -47,25 +47,31 @@ let rec word_end s stop j =
 let rec skip_blanks s stop j =
   if j < stop && is_blank s.[j] then skip_blanks s stop (j + 1) else j
 
-let rec quote_at s stop j =
-  if j < stop && s.[j] <> '"' then quote_at s stop (j + 1) else j
-
-(* [line_end] steps eight bytes at a time while a word holds no newline.
-   [has_newline s j]: a byte of [w = s.[j..j+8) lxor 0x0a..0a] is zero
-   where [s] has a newline, and [(w - 0x01..01) land lnot w land
+(* The two longest scans step eight bytes at a time while a word holds
+   no byte they stop at.  [has_byte bytes s j], [bytes] the byte to find
+   in all eight lanes: a byte of [w = s.[j..j+8) lxor bytes] is zero
+   where [s] has that byte, and [(w - 0x01..01) land lnot w land
    0x80..80] is non-zero iff some byte of [w] is zero. *)
 external word : string -> int -> int64 = "%caml_string_get64"
 
-let[@inline] has_newline s j =
-  let w = Int64.logxor (word s j) 0x0a0a0a0a0a0a0a0aL in
+let newlines = 0x0a0a0a0a0a0a0a0aL
+let quotes = 0x2222222222222222L
+
+let[@inline] has_byte bytes s j =
+  let w = Int64.logxor (word s j) bytes in
   not
     (Int64.equal 0L
        (Int64.logand
           (Int64.logand (Int64.sub w 0x0101010101010101L) (Int64.lognot w))
           0x8080808080808080L))
 
+let rec quote_at s stop j =
+  if j + 8 <= stop && not (has_byte quotes s j) then quote_at s stop (j + 8)
+  else if j < stop && s.[j] <> '"' then quote_at s stop (j + 1)
+  else j
+
 let rec line_end s len j =
-  if j + 8 <= len && not (has_newline s j) then line_end s len (j + 8)
+  if j + 8 <= len && not (has_byte newlines s j) then line_end s len (j + 8)
   else if j < len && s.[j] <> '\n' then line_end s len (j + 1)
   else j
 
@@ -90,7 +96,7 @@ let is_node_line s start stop =
    into a [row]: its kind, indentation, line number, the spans of its id
    and statement in the text, the columns of its id and value tokens, and
    the value.  A row is overwritten by the next line, so lexing allocates
-   nothing per line beyond the float [float_of_string] returns.  The
+   nothing per line beyond the float [Numerics.Decimal] returns.  The
    streamed loader steps straight off the row; [Raw.lex] copies each row
    into the columns of a [Raw.t]. *)
 
@@ -114,15 +120,11 @@ module Raw = struct
     mutable id_col : int;
     mutable value_col : int;
     num : num;
-    (* [scratch.(n)], made on first use, holds [n] bytes: a value token
-       is copied there for [float_of_string], not into a fresh string. *)
-    scratch : Bytes.t array;
   }
 
   let row () =
     { kind = Evidence; line = 0; indent = 0; id_at = 0; id_len = 0; st_at = 0;
-      st_len = 0; id_col = 0; value_col = 0; num = { value = 0.0 };
-      scratch = Array.make 33 Bytes.empty }
+      st_len = 0; id_col = 0; value_col = 0; num = { value = 0.0 } }
 
   (* [copy r d] — the line held in [r], into [d]. *)
   let copy (r : row) (d : row) =
@@ -137,19 +139,11 @@ module Raw = struct
     d.value_col <- r.value_col;
     d.num.value <- r.num.value
 
-  (* The value token [s.[r0..r1)] of an evidence or assumption line. *)
+  (* The value token [s.[r0..r1)] of an evidence or assumption line,
+     read in place. *)
   let value row s number r0 r1 what =
     let n = r1 - r0 in
-    let token =
-      if n < Array.length row.scratch then begin
-        if Bytes.length row.scratch.(n) <> n then row.scratch.(n) <- Bytes.create n;
-        let b = row.scratch.(n) in
-        Bytes.blit_string s r0 b 0 n;
-        Bytes.unsafe_to_string b
-      end
-      else String.sub s r0 n
-    in
-    match float_of_string token with
+    match Numerics.Decimal.of_span s r0 n with
     | v -> row.num.value <- v
     | exception Failure _ ->
       let token = String.sub s r0 n in
@@ -235,7 +229,7 @@ module Raw = struct
     let len = String.length s in
     let n = ref 0 and i = ref 0 in
     while !i + 8 <= len do
-      if has_newline s !i then
+      if has_byte newlines s !i then
         for j = !i to !i + 7 do
           if String.unsafe_get s j = '\n' then incr n
         done;

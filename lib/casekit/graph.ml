@@ -680,7 +680,7 @@ let dependence_of_string = function
   | "frechet-lower" -> Some Frechet_lower
   | "frechet-upper" -> Some Frechet_upper
   | s -> (
-    match float_of_string_opt s with
+    match Numerics.Decimal.of_string_opt s with
     | Some rho when rho >= 0.0 && rho <= 1.0 -> Some (Correlated rho)
     | _ -> None)
 
@@ -688,6 +688,11 @@ let dependence_of_string = function
    the Bigarray read compiles to an inline load, not a generic call. *)
 let[@inline] child_value t (vdata : Columns.ba) e =
   Bigarray.Array1.unsafe_get vdata (Array.unsafe_get t.child e)
+
+(* [at col i] — an unchecked read of a node column, as an inline load
+   even where [Columns.unsafe_get] is not inlined across modules, so the
+   kernels box no float. *)
+let[@inline] at col i = Bigarray.Array1.unsafe_get (Columns.unsafe_data col) i
 
 (* Combined (pre-assumption) value of goal [i] given its children's values
    in [vdata], leaving out the child at position [skip] (0-based; -1
@@ -700,8 +705,9 @@ let[@inline] child_value t (vdata : Columns.ba) e =
    dominated value under min/max) leaves the probe bitwise equal to the
    stored value.  The folds run left to right from the usual inits; the
    inlined min/max mirror Stdlib.min/max: fold min keeps acc when
-   acc <= c, fold max keeps acc when acc >= c. *)
-let combine_skip t dep vdata i skip =
+   acc <= c, fold max keeps acc when acc >= c.  It is inlined into each
+   caller, so its result is never boxed. *)
+let[@inline] combine_skip t dep vdata i skip =
   let off = Array.unsafe_get t.child_off i in
   let lim = Array.unsafe_get t.child_off (i + 1) in
   (* An edge index; off - 1 when nothing is skipped, which no e reaches. *)
@@ -740,7 +746,7 @@ let combine_skip t dep vdata i skip =
           if not (!como <= c) then como := c
         end
       done;
-      let ov = Columns.unsafe_get t.overlap i in
+      let ov = at t.overlap i in
       let rho = if ov > rho then ov else rho in
       ((1.0 -. rho) *. !ind) +. (rho *. !como)
   else
@@ -777,16 +783,16 @@ let combine_skip t dep vdata i skip =
       done;
       (* Shared-evidence discount: legs citing the same evidence are at
          least that correlated, so floor rho at the overlap. *)
-      let ov = Columns.unsafe_get t.overlap i in
+      let ov = at t.overlap i in
       let rho = if ov > rho then ov else rho in
       ((1.0 -. rho) *. (1.0 -. !ind)) +. (rho *. !como)
 
 (* Value of node [i] given its children's values in [vdata]: evidence
    reads its base confidence, a goal combines its children and applies
    the assumption-validity product. *)
-let compute t dep vdata i =
-  if Bytes.unsafe_get t.kinds i = tag_evidence then Columns.unsafe_get t.base i
-  else combine_skip t dep vdata i (-1) *. Columns.unsafe_get t.avalid i
+let[@inline] compute t dep vdata i =
+  if Bytes.unsafe_get t.kinds i = tag_evidence then at t.base i
+  else combine_skip t dep vdata i (-1) *. at t.avalid i
 
 let propagate dep t =
   check_dep dep;
@@ -1021,29 +1027,44 @@ let propagate_bounds ?(leaf_bounds = fun _ -> (0.0, 1.0))
       Bigarray.Array1.unsafe_set hid i h
     end
     else begin
-      let av = if with_assumptions then Columns.unsafe_get t.avalid i else 1.0 in
+      let av = if with_assumptions then at t.avalid i else 1.0 in
       Bigarray.Array1.unsafe_set lod i (combine_skip t dep lod i (-1) *. av);
       Bigarray.Array1.unsafe_set hid i (combine_skip t dep hid i (-1) *. av)
     end
   done;
   (lo, hi)
 
-let combine ?skip dep t i values =
+(* The argument checks of [combine] and [leg_is_inert], which name
+   themselves [fn] in the messages. *)
+let check_goal fn dep t i values =
   check_dep dep;
-  if i < 0 || i >= t.n then invalid_arg "Graph.combine: index out of range";
-  if Bytes.get t.kinds i = tag_evidence then
-    invalid_arg "Graph.combine: not a goal";
+  if i < 0 || i >= t.n then invalid_arg (fn ^ ": index out of range");
+  if Bytes.get t.kinds i = tag_evidence then invalid_arg (fn ^ ": not a goal");
   if Columns.length values < t.n then
-    invalid_arg "Graph.combine: value column shorter than the graph";
+    invalid_arg (fn ^ ": value column shorter than the graph")
+
+let check_leg fn t i k =
+  if k < 0 || k >= t.child_off.(i + 1) - t.child_off.(i) then
+    invalid_arg (fn ^ ": child position out of range")
+
+let combine ?skip dep t i values =
+  check_goal "Graph.combine" dep t i values;
   let skip =
     match skip with
     | None -> -1
     | Some k ->
-      if k < 0 || k >= t.child_off.(i + 1) - t.child_off.(i) then
-        invalid_arg "Graph.combine: child position out of range";
+      check_leg "Graph.combine" t i k;
       k
   in
   combine_skip t dep (Columns.unsafe_data values) i skip
+
+let leg_is_inert dep t i k values =
+  check_goal "Graph.leg_is_inert" dep t i values;
+  check_leg "Graph.leg_is_inert" t i k;
+  let vdata = Columns.unsafe_data values in
+  Int64.equal
+    (Int64.bits_of_float (combine_skip t dep vdata i k *. at t.avalid i))
+    (Int64.bits_of_float (Bigarray.Array1.unsafe_get vdata i))
 
 (* Single points of failure: evidence whose individual refutation defeats
    the root no matter what the rest of the case does.  Under the boolean
@@ -1052,72 +1073,134 @@ let combine ?skip dep t i values =
    whose lone failure makes the node fail: {e} for evidence e, the union
    of the children's kill sets for an All goal, their intersection for an
    Any goal.  Children precede parents, so one ascending pass over sorted
-   int arrays computes every set; a child's array is dropped once its
-   last parent has consumed it, so peak memory is bounded by the live
-   frontier rather than the whole graph.  On a tree the legs of an Any
-   goal have disjoint kill sets and the intersection collapses — it is
-   DAG sharing that makes a multi-leg argument fail on one item. *)
+   runs computes every set.  A goal's run lives in one int pool, behind
+   its length; the goal merges its children's runs in two scratch arrays
+   and appends the result.  A child's run is dead once its last parent
+   has consumed it, and a full pool first compacts the live runs to its
+   front, so peak memory is bounded by the live frontier rather than the
+   whole graph, and the pass allocates per document, not per node.  On a
+   tree the legs of an Any goal have disjoint kill sets and the
+   intersection collapses — it is DAG sharing that makes a multi-leg
+   argument fail on one item. *)
+
+(* [union a la b b0 lb out] / [inter ...] — the sorted union or
+   intersection of [a.(0..la)] and [b.(b0..b0+lb)] into [out]; the
+   length written. *)
+let union (a : int array) la (b : int array) b0 lb out =
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la && !j < lb do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b (b0 + !j) in
+    if x < y then begin out.(!k) <- x; incr i end
+    else if y < x then begin out.(!k) <- y; incr j end
+    else begin out.(!k) <- x; incr i; incr j end;
+    incr k
+  done;
+  while !i < la do out.(!k) <- a.(!i); incr i; incr k done;
+  while !j < lb do out.(!k) <- b.(b0 + !j); incr j; incr k done;
+  !k
+
+let inter (a : int array) la (b : int array) b0 lb out =
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < la && !j < lb do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b (b0 + !j) in
+    if x < y then incr i
+    else if y < x then incr j
+    else begin out.(!k) <- x; incr i; incr j; incr k end
+  done;
+  !k
+
+let grown a need = if Array.length a >= need then a else Array.make (max need (2 * Array.length a)) 0
+
 let spof_evidence t =
-  let union2 a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let out = Array.make (la + lb) 0 in
-      let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < la && !j < lb do
-        let x = a.(!i) and y = b.(!j) in
-        if x < y then begin out.(!k) <- x; incr i end
-        else if y < x then begin out.(!k) <- y; incr j end
-        else begin out.(!k) <- x; incr i; incr j end;
-        incr k
-      done;
-      while !i < la do out.(!k) <- a.(!i); incr i; incr k done;
-      while !j < lb do out.(!k) <- b.(!j); incr j; incr k done;
-      if !k = la + lb then out else Array.sub out 0 !k
-    end
-  in
-  let inter2 a b =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 || lb = 0 then [||]
-    else begin
-      let out = Array.make (min la lb) 0 in
-      let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < la && !j < lb do
-        let x = a.(!i) and y = b.(!j) in
-        if x < y then incr i
-        else if y < x then incr j
-        else begin out.(!k) <- x; incr i; incr j; incr k end
-      done;
-      if !k = Array.length out then out else Array.sub out 0 !k
-    end
-  in
-  let kill = Array.make t.n [||] in
+  let pool = ref (Array.make 1024 0) and top = ref 0 in
+  (* A goal's run sits at [start.(i)] in the pool: its length, then its
+     members.  An evidence node's set is itself and takes no run.
+     [order.(0 .. !runs)] lists the goals with a run, in pool order. *)
+  let start = Array.make t.n 0 in
+  let goals = ref 0 in
+  for i = 0 to t.n - 1 do
+    if Bytes.unsafe_get t.kinds i <> tag_evidence then incr goals
+  done;
+  let order = Array.make !goals 0 and runs = ref 0 in
   let remaining = Array.make t.n 0 in
   for i = 0 to t.n - 1 do
     remaining.(i) <- t.parent_off.(i + 1) - t.parent_off.(i)
   done;
+  (* Room for [need] more ints at [!top]: compact the live runs in
+     order, then double the pool if it is still more than half full. *)
+  let reserve need =
+    if !top + need > Array.length !pool then begin
+      let p = !pool in
+      let w = ref 0 and kept = ref 0 in
+      for r = 0 to !runs - 1 do
+        let j = order.(r) in
+        if remaining.(j) > 0 || j = t.root then begin
+          let len = p.(start.(j)) + 1 in
+          Array.blit p start.(j) p !w len;
+          start.(j) <- !w;
+          w := !w + len;
+          order.(!kept) <- j;
+          incr kept
+        end
+      done;
+      runs := !kept;
+      top := !w;
+      if 2 * (!top + need) > Array.length p then begin
+        let q = Array.make (max (2 * Array.length p) (2 * (!top + need))) 0 in
+        Array.blit p 0 q 0 !top;
+        pool := q
+      end
+    end
+  in
+  let acc = ref (Array.make 64 0) and next = ref (Array.make 64 0) in
+  let one = [| 0 |] in
   for i = 0 to t.n - 1 do
     let tag = Bytes.unsafe_get t.kinds i in
-    if tag = tag_evidence then kill.(i) <- [| i |]
-    else begin
+    if tag <> tag_evidence then begin
       let off = t.child_off.(i) and lim = t.child_off.(i + 1) in
-      let acc = ref kill.(t.child.(off)) in
+      let p = !pool in
+      let c = t.child.(off) in
+      let la = ref 1 in
+      if Bytes.unsafe_get t.kinds c = tag_evidence then !acc.(0) <- c
+      else begin
+        la := p.(start.(c));
+        acc := grown !acc !la;
+        Array.blit p (start.(c) + 1) !acc 0 !la
+      end;
       for e = off + 1 to lim - 1 do
-        let s = kill.(t.child.(e)) in
-        acc := if tag = tag_all then union2 !acc s else inter2 !acc s
+        let c = t.child.(e) in
+        let leaf = Bytes.unsafe_get t.kinds c = tag_evidence in
+        one.(0) <- c;
+        let b = if leaf then one else p in
+        let b0 = if leaf then 0 else start.(c) + 1 in
+        let lb = if leaf then 1 else p.(start.(c)) in
+        if tag = tag_all then begin
+          next := grown !next (!la + lb);
+          la := union !acc !la b b0 lb !next
+        end
+        else begin
+          next := grown !next (min !la lb);
+          la := inter !acc !la b b0 lb !next
+        end;
+        let a = !acc in
+        acc := !next;
+        next := a
       done;
-      kill.(i) <- !acc;
       for e = off to lim - 1 do
         let c = t.child.(e) in
-        remaining.(c) <- remaining.(c) - 1;
-        (* Sets are never mutated after creation, so dropping the
-           reference is safe even when a single-child goal aliases it. *)
-        if remaining.(c) = 0 && c <> t.root then kill.(c) <- [||]
-      done
+        remaining.(c) <- remaining.(c) - 1
+      done;
+      reserve (!la + 1);
+      start.(i) <- !top;
+      !pool.(!top) <- !la;
+      Array.blit !acc 0 !pool (!top + 1) !la;
+      top := !top + !la + 1;
+      order.(!runs) <- i;
+      incr runs
     end
   done;
-  kill.(t.root)
+  if Bytes.unsafe_get t.kinds t.root = tag_evidence then [| t.root |]
+  else Array.sub !pool (start.(t.root) + 1) !pool.(start.(t.root))
 
 (* --- inspection --------------------------------------------------------------- *)
 

@@ -283,15 +283,21 @@ val propagate_bounds :
     {!propagate} stores at [i] before the assumption-validity product.
     {!propagate}, {!refresh} and {!propagate_bounds} run this same fold
     per (combinator, model).  [~skip:k] leaves the [k]-th child (0-based
-    position) out — the vacuous-leg probe: when the result times
-    {!assumption_validity} is bitwise equal to the stored value, removing
-    that leg cannot change the node, and by monotonicity cannot change
-    the root.  Shared-evidence overlap fractions are structural and held
-    fixed.
+    position) out — what the vacuous-leg probe {!leg_is_inert} folds:
+    when the result times {!assumption_validity} is bitwise equal to the
+    stored value, removing that leg cannot change the node, and by
+    monotonicity cannot change the root.  Shared-evidence overlap
+    fractions are structural and held fixed.
     @raise Invalid_argument if [i] is not a goal, [skip] is out of range,
     [values] is shorter than the graph, or [dep] is malformed. *)
 val combine :
   ?skip:int -> dependence -> t -> int -> Numerics.Columns.t -> float
+
+(** [leg_is_inert dep t i k values] — [combine ~skip:k dep t i values]
+    times {!assumption_validity} is bitwise equal to [values]'s entry
+    [i]: the vacuous-leg probe, as one call that boxes nothing.
+    @raise Invalid_argument as {!combine} does. *)
+val leg_is_inert : dependence -> t -> int -> int -> Numerics.Columns.t -> bool
 
 (** [spof_evidence t] — indices (ascending) of every evidence node whose
     lone refutation defeats the root under the boolean abstraction:

@@ -25,7 +25,7 @@ type raw_component = {
 }
 
 let float_of line col token =
-  match float_of_string_opt token with
+  match Numerics.Decimal.of_string_opt token with
   | Some v -> v
   | None ->
     fail ~col ~token line (Printf.sprintf "expected a number, got %S" token)

@@ -128,10 +128,10 @@ let parse_number st =
     (match peek st with '+' | '-' -> advance st | _ -> ());
     while (match peek st with '0' .. '9' -> true | _ -> false) do advance st done
   | _ -> ());
-  let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some x -> x
-  | None -> fail st (Printf.sprintf "bad number %S" s)
+  match Numerics.Decimal.of_span st.src start (st.pos - start) with
+  | x -> x
+  | exception Failure _ ->
+    fail st (Printf.sprintf "bad number %S" (String.sub st.src start (st.pos - start)))
 
 let rec parse_value st =
   skip_ws st;
@@ -202,7 +202,7 @@ let print_float x =
     let bits = Int64.bits_of_float x in
     let rec go p =
       let s = Printf.sprintf "%.*g" p x in
-      if p >= 17 || Int64.equal (Int64.bits_of_float (float_of_string s)) bits
+      if p >= 17 || Int64.equal (Int64.bits_of_float (Numerics.Decimal.of_string s)) bits
       then s
       else go (p + 1)
     in
@@ -266,11 +266,11 @@ let member k = function
 let get_string = function Str s -> Some s | _ -> None
 let get_num = function Num x -> Some x | _ -> None
 
+(* The bounds are [-2^62, 2^62): [Int.to_float max_int] rounds up to
+   2^62, which [int_of_float] would wrap to [min_int]. *)
 let get_int = function
-  | Num x
-    when Float.is_integer x
-         && x >= Int.to_float min_int
-         && x <= Int.to_float max_int -> Some (int_of_float x)
+  | Num x when Float.is_integer x && x >= Int.to_float min_int && x < 0x1p62 ->
+    Some (int_of_float x)
   | _ -> None
 
 let get_bool = function Bool b -> Some b | _ -> None

@@ -17,6 +17,10 @@
 #   4. `Array.sort Float.compare` (or stable_sort/fast_sort) in lib/: the
 #      one float sort is Columns.sort, in place and unboxed, in the same
 #      order; the polymorphic sort boxes both operands of every compare.
+#   5. `float_of_string` / `float_of_string_opt` in lib/ outside
+#      lib/numerics/decimal.ml: every text format reads numbers through
+#      Numerics.Decimal, which returns float_of_string's bits without
+#      copying the token and falls back to it for unusual spellings.
 #
 # A line can be exempted from rules 1-2 with a trailing
 # `(* lint: allow-poly-compare *)`, and from rule 3 with
@@ -61,6 +65,15 @@ if [ -n "$hits" ]; then
   echo "lint-src: float array sorted with Float.compare in lib/:" >&2
   echo "$hits" >&2
   echo "  sort a column copy with Columns.sort instead" >&2
+  fail=1
+fi
+
+hits=$(grep -rn --include='*.ml' 'float_of_string' lib/ |
+  grep -v '^lib/numerics/decimal\.ml:')
+if [ -n "$hits" ]; then
+  echo "lint-src: float_of_string in lib/ outside Numerics.Decimal:" >&2
+  echo "$hits" >&2
+  echo "  read numbers with Numerics.Decimal.of_span / of_string(_opt)" >&2
   fail=1
 fi
 

@@ -614,3 +614,43 @@ let check_case ?file text =
     | exception Invalid_argument _ -> None
   in
   (value, diagnostics)
+
+(* [spof_evidence g]: the kill-set pass as it was before the int pool —
+   one fresh sorted array per node, a union or intersection allocated
+   per child — kept as the differential oracle for [Graph.spof_evidence]. *)
+let spof_evidence g =
+  let union2 a b =
+    let la = Array.length a and lb = Array.length b in
+    if la = 0 then b
+    else if lb = 0 then a
+    else begin
+      let out = Array.make (la + lb) 0 in
+      let i = ref 0 and j = ref 0 and k = ref 0 in
+      while !i < la && !j < lb do
+        let x = a.(!i) and y = b.(!j) in
+        if x < y then begin out.(!k) <- x; incr i end
+        else if y < x then begin out.(!k) <- y; incr j end
+        else begin out.(!k) <- x; incr i; incr j end;
+        incr k
+      done;
+      while !i < la do out.(!k) <- a.(!i); incr i; incr k done;
+      while !j < lb do out.(!k) <- b.(!j); incr j; incr k done;
+      Array.sub out 0 !k
+    end
+  in
+  let inter2 a b =
+    List.filter (fun x -> Array.mem x b) (Array.to_list a) |> Array.of_list
+  in
+  let kill = Array.make (G.size g) [||] in
+  for i = 0 to G.size g - 1 do
+    match G.kind_of g i with
+    | G.Evidence -> kill.(i) <- [| i |]
+    | kind ->
+      let kids = G.children g i in
+      let acc = ref kill.(kids.(0)) in
+      for e = 1 to Array.length kids - 1 do
+        acc := (if kind = G.All_goal then union2 else inter2) !acc kill.(kids.(e))
+      done;
+      kill.(i) <- !acc
+  done;
+  kill.(G.root g)

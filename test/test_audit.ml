@@ -164,6 +164,18 @@ let test_spof_brute_force_dag =
       Array.sort Stdlib.compare fast; (* lint: allow-poly-compare *)
       fast = slow)
 
+(* Graphs of up to 10^4 nodes, conjunctive roots among them, so the
+   kill-set pool grows and compacts many times. *)
+let test_spof_oracle =
+  qcheck ~count:40 "spof_evidence matches the array-per-node oracle on large graphs"
+    QCheck2.Gen.(
+      tup4 (int_bound 1_000_000) (int_range 1 3) (int_range 2 10)
+        (oneofl [ 0.0; 0.3; 0.7 ]))
+    (fun (seed, legs, fanout, shared) ->
+      let depth = if fanout <= 4 then 5 else 3 in
+      let g = Gen.case ~seed ~legs ~fanout ~depth ~shared () in
+      G.spof_evidence g = Case_oracle.spof_evidence g)
+
 let test_spof_goldens () =
   let conj =
     G.of_node
@@ -437,4 +449,5 @@ let suite =
     test_bounds_soundness_generated;
     test_custom_leaf_bounds_property;
     test_spof_brute_force_property;
-    test_spof_brute_force_dag ]
+    test_spof_brute_force_dag;
+    test_spof_oracle ]

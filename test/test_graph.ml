@@ -57,7 +57,15 @@ let test_skip_kernel_property =
                   if
                     not
                       (same_bits (G.combine ~skip:k dep g i vals) (fold dep rest))
-                  then ok := false)
+                  then ok := false;
+                  (* The probe is that fold, times the validity, against
+                     the stored value. *)
+                  let inert =
+                    same_bits
+                      (G.combine ~skip:k dep g i vals *. G.assumption_validity g i)
+                      (G.value g i)
+                  in
+                  if G.leg_is_inert dep g i k vals <> inert then ok := false)
                 kids
           done;
           !ok)
@@ -81,7 +89,17 @@ let test_skip_kernel_frechet_lower () =
   check_raises_invalid "skip out of range" (fun () ->
       ignore (G.combine ~skip:3 dep g r (G.values g)));
   check_raises_invalid "not a goal" (fun () ->
-      ignore (G.combine dep g kids.(0) (G.values g)))
+      ignore (G.combine dep g kids.(0) (G.values g)));
+  check_true "a leg that moves the value is not inert"
+    (not (G.leg_is_inert dep g r 2 (G.values g)));
+  (* Under Frechet_upper an All goal is the min: 0.9 cannot move it. *)
+  ignore (G.propagate G.Frechet_upper g);
+  check_true "a dominated leg is inert" (G.leg_is_inert G.Frechet_upper g r 0 (G.values g));
+  check_true "the min leg is not" (not (G.leg_is_inert G.Frechet_upper g r 2 (G.values g)));
+  check_raises_invalid "probe position out of range" (fun () ->
+      ignore (G.leg_is_inert dep g r 3 (G.values g)));
+  check_raises_invalid "probe on evidence" (fun () ->
+      ignore (G.leg_is_inert dep g kids.(0) 0 (G.values g)))
 
 let test_incremental_identity_property =
   qcheck ~count:100 "refresh after random edits == full propagate, bitwise"

@@ -765,10 +765,13 @@ let words_per_line f text =
 
 (* Bounds: the words measured on this 10^4-node case under the test
    build (4.29 minor and 0.022 promoted a line for the streamed graph,
-   45.3 and 0.154 for the audit, most of it the semantic graph passes)
-   with 25% headroom.  With a record, a list cell and two strings per
-   line the graph took 37.8 minor and 8.6 promoted words a line, and the
-   audit 87.2 and 23.3. *)
+   16.1 and 0.018 for the audit, 0.63 and 0.0012 for the semantic and
+   structural graph passes alone) with 25% headroom.  With a record, a
+   list cell and two strings per line the graph took 37.8 minor and 8.6
+   promoted words a line, and the audit 87.2 and 23.3; with a boxed
+   float and an option per vacuous-leg probe, a closure per finding and
+   a fresh kill-set array per node, the audit took 45.3 and 0.154, and
+   the graph passes 29.8 and 0.125. *)
 let test_allocation_budget () =
   let text = named_case ~legs:9 ~fanout:10 ~depth:3 in
   check_true "10^4 nodes" (G.size (F.graph text) = 10_000);
@@ -781,7 +784,11 @@ let test_allocation_budget () =
         minor promoted max_minor max_promoted
   in
   within "Case_format.graph" (words_per_line F.graph text) (5.37, 0.0275);
-  within "Audit.case" (words_per_line (Analysis.Audit.case ~options) text) (56.6, 0.193)
+  within "Audit.case" (words_per_line (Analysis.Audit.case ~options) text) (20.2, 0.0225);
+  let g = F.graph text in
+  within "Audit.graph"
+    (words_per_line (fun _ -> Analysis.Audit.graph ~options g) text)
+    (0.79, 0.0015)
 
 let suite =
   [ case "examples agree with the oracle" test_examples;

@@ -538,21 +538,14 @@ let test_engine_memo_bound () =
 (* ------------------------------------------------------------------ *)
 (* Server: pipe mode end to end over real descriptors.                *)
 
-let test_pipe_server_end_to_end () =
+(* [pipe_session requests] — the non-blank response lines of a pipe-mode
+   server fed [requests], one a line.  The whole script fits far inside
+   the pipe buffer, so it is written first and closed, then the server
+   runs to completion on this thread. *)
+let pipe_session requests =
   let req_r, req_w = Unix.pipe () in
   let resp_r, resp_w = Unix.pipe () in
-  let requests =
-    String.concat "\n"
-      [ gen_line;
-        eval_line;
-        eval_line;
-        "{\"op\":\"stats\",\"id\":\"st\"}";
-        "{\"op\":\"shutdown\"}" ]
-    ^ "\n"
-  in
-  (* The whole script fits far inside the pipe buffer, so write first,
-     close, then run the server to completion on this thread. *)
-  let b = Bytes.of_string requests in
+  let b = Bytes.of_string (String.concat "\n" requests ^ "\n") in
   ignore (Unix.write req_w b 0 (Bytes.length b));
   Unix.close req_w;
   let eng = E.create () in
@@ -571,9 +564,17 @@ let test_pipe_server_end_to_end () =
   in
   drain ();
   Unix.close resp_r;
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> String.trim l <> "")
+
+let test_pipe_server_end_to_end () =
   let lines =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> String.trim l <> "")
+    pipe_session
+      [ gen_line;
+        eval_line;
+        eval_line;
+        "{\"op\":\"stats\",\"id\":\"st\"}";
+        "{\"op\":\"shutdown\"}" ]
   in
   Alcotest.(check int) "five responses for five requests" 5
     (List.length lines);
@@ -590,6 +591,24 @@ let test_pipe_server_end_to_end () =
       (Int64.equal (resp_bits hot) (resp_bits cold));
     check_true "stats id echoed" (field stats "id" = P.Str "st")
   | _ -> Alcotest.fail "unexpected response shape")
+
+(* 2^62 is integral but one past [max_int]: [get_int] must refuse it
+   rather than wrap it to [min_int]. *)
+let test_get_int_range () =
+  check_true "2^62 is no int" (P.get_int (P.Num 0x1p62) = None);
+  check_true "-2^62 is min_int" (P.get_int (P.Num (-0x1p62)) = Some min_int);
+  check_true "2^62 - 512 is exact" (P.get_int (P.Num (0x1p62 -. 512.0)) = Some (max_int - 511));
+  match
+    pipe_session
+      [ "{\"op\":\"generate\",\"case\":\"h\",\"seed\":11,\"legs\":4611686018427387904,\
+         \"fanout\":3,\"depth\":2}" ]
+  with
+  | [ line ] ->
+    let r = P.parse line in
+    check_true "refused" (not (resp_ok r));
+    Alcotest.(check (option string))
+      "error" (Some "\"legs\" must be an integer") (P.get_string (field r "error"))
+  | lines -> Alcotest.failf "%d responses for one request" (List.length lines)
 
 let test_pipe_server_eof_without_shutdown () =
   (* EOF on the request stream must end the loop cleanly too. *)
@@ -701,6 +720,7 @@ let suite =
     case "engine memo bound" test_engine_memo_bound;
     case "pipe server end to end" test_pipe_server_end_to_end;
     case "pipe server EOF exit" test_pipe_server_eof_without_shutdown;
+    case "get_int refuses 2^62" test_get_int_range;
     case "pipe line framing" test_pipe_line_framing;
     case "protocol deep nesting" test_protocol_deep_nesting;
     test_protocol_hostile_property ]
