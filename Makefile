@@ -73,15 +73,19 @@ audit-fixtures: build
 	    assert any(d['code'] == 'C013' for d in ds), 'C013 did not fire'"
 
 # Regenerate every paper table/figure + ablations + Bechamel timings.
+# Timings are taken from a release build: the dev profile compiles with
+# -opaque, so nothing is inlined across modules.
 bench:
-	dune exec bench/main.exe
+	dune exec --profile release bench/main.exe
 
 # Experiment, micro, variance-reduction and 10^6-node graph rows as JSON
 # in bench.json (not committed; BENCH_1..9.json are the recorded trail).
 # Exits non-zero if an incremental edit is not 10x faster than a cold
-# evaluate.  End-to-end numbers come from confbench (bench/e2e).
+# evaluate.  End-to-end numbers come from confbench (bench/e2e).  The
+# JSON's "env" names the build profile (release), nproc, the CPU model
+# and the OCaml version.
 bench-json:
-	dune exec bench/main.exe -- --json bench.json
+	dune exec --profile release bench/main.exe -- --json bench.json
 
 # End-to-end pipe-mode daemon smoke: drive `confcase serve` over stdin/
 # stdout with NDJSON requests and assert the memoised answer is

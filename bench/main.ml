@@ -72,6 +72,20 @@ let ols_nanos ~name thunk =
   in
   go ~quota:0.25 0
 
+(* For rows whose every run consumes its input: the median of [iters]
+   runs of [run x] timed by the monotonic clock, each on a fresh
+   [x = prepare k] made untimed. *)
+let p50 ~name ~iters prepare run =
+  let samples = Array.make iters nan in
+  for k = 0 to iters - 1 do
+    let x = prepare k in
+    let t0 = Monotonic_clock.now () in
+    ignore (Sys.opaque_identity (run x));
+    samples.(k) <- Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+  done;
+  Array.sort Float.compare samples;
+  { name; nanos = samples.(iters / 2); samples = iters }
+
 let time_string nanos =
   if nanos >= 1e9 then Printf.sprintf "%.3f s" (nanos /. 1e9)
   else if nanos >= 1e6 then Printf.sprintf "%.3f ms" (nanos /. 1e6)
@@ -450,12 +464,55 @@ let named_case_text () =
   node 0 6;
   Buffer.contents buf
 
+(* The headline shape pushed into a builder with one fixed confidence
+   and no RNG: anonymous leaves, [all] goals under an [any] root, each
+   goal's children a slice of one reused array.  Returns the builder,
+   not yet built, and its root. *)
+let headline_fill () =
+  let module B = Casekit.Graph.Builder in
+  let b = B.create ~capacity:(Casekit.Generate.node_count ~legs:9 ~fanout:10 ~depth:5) () in
+  let kids = Array.make 64 0 in
+  let rec node level depth =
+    if level = 0 then B.evidence b ~confidence:leaf_hi ()
+    else begin
+      let base = depth * 10 in
+      for k = 0 to 9 do
+        kids.(base + k) <- node (level - 1) (depth + 1)
+      done;
+      B.goal b ~combinator:Casekit.Node.All ~pos:base ~len:10 kids
+    end
+  in
+  let legs = Array.make 9 0 in
+  for j = 0 to 8 do
+    legs.(j) <- node 5 0
+  done;
+  (b, B.goal b ~combinator:Casekit.Node.Any legs)
+
 (* [g] is the headline case, not yet propagated. *)
 let graph_rows g =
   let module G = Casekit.Graph in
   let dep = G.Correlated 0.3 in
   let dag = headline_case ~shared:0.1 () in
   let build = ols_nanos ~name:"graph_build_1e6" headline_case in
+  (* The build split into filling the builder and [build] alone, and
+     the first edit of a fresh graph, which builds the parent CSR and
+     dirty map that [build] leaves for first use. *)
+  let fill = ols_nanos ~name:"graph_fill_1e6" headline_fill in
+  let finish =
+    p50 ~name:"graph_finish_1e6" ~iters:9 (fun _ -> headline_fill ()) (fun (b, root) ->
+        G.Builder.build b ~root)
+  in
+  let first_edit =
+    p50 ~name:"graph_first_edit_1e6" ~iters:9
+      (fun _ ->
+        let b, root = headline_fill () in
+        let g = G.Builder.build b ~root in
+        ignore (G.propagate dep g);
+        g)
+      (fun g ->
+        G.set_evidence g 0 leaf_lo;
+        G.refresh dep g)
+  in
   let prop = ols_nanos ~name:"graph_propagate_1e6" (fun () -> G.propagate dep g) in
   (* Level-parallel propagation at a fixed 2 domains and 64 chunks; its
      bit-identity to [propagate] is a test, this row is its cost. *)
@@ -494,7 +551,8 @@ let graph_rows g =
   let case_audit =
     ols_nanos ~name:"case_audit_1e6" (fun () -> Analysis.Audit.case ~options text)
   in
-  [ build; prop; prop_par; prop_dag; edit; lint; audit; case_graph; case_audit ]
+  [ build; fill; finish; first_edit; prop; prop_par; prop_dag; edit; lint; audit; case_graph;
+    case_audit ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine rows: the daemon's request path on the headline case — JSON
@@ -515,21 +573,12 @@ let engine_rows leaves =
           "{\"op\":\"generate\",\"case\":\"bench\",\"seed\":%d,\"legs\":9,\
            \"fanout\":10,\"depth\":5,\"leaf_lo\":%s,\"leaf_hi\":%s}"
           case_seed (num leaf_lo) (num leaf_hi)));
-  let p50 ~name ~iters ~prepare request =
-    let samples = Array.make iters nan in
-    for k = 0 to iters - 1 do
-      prepare ();
-      let line = request k in
-      let t0 = Monotonic_clock.now () in
-      ignore (Sys.opaque_identity (Serve.Engine.handle eng line));
-      samples.(k) <- Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
-    done;
-    Array.sort Float.compare samples;
-    { name; nanos = samples.(iters / 2); samples = iters }
+  let request ~name ~iters ~prepare line =
+    p50 ~name ~iters (fun k -> prepare (); line k) (Serve.Engine.handle eng)
   in
   let eval = "{\"op\":\"evaluate\",\"case\":\"bench\",\"dependence\":0.3}" in
   let cold =
-    p50 ~name:"serve_cold_eval_1e6" ~iters:15
+    request ~name:"serve_cold_eval_1e6" ~iters:15
       ~prepare:(fun () -> ignore (Serve.Engine.handle eng "{\"op\":\"flush\"}"))
       (fun _ -> eval)
   in
@@ -540,7 +589,7 @@ let engine_rows leaves =
         (i, Numerics.Rng.uniform rng leaf_lo leaf_hi))
   in
   let edit =
-    p50 ~name:"serve_edit_1e6" ~iters:(Array.length edits) ~prepare:ignore (fun k ->
+    request ~name:"serve_edit_1e6" ~iters:(Array.length edits) ~prepare:ignore (fun k ->
         let i, v = edits.(k) in
         Printf.sprintf
           "{\"op\":\"edit\",\"case\":\"bench\",\"node\":%d,\"value\":%s,\
@@ -568,12 +617,52 @@ let json_vr v =
     v.vr_method (json_float v.vr_mean) (json_float v.vr_se) v.vr_n
     (json_float v.vr_efficiency)
 
+(* The CPU model as /proc/cpuinfo names it, or "unknown". *)
+let cpu_model () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> "unknown"
+  | text ->
+    List.find_map
+      (fun line ->
+        match String.index_opt line ':' with
+        | Some i when String.trim (String.sub line 0 i) = "model name" ->
+          Some (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+        | _ -> None)
+      (String.split_on_char '\n' text)
+    |> Option.value ~default:"unknown"
+
+(* A JSON string literal: quotes, backslashes and control bytes escaped. *)
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' | '\\' -> Buffer.add_char b '\\'; Buffer.add_char b c
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* What the numbers were measured on: the build profile (the dev profile
+   compiles with -opaque, so nothing is inlined across modules), the
+   CPUs and the compiler. *)
+let json_env () =
+  Printf.sprintf
+    "  \"env\": {\"profile\": %s, \"nproc\": %d, \"cpu_model\": %s, \"ocaml_version\": %s}"
+    (json_string Build_profile.name)
+    (Domain.recommended_domain_count ())
+    (json_string (cpu_model ()))
+    (json_string Sys.ocaml_version)
+
 let write_json oc ~experiments ~micro ~vr ~graph ~edit_speedup =
   let section name rows =
     Printf.sprintf "  \"%s\": [\n%s\n  ]" name
       (String.concat ",\n" (List.map (fun r -> "    " ^ r ^ "}") rows))
   in
-  Printf.fprintf oc "{\n  \"schema\": \"confcase-bench\",\n%s,\n%s,\n%s,\n%s,\n"
+  Printf.fprintf oc "{\n  \"schema\": \"confcase-bench\",\n%s,\n%s,\n%s,\n%s,\n%s,\n"
+    (json_env ())
     (section "experiments" (List.map json_row experiments))
     (section "micro" (List.map json_row micro))
     (section "vr" (List.map json_vr vr))

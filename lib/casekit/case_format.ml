@@ -407,9 +407,10 @@ let parse_raw text = Raw.to_nodes (lex text)
    precede parents and the node indices, CSR arrays and every derived
    column are those [Graph.of_node] gives the same tree.  The pass is a
    [step] per row, so it runs the same over the columns ([load]) and
-   straight off the lexer ([graph]).  Ids and statements go from the text
-   into the graph's arena as spans; only assumptions, which the graph
-   still keeps as [Node.assumption] records, are copied out as strings.
+   straight off the lexer ([graph]).  The graph keeps the text itself,
+   and its ids and statements are spans of it; only assumptions, which
+   the graph still keeps as [Node.assumption] records, are copied out as
+   strings.
 
    Errors come in a fixed order: the first line, then duplicate ids
    anywhere in the document, then the first structural or range fault in
@@ -433,9 +434,11 @@ type frame = {
   mutable base : int; (* where this goal's children start on [kids] *)
   mutable assumptions : Node.assumption list; (* reversed *)
   mutable keys : int list; (* the assumptions' keys, reversed *)
+  mutable ats : int list; (* where the assumptions' ids sit, reversed *)
 }
 
-let frame () = { goal = Raw.row (); key = -1; base = 0; assumptions = []; keys = [] }
+let frame () =
+  { goal = Raw.row (); key = -1; base = 0; assumptions = []; keys = []; ats = [] }
 
 type loader = {
   b : Graph.Builder.b;
@@ -452,11 +455,10 @@ type loader = {
   mutable leaf_root : bool;
 }
 
-(* [arena] bounds the bytes of the ids and statements the document holds. *)
-let loader ~positions ?table ~arena text capacity =
+let loader ~positions ?table text capacity =
   let capacity = max capacity 16 in
   let column () = Array.make (if positions then capacity else 0) 0 in
-  { b = Graph.Builder.of_text ~capacity ~text:arena ?table ();
+  { b = Graph.Builder.of_text ~capacity ?table text;
     text;
     positions;
     lines = column ();
@@ -490,7 +492,7 @@ let evidence ld (r : Raw.row) key =
   if not (in_unit confidence) then
     fail ~col:r.value_col r.line "Node.evidence: confidence must be in (0,1]";
   placed ld r.line r.id_col
-    (Graph.Builder.evidence_span ld.b ld.text ~key ~id:r.id_at ~id_len:r.id_len
+    (Graph.Builder.evidence_span ld.b ~key ~id:r.id_at ~id_len:r.id_len
        ~statement:r.st_at ~statement_len:r.st_len ~confidence)
 
 let close ld f =
@@ -498,9 +500,10 @@ let close ld f =
   if n = 0 then fail ~col:g.id_col g.line "Node.goal: a goal needs support";
   ld.top <- f.base;
   placed ld g.line g.id_col
-    (Graph.Builder.goal_span ld.b ld.text ~key:f.key ~id:g.id_at ~id_len:g.id_len
+    (Graph.Builder.goal_span ld.b ~key:f.key ~id:g.id_at ~id_len:g.id_len
        ~statement:g.st_at ~statement_len:g.st_len
        ~assumptions:(List.rev f.assumptions) ~keys:(List.rev f.keys)
+       ~assumption_ids:(List.rev f.ats)
        ~combinator:(if g.kind = Raw.Any_goal then Node.Any else Node.All)
        ld.kids ~pos:f.base ~len:n)
 
@@ -521,6 +524,7 @@ let open_goal ld r key =
   f.base <- ld.top;
   f.assumptions <- [];
   f.keys <- [];
+  f.ats <- [];
   ld.depth <- ld.depth + 1
 
 (* [step ld r key] — the row [r], whose id has position [key] in a preset
@@ -554,7 +558,8 @@ let step ld (r : Raw.row) key =
           a_statement = String.sub ld.text r.st_at r.st_len;
           p_valid }
         :: parent.assumptions;
-      parent.keys <- key :: parent.keys
+      parent.keys <- key :: parent.keys;
+      parent.ats <- r.id_at :: parent.ats
     | Evidence -> push ld (evidence ld r key)
     | All_goal | Any_goal -> open_goal ld r key
   end
@@ -590,11 +595,9 @@ let load raw =
              (Raw.line raw first.(k)))
   in
   duplicate 0;
-  let arena = ref 0 in
-  for k = 0 to n - 1 do
-    arena := !arena + Raw.id_len raw k + Raw.statement_len raw k
-  done;
-  let ld = loader ~positions:true ~table ~arena:!arena (Raw.text raw) n in
+  let ld =
+    loader ~positions:true ~table:(table, raw.id_at, raw.id_len) (Raw.text raw) n
+  in
   let row = Raw.row () in
   for k = 0 to n - 1 do
     Raw.get raw k row;
@@ -607,9 +610,7 @@ let load raw =
 (* Without the columns no positions are recorded: only [load]'s callers
    read them. *)
 let graph text =
-  let ld =
-    loader ~positions:false ~arena:(String.length text) text (Raw.count_lines text)
-  in
+  let ld = loader ~positions:false text (Raw.count_lines text) in
   match
     Raw.iter_rows (fun r -> step ld r (-1)) (Raw.row ()) text;
     finish ld

@@ -33,6 +33,20 @@ let case ?(seed = 61508) ?(legs = 3) ?(fanout = 4) ?(depth = 3)
     !pool.(!pool_len) <- i;
     incr pool_len
   in
+  (* The children of the open goals, innermost last: a goal's children
+     are a slice of one reused array, handed to the builder by position,
+     so no array is made per goal. *)
+  let kids = ref (Array.make 64 0) in
+  let top = ref 0 in
+  let push i =
+    if !top = Array.length !kids then begin
+      let bigger = Array.make (2 * !top) 0 in
+      Array.blit !kids 0 bigger 0 !top;
+      kids := bigger
+    end;
+    !kids.(!top) <- i;
+    incr top
+  in
   (* Explicit recursion over (leg, remaining depth); children are emitted
      left to right in a plain loop — never Array.init, whose evaluation
      order is unspecified and would scramble the RNG stream. *)
@@ -47,14 +61,17 @@ let case ?(seed = 61508) ?(legs = 3) ?(fanout = 4) ?(depth = 3)
         i
       end
     else begin
-      let kids = Array.make fanout 0 in
-      for k = 0 to fanout - 1 do
-        kids.(k) <- gen leg (d - 1)
+      let base = !top in
+      for _ = 1 to fanout do
+        let i = gen leg (d - 1) in
+        push i
       done;
       let combinator =
         if d < depth && Rng.bernoulli rng 0.2 then Node.Any else Node.All
       in
-      Graph.Builder.goal b ~combinator kids
+      let g = Graph.Builder.goal b ~combinator ~pos:base ~len:fanout !kids in
+      top := base;
+      g
     end
   in
   let leg_roots = Array.make legs 0 in

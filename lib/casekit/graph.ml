@@ -68,14 +68,21 @@ module Iheap = struct
     top
 end
 
-(* Node text lives in one byte arena per graph: ids and statements are
+(* Node text lives in one string per graph: ids and statements are
    (offset, length) spans into it, so a graph of 10^6 named nodes holds
-   one block of bytes rather than two million strings.  A builder appends
-   to the arena; a built graph never writes to it again. *)
+   one block of bytes rather than two million strings.  A graph loaded
+   from a document keeps the document itself; a builder fed strings
+   ({!Builder.evidence}/{!goal}) appends them to a growable arena, and
+   the built graph keeps the arena's bytes.  Neither is written again
+   once the graph is built. *)
 module Arena = struct
   type t = { mutable bytes : Bytes.t; mutable len : int }
 
   let create n = { bytes = Bytes.create (max n 16); len = 0 }
+
+  (* The document as a full arena: [add] copies it into a fresh buffer
+     before appending anything, so its bytes are never written. *)
+  let of_string s = { bytes = Bytes.unsafe_of_string s; len = String.length s }
 
   (* [add a s at n] — append [s.[at..at+n)]; returns where it landed. *)
   let add a s at n =
@@ -91,20 +98,28 @@ module Arena = struct
     at'
 end
 
-(* Interned ids: [Intern] keeps positions, and position [k] names the
-   arena span [at.(k), len.(k)) and the value [vals.(k)], so interning
-   an id allocates no bucket and hashes and compares the arena's bytes
-   in place.  A builder fed a document's own id table ({!Builder.of_text})
-   takes its positions as given instead of interning again. *)
+(* Interned ids: [Intern] keeps positions, and a position names a text
+   span and a value, so interning an id allocates no bucket and hashes
+   and compares the text's bytes in place.  A span is an (offset,
+   length) pair.  Positions below [nodes] are node indices: position [j]
+   is node [j]'s own id span (node_at.(j), node_len.(j)) with value [j],
+   so a document's node ids take no second copy of their spans.
+   Position [nodes + k] is the span (at.(k), len.(k)) with value
+   [vals.(k)].  A builder fed a document's own id
+   table ({!Builder.of_text}) takes its positions and span columns as
+   given instead of interning again. *)
 module Ids = struct
   type t = {
     table : Intern.t;
+    nodes : int;
+    node_at : int array;
+    node_len : int array;
     mutable at : int array;
     mutable len : int array;
     mutable vals : int array;
     mutable count : int;
     (* The span [add] compares positions against, [bytes.[key_at ..
-       key_at + key_len)] of the arena's current bytes.  One closure
+       key_at + key_len)] of the text's current bytes.  One closure
        reads it, so interning allocates nothing. *)
     mutable bytes : string;
     mutable key_at : int;
@@ -112,23 +127,34 @@ module Ids = struct
     same : int -> bool;
   }
 
-  let create ?table n =
-    let n = max n 1 in
+  let span_at t j = if j < t.nodes then t.node_at.(j) else t.at.(j - t.nodes)
+  let span_len t j = if j < t.nodes then t.node_len.(j) else t.len.(j - t.nodes)
+
+  let make ?(nodes = 0) ?(node_at = [||]) ?(node_len = [||]) table at len vals =
     let rec t =
-      { table = (match table with Some t -> t | None -> Intern.create n);
-        at = Array.make n 0;
-        len = Array.make n 0;
-        vals = Array.make n 0;
-        count = 0;
-        bytes = "";
-        key_at = 0;
+      { table; nodes; node_at; node_len; at; len; vals; count = 0; bytes = ""; key_at = 0;
         key_len = 0;
         same =
           (fun j ->
-            t.len.(j) = t.key_len
-            && Intern.span_equal t.bytes t.at.(j) t.bytes t.key_at t.key_len) }
+            span_len t j = t.key_len
+            && Intern.span_equal t.bytes (span_at t j) t.bytes t.key_at t.key_len) }
     in
     t
+
+  let create n =
+    let n = max n 1 in
+    make (Intern.create n) (Array.make n 0) (Array.make n 0) (Array.make n 0)
+
+  (* A document's table: position [k] is already interned as the span
+     (at.(k), len.(k)); only the values are new. *)
+  let preset table at len = make table at len (Array.make (Array.length at) 0)
+
+  (* Room for the ids of [nodes] nodes, spans [at]/[len], and [extra]
+     more. *)
+  let of_nodes ~nodes at len ~extra =
+    let m = max extra 1 in
+    make ~nodes ~node_at:at ~node_len:len (Intern.create (nodes + extra)) (Array.make m 0)
+      (Array.make m 0) (Array.make m 0)
 
   let grow t k =
     let n = Array.length t.at in
@@ -142,39 +168,50 @@ module Ids = struct
 
   (* A lookup on a built graph makes its own closure rather than share the
      probe, so reads stay free of writes. *)
-  let find_opt t (arena : Arena.t) id =
+  let find_opt t text id =
     let n = String.length id in
-    let bytes = Bytes.unsafe_to_string arena.bytes in
-    let same j = t.len.(j) = n && Intern.span_equal bytes t.at.(j) id 0 n in
+    let same j = span_len t j = n && Intern.span_equal text (span_at t j) id 0 n in
     let j = Intern.find t.table (Intern.span_hash id 0 n) same in
-    if j < 0 then None else Some t.vals.(j)
+    if j < 0 then None else if j < t.nodes then Some j else Some t.vals.(j - t.nodes)
 
-  (* [place t k at len v] — position [k] is the arena span [at, len) with
-     value [v]. *)
-  let place t k at len v =
-    grow t k;
-    t.at.(k) <- at;
-    t.len.(k) <- len;
-    t.vals.(k) <- v;
-    if k >= t.count then t.count <- k + 1
-
-  (* [add t arena at len v] — intern the arena span [at, len) at the next
-     position; [false], and no change, when an equal id is already in. *)
-  let add t (arena : Arena.t) at len v =
-    let k = t.count in
+  (* [intern t arena at len j] — intern the arena span (at, len) at
+     position [j]; [false] when an equal id is already in. *)
+  let intern t (arena : Arena.t) at len j =
     let bytes = Bytes.unsafe_to_string arena.bytes in
     t.bytes <- bytes;
     t.key_at <- at;
     t.key_len <- len;
-    Intern.intern t.table (Intern.span_hash bytes at len) t.same k = k
+    Intern.intern t.table (Intern.span_hash bytes at len) t.same j = j
+
+  (* [add t arena at len v] — intern the arena span (at, len) at the next
+     position; [false], and no change, when an equal id is already in. *)
+  let add t arena at len v =
+    let k = t.count in
+    intern t arena at len (t.nodes + k)
     && begin
-      place t k at len v;
+      grow t k;
+      t.at.(k) <- at;
+      t.len.(k) <- len;
+      t.vals.(k) <- v;
+      t.count <- k + 1;
       true
     end
+
+  (* [add_node t arena i] — intern node [i]'s own id span at position
+     [i]. *)
+  let add_node t arena i = intern t arena t.node_at.(i) t.node_len.(i) i
 end
 
+(* A graph's columns keep the capacity the builder gave them: [n] and
+   [edges] say how much of each is in use, so building copies nothing.
+   What only some callers read is derived on first use: the parent CSR
+   (edits, {!spof_evidence}, {!parents}), the level schedule
+   ({!propagate_par}), the dirty maps (edits) and the hash column
+   ({!structural_hash}).  An empty array, byte map or column marks one
+   not built yet. *)
 type t = {
   n : int;
+  edges : int;
   root : int;
   kinds : Bytes.t;
   (* CSR adjacency: children of [i] are child.(child_off.(i)) ..
@@ -183,14 +220,18 @@ type t = {
      order is a topological order. *)
   child_off : int array;
   child : int array;
-  parent_off : int array;
-  parent : int array;
-  (* Node [i]'s id is the arena span [id_at.(i), st_at.(i)) (empty =
-     anonymous) and its statement [st_at.(i), st_end.(i)). *)
-  arena : Arena.t;
+  mutable parent_off : int array;
+  mutable parent : int array;
+  (* Whether some node has two or more parent edges: [is_tree] is its
+     negation, and without one no goal has shared-evidence overlap. *)
+  shared : bool;
+  (* Node [i]'s id is the text span (id_at.(i), id_len.(i)) (empty =
+     anonymous) and its statement (st_at.(i), st_len.(i)). *)
+  text : string;
   id_at : int array;
+  id_len : int array;
   st_at : int array;
-  st_end : int array;
+  st_len : int array;
   (* One namespace for node and assumption ids: a node id maps to its
      index (>= 0), an assumption id to [lnot] of its owning goal (< 0). *)
   index : Ids.t;
@@ -200,26 +241,27 @@ type t = {
   overlap : Columns.t; (* shared-evidence fraction of Any goals *)
   value : Columns.t; (* last propagated values *)
   (* Level schedule: level 0 = leaves, level of a goal = 1 + max child
-     level.  level_nodes.(level_off.(l)) .. are the indices at level l,
-     ascending. *)
+     level, recorded as each node is emitted.  level_nodes.(level_off.(l))
+     .. are the indices at level l, ascending. *)
   height : int;
-  level_off : int array;
-  level_nodes : int array;
+  level : int array;
+  mutable level_off : int array;
+  mutable level_nodes : int array;
   (* Incremental state: dirty.(i) set iff i is in the heap; the heap is a
      binary min-heap over indices, so refresh pops children before
      parents. *)
-  dirty : Bytes.t;
+  mutable dirty : Bytes.t;
   heap : Iheap.h;
   mutable last_dep : dependence option;
   (* Structural-hash state: one more unboxed column (int64 bits rather
      than float64), maintained by the same dirty-frontier discipline as
      the value column.  [shash] is only meaningful once [hash_valid];
-     the first {!structural_hash} query pays one full leaf-up pass, and
-     edits thereafter mark [hdirty]/[hheap] so re-hashing touches only
-     the edited cone. *)
-  shash : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+     the first {!structural_hash} query makes it and pays one full
+     leaf-up pass, and edits thereafter mark [hdirty]/[hheap] so
+     re-hashing touches only the edited cone. *)
+  mutable shash : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
   mutable hash_valid : bool;
-  hdirty : Bytes.t;
+  mutable hdirty : Bytes.t;
   hheap : Iheap.h;
 }
 
@@ -241,6 +283,64 @@ let mark_hash_dirty t i =
     Iheap.push t.hheap i
   end
 
+(* --- derived on first use ------------------------------------------------------ *)
+
+(* Parent CSR by counting sort over the child array. *)
+let parents_built t =
+  if Array.length t.parent_off = 0 then begin
+    let n = t.n in
+    let parent_off = Array.make (n + 1) 0 in
+    for e = 0 to t.edges - 1 do
+      let c = t.child.(e) in
+      parent_off.(c + 1) <- parent_off.(c + 1) + 1
+    done;
+    for i = 0 to n - 1 do
+      parent_off.(i + 1) <- parent_off.(i + 1) + parent_off.(i)
+    done;
+    let parent = Array.make (max t.edges 1) 0 in
+    let cursor = Array.sub parent_off 0 n in
+    for i = 0 to n - 1 do
+      for e = t.child_off.(i) to t.child_off.(i + 1) - 1 do
+        let c = t.child.(e) in
+        parent.(cursor.(c)) <- i;
+        cursor.(c) <- cursor.(c) + 1
+      done
+    done;
+    t.parent <- parent;
+    t.parent_off <- parent_off
+  end
+
+(* The level schedule by counting sort over the recorded levels. *)
+let levels_built t =
+  if Array.length t.level_off = 0 then begin
+    let height = t.height in
+    let level_off = Array.make (height + 1) 0 in
+    for i = 0 to t.n - 1 do
+      let l = t.level.(i) in
+      level_off.(l + 1) <- level_off.(l + 1) + 1
+    done;
+    for l = 0 to height - 1 do
+      level_off.(l + 1) <- level_off.(l + 1) + level_off.(l)
+    done;
+    let level_nodes = Array.make t.n 0 in
+    let cursor = Array.sub level_off 0 height in
+    for i = 0 to t.n - 1 do
+      let l = t.level.(i) in
+      level_nodes.(cursor.(l)) <- i;
+      cursor.(l) <- cursor.(l) + 1
+    done;
+    t.level_nodes <- level_nodes;
+    t.level_off <- level_off
+  end
+
+(* What an edit reads: the dirty map, and the parent CSR a refresh
+   marks parents through. *)
+let edits_built t =
+  if Bytes.length t.dirty = 0 then begin
+    parents_built t;
+    t.dirty <- Bytes.make t.n '\000'
+  end
+
 (* --- shared-evidence overlap ----------------------------------------------- *)
 
 (* For each Any goal whose subtree contains a multi-parent node: the
@@ -248,13 +348,15 @@ let mark_hash_dirty t i =
    from two or more of its legs.  Computed once at build time — the
    overlap depends only on structure, which edits never change — and the
    same count/count quotient the C009 rule reports, so the static warning
-   and the quantitative penalty agree on the number. *)
-let compute_overlap ~n ~kinds ~child_off ~child ~parent_off ~overlap =
+   and the quantitative penalty agree on the number.  [parents.[i]] is
+   node [i]'s count of parent edges, stopped at 2; the builder calls this
+   only when some count reached 2, so a tree skips it. *)
+let compute_overlap ~n ~kinds ~child_off ~child ~parents ~overlap =
   (* multi.(i): does i's subtree (including i) contain a node with >= 2
      parents?  Children precede parents, so one ascending pass works. *)
   let multi = Array.make n false in
   for i = 0 to n - 1 do
-    let m = ref (parent_off.(i + 1) - parent_off.(i) >= 2) in
+    let m = ref (Bytes.get parents i >= '\002') in
     let e = ref child_off.(i) in
     let lim = child_off.(i + 1) in
     while (not !m) && !e < lim do
@@ -263,66 +365,64 @@ let compute_overlap ~n ~kinds ~child_off ~child ~parent_off ~overlap =
     done;
     multi.(i) <- !m
   done;
-  if Array.exists (fun x -> x) multi then begin
-    (* Ticket-stamped scratch: visit deduplicates nodes within one leg's
-       DFS; ev_goal/ev_leg track, per goal, which leg first cited each
-       evidence item (-1 = already counted as shared). *)
-    let visit = Array.make n (-1) in
-    let ev_goal = Array.make n (-1) in
-    let ev_leg = Array.make n 0 in
-    let ticket = ref 0 in
-    let stack = ref (Array.make 1024 0) in
-    let top = ref 0 in
-    let push v =
-      if !top = Array.length !stack then begin
-        let ns = Array.make (2 * !top) 0 in
-        Array.blit !stack 0 ns 0 !top;
-        stack := ns
-      end;
-      !stack.(!top) <- v;
-      incr top
-    in
-    for gi = 0 to n - 1 do
-      if
-        Bytes.get kinds gi = tag_any
-        && multi.(gi)
-        && child_off.(gi + 1) - child_off.(gi) >= 2
-      then begin
-        let distinct = ref 0 and shared = ref 0 in
-        let nkids = child_off.(gi + 1) - child_off.(gi) in
-        for leg = 0 to nkids - 1 do
-          incr ticket;
-          let tk = !ticket in
-          push child.(child_off.(gi) + leg);
-          while !top > 0 do
-            decr top;
-            let v = !stack.(!top) in
-            if visit.(v) <> tk then begin
-              visit.(v) <- tk;
-              if Bytes.get kinds v = tag_evidence then begin
-                if ev_goal.(v) <> gi then begin
-                  ev_goal.(v) <- gi;
-                  ev_leg.(v) <- leg;
-                  incr distinct
-                end
-                else if ev_leg.(v) >= 0 && ev_leg.(v) <> leg then begin
-                  ev_leg.(v) <- -1;
-                  incr shared
-                end
+  (* Ticket-stamped scratch: visit deduplicates nodes within one leg's
+     DFS; ev_goal/ev_leg track, per goal, which leg first cited each
+     evidence item (-1 = already counted as shared). *)
+  let visit = Array.make n (-1) in
+  let ev_goal = Array.make n (-1) in
+  let ev_leg = Array.make n 0 in
+  let ticket = ref 0 in
+  let stack = ref (Array.make 1024 0) in
+  let top = ref 0 in
+  let push v =
+    if !top = Array.length !stack then begin
+      let ns = Array.make (2 * !top) 0 in
+      Array.blit !stack 0 ns 0 !top;
+      stack := ns
+    end;
+    !stack.(!top) <- v;
+    incr top
+  in
+  for gi = 0 to n - 1 do
+    if
+      Bytes.get kinds gi = tag_any
+      && multi.(gi)
+      && child_off.(gi + 1) - child_off.(gi) >= 2
+    then begin
+      let distinct = ref 0 and shared = ref 0 in
+      let nkids = child_off.(gi + 1) - child_off.(gi) in
+      for leg = 0 to nkids - 1 do
+        incr ticket;
+        let tk = !ticket in
+        push child.(child_off.(gi) + leg);
+        while !top > 0 do
+          decr top;
+          let v = !stack.(!top) in
+          if visit.(v) <> tk then begin
+            visit.(v) <- tk;
+            if Bytes.get kinds v = tag_evidence then begin
+              if ev_goal.(v) <> gi then begin
+                ev_goal.(v) <- gi;
+                ev_leg.(v) <- leg;
+                incr distinct
               end
-              else
-                for e = child_off.(v) to child_off.(v + 1) - 1 do
-                  push child.(e)
-                done
+              else if ev_leg.(v) >= 0 && ev_leg.(v) <> leg then begin
+                ev_leg.(v) <- -1;
+                incr shared
+              end
             end
-          done
-        done;
-        if !distinct > 0 then
-          Columns.set overlap gi
-            (float_of_int !shared /. float_of_int !distinct)
-      end
-    done
-  end
+            else
+              for e = child_off.(v) to child_off.(v + 1) - 1 do
+                push child.(e)
+              done
+          end
+        done
+      done;
+      if !distinct > 0 then
+        Columns.set overlap gi
+          (float_of_int !shared /. float_of_int !distinct)
+    end
+  done
 
 (* --- builder ---------------------------------------------------------------- *)
 
@@ -334,101 +434,140 @@ let validity_product assumptions =
     assumptions
 
 module Builder = struct
+  (* How ids reach the graph's table. *)
+  type naming =
+    | Eager (* interned as they are emitted: a duplicate raises at once *)
+    | Preset (* already interned in the document's table, at their keys *)
+    | Deferred (* interned by [build], in one pass over the spans *)
+
   type b = {
     mutable bn : int;
     mutable bkinds : Bytes.t;
     barena : Arena.t;
     mutable bid_at : int array;
+    mutable bid_len : int array;
     mutable bst_at : int array;
-    mutable bst_end : int array;
+    mutable bst_len : int array;
     mutable bassumptions : Node.assumption list array;
     bbase : Columns.t;
     bavalid : Columns.t;
     mutable bchild_off : int array; (* capacity + 1 entries *)
     mutable bchild : int array;
     mutable bchild_len : int;
+    mutable blevel : int array;
+    mutable bheight : int;
+    (* Each node's count of parent edges, stopped at 2. *)
+    mutable bparents : Bytes.t;
+    mutable bshared : bool;
     bindex : Ids.t;
-    preset : bool; (* ids come already interned, named by their keys *)
+    naming : naming;
+    (* Deferred: each named assumption's span and owner, reversed. *)
+    mutable bassumption_ids : (int * int * int) list;
   }
 
-  let make ~capacity ~ids ~text ?table () =
+  let make ~capacity ~arena ~index ~naming =
     let cap = max capacity 1 in
     {
       bn = 0;
       bkinds = Bytes.make cap tag_evidence;
-      barena = Arena.create text;
+      barena = arena;
       bid_at = Array.make cap 0;
+      bid_len = Array.make cap 0;
       bst_at = Array.make cap 0;
-      bst_end = Array.make cap 0;
+      bst_len = Array.make cap 0;
       bassumptions = Array.make cap [];
       bbase = Columns.create ~capacity:cap ();
       bavalid = Columns.create ~capacity:cap ();
       bchild_off = Array.make (cap + 1) 0;
       bchild = Array.make (max cap 16) 0;
       bchild_len = 0;
-      bindex = Ids.create ?table ids;
-      preset = Option.is_some table;
+      blevel = Array.make cap 0;
+      bheight = 1;
+      bparents = Bytes.make cap '\000';
+      bshared = false;
+      bindex = index;
+      naming;
+      bassumption_ids = [];
     }
 
   (* [ids] sizes the id table apart from [capacity]: a generated graph of
      anonymous nodes interns nothing and should not pay for a table. *)
-  let create ?(capacity = 16) ?(ids = 64) () = make ~capacity ~ids ~text:64 ()
+  let create ?(capacity = 16) ?(ids = 64) () =
+    make ~capacity ~arena:(Arena.create 64) ~index:(Ids.create ids) ~naming:Eager
 
-  let of_text ~capacity ~text ?table () = make ~capacity ~ids:capacity ~text ?table ()
+  (* Without a table a document's ids are interned at [build]: on a
+     10^5-node file one tight pass over the spans takes about a third of
+     the time that interning each id between the lexer's lines took. *)
+  let of_text ~capacity ?table text =
+    let index, naming =
+      match table with
+      | Some (table, at, len) -> (Ids.preset table at len, Preset)
+      | None -> (Ids.create 1, Deferred) (* [index] makes the real one *)
+    in
+    make ~capacity ~arena:(Arena.of_string text) ~index ~naming
 
   let grow_nodes b =
     let cap = Bytes.length b.bkinds in
     if b.bn >= cap then begin
       let ncap = 2 * cap in
-      let k = Bytes.make ncap tag_evidence in
-      Bytes.blit b.bkinds 0 k 0 cap;
-      b.bkinds <- k;
+      let grow_bytes s def =
+        let k = Bytes.make ncap def in
+        Bytes.blit s 0 k 0 cap;
+        k
+      in
+      b.bkinds <- grow_bytes b.bkinds tag_evidence;
+      b.bparents <- grow_bytes b.bparents '\000';
       let garr a def =
         let na = Array.make ncap def in
         Array.blit a 0 na 0 cap;
         na
       in
       b.bid_at <- garr b.bid_at 0;
+      b.bid_len <- garr b.bid_len 0;
       b.bst_at <- garr b.bst_at 0;
-      b.bst_end <- garr b.bst_end 0;
+      b.bst_len <- garr b.bst_len 0;
+      b.blevel <- garr b.blevel 0;
       b.bassumptions <- garr b.bassumptions [];
       let noff = Array.make (ncap + 1) 0 in
       Array.blit b.bchild_off 0 noff 0 (cap + 1);
       b.bchild_off <- noff
     end
 
-  (* [name b s at len key slot] — copy the id [s.[at..at+len)] into the
-     arena and intern it; [slot] is the node index, or [lnot owner] for
-     an assumption id.  An empty id is anonymous and not interned.  With
-     a preset table the id is already interned at position [key]. *)
-  let name b s at len key slot =
-    if len > 0 then begin
-      let a = Arena.add b.barena s at len in
-      if b.preset then begin
+  let duplicate b at len =
+    invalid_arg
+      (Printf.sprintf "Graph.Builder: duplicate id %s" (Bytes.sub_string b.barena.bytes at len))
+
+  (* [name b at len key slot] — the id at the arena span (at, len);
+     [slot] is the node index, or [lnot owner] for an assumption id.  An
+     empty id is anonymous and not interned.  With a preset table the id
+     is already interned at position [key]; a deferred node id is read
+     back from the node's own span at [build]. *)
+  let name b at len key slot =
+    if len > 0 then
+      match b.naming with
+      | Eager -> if not (Ids.add b.bindex b.barena at len slot) then duplicate b at len
+      | Preset ->
         if key < 0 then invalid_arg "Graph.Builder: a preset id table needs every id's key";
-        Ids.place b.bindex key a len slot
-      end
-      else if not (Ids.add b.bindex b.barena a len slot) then
-        invalid_arg
-          (Printf.sprintf "Graph.Builder: duplicate id %s" (String.sub s at len))
-    end
+        b.bindex.vals.(key) <- slot
+      | Deferred -> if slot < 0 then b.bassumption_ids <- (at, len, slot) :: b.bassumption_ids
 
-  (* Node [i]'s id [s.[id..id+id_len)], then its statement
-     [t.[statement..statement+statement_len)] right after it in the
-     arena. *)
-  let texts b i ~key s ~id ~id_len t ~statement ~statement_len =
-    let at = b.barena.len in
-    name b s id id_len key i;
-    b.bid_at.(i) <- at;
-    b.bst_at.(i) <- Arena.add b.barena t statement statement_len;
-    b.bst_end.(i) <- b.barena.len
+  (* Node [i]'s id and statement: arena spans. *)
+  let texts b i ~key ~id ~id_len ~statement ~statement_len =
+    name b id id_len key i;
+    b.bid_at.(i) <- id;
+    b.bid_len.(i) <- id_len;
+    b.bst_at.(i) <- statement;
+    b.bst_len.(i) <- statement_len
 
-  let add_evidence b ~key s ~id ~id_len t ~statement ~statement_len ~confidence =
+  (* A string's bytes, appended to the arena: its span. *)
+  let append b s = Arena.add b.barena s 0 (String.length s)
+
+  let evidence_span b ~key ~id ~id_len ~statement ~statement_len ~confidence =
     if not (confidence > 0.0 && confidence <= 1.0) then
       invalid_arg "Graph.Builder.evidence: confidence must be in (0,1]";
     grow_nodes b;
     let i = b.bn in
-    texts b i ~key s ~id ~id_len t ~statement ~statement_len;
+    texts b i ~key ~id ~id_len ~statement ~statement_len;
     Bytes.set b.bkinds i tag_evidence;
     Columns.push b.bbase confidence;
     Columns.push b.bavalid 1.0;
@@ -437,33 +576,36 @@ module Builder = struct
     i
 
   let evidence b ?(id = "") ?(statement = "") ~confidence () =
-    add_evidence b ~key:(-1) id ~id:0 ~id_len:(String.length id) statement
-      ~statement:0 ~statement_len:(String.length statement) ~confidence
+    let id_at = append b id in
+    let st_at = append b statement in
+    evidence_span b ~key:(-1) ~id:id_at ~id_len:(String.length id) ~statement:st_at
+      ~statement_len:(String.length statement) ~confidence
 
-  let evidence_span b s ~key ~id ~id_len ~statement ~statement_len ~confidence =
-    add_evidence b ~key s ~id ~id_len s ~statement ~statement_len ~confidence
-
-  let add_goal b ~key s ~id ~id_len t ~statement ~statement_len ~assumptions ~keys
-      ~combinator kids ~pos ~len =
+  let goal_span b ~key ~id ~id_len ~statement ~statement_len ~assumptions ~keys
+      ~assumption_ids ~combinator kids ~pos ~len =
     if len = 0 then invalid_arg "Graph.Builder.goal: a goal needs support";
+    let level = ref 0 in
     for k = pos to pos + len - 1 do
       let c = kids.(k) in
       if c < 0 || c >= b.bn then
-        invalid_arg "Graph.Builder.goal: child index out of range"
+        invalid_arg "Graph.Builder.goal: child index out of range";
+      if b.blevel.(c) > !level then level := b.blevel.(c)
     done;
     grow_nodes b;
     let i = b.bn in
-    texts b i ~key s ~id ~id_len t ~statement ~statement_len;
-    let rec name_assumptions keys = function
+    texts b i ~key ~id ~id_len ~statement ~statement_len;
+    let rec name_assumptions keys ats = function
       | [] -> ()
       | (a : Node.assumption) :: rest ->
         if not (a.p_valid > 0.0 && a.p_valid <= 1.0) then
           invalid_arg "Graph.Builder.goal: p_valid must be in (0,1]";
         let key, keys = match keys with k :: ks -> (k, ks) | [] -> (-1, []) in
-        name b a.aid 0 (String.length a.aid) key (lnot i);
-        name_assumptions keys rest
+        let at, ats = match ats with a :: r -> (a, r) | [] -> (-1, []) in
+        let at = if at < 0 then append b a.aid else at in
+        name b at (String.length a.aid) key (lnot i);
+        name_assumptions keys ats rest
     in
-    name_assumptions keys assumptions;
+    name_assumptions keys assumption_ids assumptions;
     Bytes.set b.bkinds i
       (match combinator with Node.All -> tag_all | Node.Any -> tag_any);
     b.bassumptions.(i) <- assumptions;
@@ -476,107 +618,93 @@ module Builder = struct
       b.bchild <- nc
     end;
     Array.blit kids pos b.bchild b.bchild_len len;
+    for k = pos to pos + len - 1 do
+      let c = kids.(k) in
+      if Bytes.get b.bparents c = '\000' then Bytes.set b.bparents c '\001'
+      else begin
+        Bytes.set b.bparents c '\002';
+        b.bshared <- true
+      end
+    done;
     b.bchild_len <- b.bchild_len + len;
     b.bchild_off.(i + 1) <- b.bchild_len;
+    b.blevel.(i) <- !level + 1;
+    if !level + 2 > b.bheight then b.bheight <- !level + 2;
     b.bn <- i + 1;
     i
 
-  let goal b ?(id = "") ?(statement = "") ?(assumptions = []) ~combinator kids =
-    add_goal b ~key:(-1) id ~id:0 ~id_len:(String.length id) statement ~statement:0
-      ~statement_len:(String.length statement) ~assumptions ~keys:[] ~combinator kids
-      ~pos:0 ~len:(Array.length kids)
+  let goal b ?(id = "") ?(statement = "") ?(assumptions = []) ?(pos = 0) ?len
+      ~combinator kids =
+    let len = match len with Some l -> l | None -> Array.length kids - pos in
+    let id_at = append b id in
+    let st_at = append b statement in
+    goal_span b ~key:(-1) ~id:id_at ~id_len:(String.length id) ~statement:st_at
+      ~statement_len:(String.length statement) ~assumptions ~keys:[]
+      ~assumption_ids:[] ~combinator kids ~pos ~len
 
-  let goal_span b s ~key ~id ~id_len ~statement ~statement_len ~assumptions ~keys
-      ~combinator kids ~pos ~len =
-    add_goal b ~key s ~id ~id_len s ~statement ~statement_len ~assumptions ~keys
-      ~combinator kids ~pos ~len
+  (* The deferred ids: node ids by index, then assumption ids in
+     document order. *)
+  let index b =
+    match b.naming with
+    | Eager | Preset -> b.bindex
+    | Deferred ->
+      let assumptions = List.rev b.bassumption_ids in
+      let index =
+        Ids.of_nodes ~nodes:b.bn b.bid_at b.bid_len ~extra:(List.length assumptions)
+      in
+      for i = 0 to b.bn - 1 do
+        let len = b.bid_len.(i) in
+        if len > 0 && not (Ids.add_node index b.barena i) then duplicate b b.bid_at.(i) len
+      done;
+      List.iter
+        (fun (at, len, slot) ->
+          if not (Ids.add index b.barena at len slot) then duplicate b at len)
+        assumptions;
+      index
 
   let build b ~root =
     if b.bn = 0 then invalid_arg "Graph.Builder.build: empty graph";
     if root < 0 || root >= b.bn then
       invalid_arg "Graph.Builder.build: root out of range";
+    let index = index b in
     let n = b.bn in
-    (* The builder is consumed: a column that is already the right length
-       becomes the graph's own without a copy. *)
-    let fit a len = if Array.length a = len then a else Array.sub a 0 len in
-    let kinds = if Bytes.length b.bkinds = n then b.bkinds else Bytes.sub b.bkinds 0 n in
-    let id_at = fit b.bid_at n in
-    let st_at = fit b.bst_at n in
-    let st_end = fit b.bst_end n in
-    let assumption_lists = fit b.bassumptions n in
-    let child_off = fit b.bchild_off (n + 1) in
-    let child = fit b.bchild b.bchild_len in
-    (* Parent CSR by counting sort over the child array. *)
-    let parent_off = Array.make (n + 1) 0 in
-    Array.iter (fun c -> parent_off.(c + 1) <- parent_off.(c + 1) + 1) child;
-    for i = 0 to n - 1 do
-      parent_off.(i + 1) <- parent_off.(i + 1) + parent_off.(i)
-    done;
-    let parent = Array.make (max b.bchild_len 1) 0 in
-    let cursor = Array.sub parent_off 0 n in
-    for i = 0 to n - 1 do
-      for e = child_off.(i) to child_off.(i + 1) - 1 do
-        let c = child.(e) in
-        parent.(cursor.(c)) <- i;
-        cursor.(c) <- cursor.(c) + 1
-      done
-    done;
-    (* Levels: leaves at 0, goal = 1 + max child level. *)
-    let levels = Array.make n 0 in
-    let height = ref 1 in
-    for i = 0 to n - 1 do
-      if Bytes.get kinds i <> tag_evidence then begin
-        let m = ref 0 in
-        for e = child_off.(i) to child_off.(i + 1) - 1 do
-          let l = levels.(child.(e)) in
-          if l > !m then m := l
-        done;
-        levels.(i) <- !m + 1;
-        if !m + 2 > !height then height := !m + 2
-      end
-    done;
-    let height = !height in
-    let level_off = Array.make (height + 1) 0 in
-    Array.iter (fun l -> level_off.(l + 1) <- level_off.(l + 1) + 1) levels;
-    for l = 0 to height - 1 do
-      level_off.(l + 1) <- level_off.(l + 1) + level_off.(l)
-    done;
-    let level_nodes = Array.make n 0 in
-    let lcursor = Array.sub level_off 0 height in
-    for i = 0 to n - 1 do
-      let l = levels.(i) in
-      level_nodes.(lcursor.(l)) <- i;
-      lcursor.(l) <- lcursor.(l) + 1
-    done;
+    (* The builder is consumed: its columns become the graph's own, at
+       their capacity. *)
     let overlap = Columns.make n 0.0 in
-    compute_overlap ~n ~kinds ~child_off ~child ~parent_off ~overlap;
+    if b.bshared then
+      compute_overlap ~n ~kinds:b.bkinds ~child_off:b.bchild_off ~child:b.bchild
+        ~parents:b.bparents ~overlap;
     {
       n;
+      edges = b.bchild_len;
       root;
-      kinds;
-      child_off;
-      child;
-      parent_off;
-      parent;
-      arena = b.barena;
-      id_at;
-      st_at;
-      st_end;
-      index = b.bindex;
-      assumption_lists;
+      kinds = b.bkinds;
+      child_off = b.bchild_off;
+      child = b.bchild;
+      parent_off = [||];
+      parent = [||];
+      shared = b.bshared;
+      text = Bytes.unsafe_to_string b.barena.bytes;
+      id_at = b.bid_at;
+      id_len = b.bid_len;
+      st_at = b.bst_at;
+      st_len = b.bst_len;
+      index;
+      assumption_lists = b.bassumptions;
       base = b.bbase;
       avalid = b.bavalid;
       overlap;
       value = Columns.make n 0.0;
-      height;
-      level_off;
-      level_nodes;
-      dirty = Bytes.make n '\000';
+      height = b.bheight;
+      level = b.blevel;
+      level_off = [||];
+      level_nodes = [||];
+      dirty = Bytes.empty;
       heap = Iheap.create ();
       last_dep = None;
-      shash = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n;
+      shash = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 0;
       hash_valid = false;
-      hdirty = Bytes.make n '\000';
+      hdirty = Bytes.empty;
       hheap = Iheap.create ();
     }
 end
@@ -631,16 +759,9 @@ let of_node root_node =
   done;
   Builder.build b ~root:!result
 
-let span t at stop = Bytes.sub_string t.arena.Arena.bytes at (stop - at)
-let id_of t i = span t t.id_at.(i) t.st_at.(i)
-let statement_of t i = span t t.st_at.(i) t.st_end.(i)
-
-let is_tree t =
-  let ok = ref true in
-  for i = 0 to t.n - 1 do
-    if t.parent_off.(i + 1) - t.parent_off.(i) >= 2 then ok := false
-  done;
-  !ok
+let id_of t i = String.sub t.text t.id_at.(i) t.id_len.(i)
+let statement_of t i = String.sub t.text t.st_at.(i) t.st_len.(i)
+let is_tree t = not t.shared
 
 let to_node t =
   if not (is_tree t) then
@@ -814,6 +935,8 @@ let propagate_par ~pool ?chunks dep t =
     match chunks with Some c -> c | None -> Parallel.default_chunks ~pool ()
   in
   if chunks < 1 then invalid_arg "Graph.propagate_par: chunks must be >= 1";
+  (* Built here, in the calling domain, before any chunk runs. *)
+  levels_built t;
   let vdata = Columns.unsafe_data t.value in
   let run_slice s e =
     for k = s to e - 1 do
@@ -848,6 +971,7 @@ let set_evidence t i confidence =
     invalid_arg "Graph.set_evidence: not an evidence node";
   if not (confidence > 0.0 && confidence <= 1.0) then
     invalid_arg "Graph.set_evidence: confidence must be in (0,1]";
+  edits_built t;
   Columns.set t.base i confidence;
   mark_dirty t i;
   if t.hash_valid then mark_hash_dirty t i
@@ -855,11 +979,12 @@ let set_evidence t i confidence =
 let set_assumption t ~id ~p_valid =
   if not (p_valid > 0.0 && p_valid <= 1.0) then
     invalid_arg "Graph.set_assumption: p_valid must be in (0,1]";
-  match Ids.find_opt t.index t.arena id with
+  match Ids.find_opt t.index t.text id with
   | None -> raise Not_found
   | Some slot when slot >= 0 -> raise Not_found
   | Some slot ->
     let gi = lnot slot in
+    edits_built t;
     t.assumption_lists.(gi) <-
       List.map
         (fun (a : Node.assumption) ->
@@ -956,8 +1081,14 @@ let node_hash t hdata i =
 let refresh_hashes t =
   let hdata = t.shash in
   if not t.hash_valid then begin
-    (* First query: one full leaf-up pass (index order is topological).
-       Any staged hash dirt predates this pass, so drop it. *)
+    (* First query: the column, and one full leaf-up pass (index order
+       is topological).  Any staged hash dirt predates this pass, so drop
+       it. *)
+    if Bigarray.Array1.dim hdata = 0 then begin
+      t.shash <- Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout t.n;
+      t.hdirty <- Bytes.make t.n '\000'
+    end;
+    let hdata = t.shash in
     for i = 0 to t.n - 1 do
       Bigarray.Array1.unsafe_set hdata i (node_hash t hdata i)
     done;
@@ -1112,6 +1243,7 @@ let inter (a : int array) la (b : int array) b0 lb out =
 let grown a need = if Array.length a >= need then a else Array.make (max need (2 * Array.length a)) 0
 
 let spof_evidence t =
+  parents_built t;
   let pool = ref (Array.make 1024 0) and top = ref 0 in
   (* A goal's run sits at [start.(i)] in the pool: its length, then its
      members.  An evidence node's set is itself and takes no run.
@@ -1205,7 +1337,7 @@ let spof_evidence t =
 (* --- inspection --------------------------------------------------------------- *)
 
 let size t = t.n
-let edge_count t = Array.length t.child
+let edge_count t = t.edges
 let root t = t.root
 let levels t = t.height
 
@@ -1216,7 +1348,7 @@ let kind_of t i =
   | _ -> Any_goal
 
 let find t id =
-  match Ids.find_opt t.index t.arena id with
+  match Ids.find_opt t.index t.text id with
   | Some i when i >= 0 -> Some i
   | _ -> None
 let value t i = Columns.get t.value i
@@ -1228,9 +1360,12 @@ let children t i =
 let child_count t i = t.child_off.(i + 1) - t.child_off.(i)
 
 let parents t i =
+  parents_built t;
   Array.sub t.parent t.parent_off.(i) (t.parent_off.(i + 1) - t.parent_off.(i))
 
-let parent_count t i = t.parent_off.(i + 1) - t.parent_off.(i)
+let parent_count t i =
+  parents_built t;
+  t.parent_off.(i + 1) - t.parent_off.(i)
 
 let values t = t.value
 let assumption_validity t i = Columns.get t.avalid i

@@ -6,7 +6,8 @@
     duplicated.  [Graph.t] is the evaluation representation: nodes are
     dense [int] indices, child and parent adjacency are CSR arrays,
     per-node kind tags live in a byte string, ids and statements are
-    spans into one byte arena, and confidences /
+    spans into one string (a loaded graph's own document), and
+    confidences /
     assumption-validity products / computed values live in unboxed
     {!Numerics.Columns} float64 columns.  It is a true DAG — one evidence
     node may be [supported_by] several legs — with {!of_node}/{!to_node}
@@ -85,10 +86,13 @@ module Builder : sig
   val evidence :
     b -> ?id:string -> ?statement:string -> confidence:float -> unit -> int
 
-  (** [goal b ?id ?statement ?assumptions ~combinator children] — new
-      goal over existing node indices (children must already have been
-      emitted; this is what makes index order topological).  Children may
-      be shared with other goals — that is how DAGs are built.
+  (** [goal b ?id ?statement ?assumptions ?pos ?len ~combinator
+      children] — new goal over the existing node indices
+      [children.(pos) .. children.(pos+len-1)] (default: all of them;
+      children must already have been emitted, which is what makes index
+      order topological).  A caller emitting many goals can fill one
+      reused array and pass a slice of it.  Children may be shared with
+      other goals — that is how DAGs are built.
       @raise Invalid_argument on empty children, out-of-range indices,
       p_valid outside (0,1], or duplicate interned ids. *)
   val goal :
@@ -96,6 +100,8 @@ module Builder : sig
     ?id:string ->
     ?statement:string ->
     ?assumptions:Node.assumption list ->
+    ?pos:int ->
+    ?len:int ->
     combinator:Node.combinator ->
     int array ->
     int
@@ -103,29 +109,34 @@ module Builder : sig
   (** {2 Loading text}
 
       The entry points a case-file loader ({!Case_format}) builds
-      through.  Ids and statements are spans [s.[at..at+len)] of the
-      document text [s], copied straight into the graph's byte arena: no
-      string is made per node.  [key] names the id's position in a
-      preset id table (see {!of_text}); without one it is ignored and
-      the id is interned as {!evidence}/{!goal} would. *)
+      through.  Ids and statements are spans [text.[at..at+len)] of the
+      builder's document [text], which the graph keeps as its text:
+      nothing is copied and no string is made per node.  [key] names
+      the id's position in a preset id table (see {!of_text}); without
+      one it is ignored and the id is interned, in place, as
+      {!evidence}/{!goal} would intern it. *)
 
-  (** [of_text ~capacity ~text ?table ()] — a builder for a document of
-      at most [capacity] nodes whose ids and statements total at most
-      [text] bytes (the document's length bounds both).  [table], when
-      given, is the document's id table: its positions are the [key]s
-      of every id the load will name, all distinct, so the builder
+  (** [of_text ~capacity ?table text] — a builder for the document
+      [text], of at most [capacity] nodes.  [table], when given, is the
+      document's id table [(table, at, len)]: position [k] of [table] is
+      the id [text.[at.(k)..at.(k)+len.(k))], and the positions are the
+      [key]s of every id the load will name, all distinct.  The builder
       records each id at its key instead of interning it again, and the
-      graph keeps [table] as its own.  Such a builder takes ids only
-      through {!evidence_span} and {!goal_span} with their keys; any
-      other id raises [Invalid_argument]. *)
-  val of_text : capacity:int -> text:int -> ?table:Intern.t -> unit -> b
+      graph keeps [table] and its two span columns as its own.  Such a
+      builder takes ids only through {!evidence_span} and {!goal_span}
+      with their keys; any other id raises [Invalid_argument].  Without
+      [table], the document's ids are interned by {!build}, in one pass,
+      which raises [Invalid_argument] on a duplicate.  Text given to
+      {!evidence}/{!goal} is appended to a copy of [text]. *)
+  val of_text :
+    capacity:int -> ?table:Intern.t * int array * int array -> string -> b
 
-  (** [evidence_span b s ~key ~id ~id_len ~statement ~statement_len
-      ~confidence] — {!evidence} with the id [s.[id..id+id_len)] and the
-      statement [s.[statement..statement+statement_len)]. *)
+  (** [evidence_span b ~key ~id ~id_len ~statement ~statement_len
+      ~confidence] — {!evidence} with the id [text.[id..id+id_len)] and
+      the statement [text.[statement..statement+statement_len)] of the
+      builder's document. *)
   val evidence_span :
     b ->
-    string ->
     key:int ->
     id:int ->
     id_len:int ->
@@ -134,14 +145,16 @@ module Builder : sig
     confidence:float ->
     int
 
-  (** [goal_span b s ~key ~id ~id_len ~statement ~statement_len
-      ~assumptions ~keys ~combinator kids ~pos ~len] — {!goal} over the
-      children [kids.(pos) .. kids.(pos+len-1)], with its id and
-      statement spans of [s]; [keys] lists each assumption's key, in
-      the order of [assumptions] (or is [[]] without a preset table). *)
+  (** [goal_span b ~key ~id ~id_len ~statement ~statement_len
+      ~assumptions ~keys ~assumption_ids ~combinator kids ~pos ~len] —
+      {!goal} over the children [kids.(pos) .. kids.(pos+len-1)], with
+      its id and statement spans of the document; [keys] lists each
+      assumption's key, in the order of [assumptions] (or is [[]]
+      without a preset table), and [assumption_ids] the offset of each
+      assumption's id [aid] in the document (an id given no offset is
+      appended to the text). *)
   val goal_span :
     b ->
-    string ->
     key:int ->
     id:int ->
     id_len:int ->
@@ -149,14 +162,20 @@ module Builder : sig
     statement_len:int ->
     assumptions:Node.assumption list ->
     keys:int list ->
+    assumption_ids:int list ->
     combinator:Node.combinator ->
     int array ->
     pos:int ->
     len:int ->
     int
 
-  (** [build b ~root] — freeze into a graph: derive the parent CSR, the
-      level schedule, and the shared-evidence overlap fractions. *)
+  (** [build b ~root] — freeze into a graph.  The builder's columns
+      become the graph's, uncopied.  Each node's level and a parent
+      count stopped at 2 were recorded as it was emitted, so [build]
+      knows the height and whether the graph is a tree without a pass;
+      it derives the shared-evidence overlap fractions only when some
+      node has two parents.  The parent CSR, the level schedule, the
+      dirty maps and the hash column are built on first use. *)
   val build : b -> root:int -> t
 end
 
@@ -319,8 +338,9 @@ val levels : t -> int
 
 val kind_of : t -> int -> kind
 
-(** Node text lives in one byte arena per graph: ids and statements are
-    spans into it, and these copy a node's span out on demand. *)
+(** Node text lives in one string per graph (a loaded graph's own
+    document): ids and statements are spans into it, and these copy a
+    node's span out on demand. *)
 
 (** [id_of t i] — the interned id, or [""] for anonymous nodes. *)
 val id_of : t -> int -> string

@@ -551,6 +551,228 @@ let test_sensitivities_match_tree_path () =
         && same_bits (G.value g (G.root g)) (O.confidence dep t)))
     models
 
+(* --- derived structure on first use -------------------------------------------
+
+   A built graph derives its parent CSR, level schedule, dirty maps and
+   hash column only when something first needs them.  [Graph_oracle]
+   derives them all eagerly, as the build used to.  Whatever the graph
+   is asked first, every answer must equal the oracle's bit for bit. *)
+
+module GO = Graph_oracle
+
+(* A random graph from [seed]: [`Tree] gives every node at most one
+   parent, [`Dag] lets goals share children (and list one twice), both
+   with [any] goals and assumptions; [`Single] is one leaf. *)
+let random_graph ~seed ~size shape =
+  let rng = rng_of_seed seed in
+  let b = G.Builder.create () in
+  let conf () = Numerics.Rng.uniform rng 0.5 1.0 in
+  match shape with
+  | `Single -> G.Builder.build b ~root:(G.Builder.evidence b ~confidence:(conf ()) ())
+  | (`Tree | `Dag) as shape ->
+    (* [open_] holds the nodes no goal has taken yet. *)
+    let open_ = ref [] and emitted = ref 0 and assumption = ref 0 in
+    let emit i =
+      incr emitted;
+      open_ := i :: !open_;
+      i
+    in
+    ignore (emit (G.Builder.evidence b ~confidence:(conf ()) ()));
+    for _ = 2 to size do
+      if Numerics.Rng.bernoulli rng 0.55 then
+        ignore (emit (G.Builder.evidence b ~confidence:(conf ()) ()))
+      else begin
+        let k = 1 + Numerics.Rng.int rng 4 in
+        let kids =
+          match shape with
+          | `Dag -> Array.init k (fun _ -> Numerics.Rng.int rng !emitted)
+          | `Tree ->
+            let pool = Array.of_list !open_ in
+            let take = min k (Array.length pool) in
+            let kids = Array.sub pool 0 take in
+            open_ := Array.to_list (Array.sub pool take (Array.length pool - take));
+            kids
+        in
+        let combinator = if Numerics.Rng.bernoulli rng 0.5 then N.Any else N.All in
+        let assumptions =
+          if Numerics.Rng.bernoulli rng 0.2 then begin
+            incr assumption;
+            [ { N.aid = Printf.sprintf "A%d" !assumption; a_statement = "";
+                p_valid = Numerics.Rng.uniform rng 0.9 1.0 } ]
+          end
+          else []
+        in
+        if shape = `Dag then
+          open_ := List.filter (fun i -> not (Array.mem i kids)) !open_;
+        ignore (emit (G.Builder.goal b ~assumptions ~combinator kids))
+      end
+    done;
+    let tops = Array.of_list (List.rev !open_) in
+    let root =
+      if Array.length tops = 1 then tops.(0)
+      else G.Builder.goal b ~combinator:N.Any tops
+    in
+    G.Builder.build b ~root
+
+type first_use = Edit | Hash | Spof | Parents | Par of int
+
+let name_of = function
+  | Edit -> "edit"
+  | Hash -> "structural_hash"
+  | Spof -> "spof_evidence"
+  | Parents -> "parents"
+  | Par d -> Printf.sprintf "propagate_par at %d domains" d
+
+let same_values what g values =
+  Array.iteri
+    (fun i v ->
+      if not (same_bits (G.value g i) v) then
+        Alcotest.failf "%s: value of node %d differs from the eager build" what i)
+    values
+
+(* Run [uses] in order on [g], checking each against the oracle [o]
+   (whose base confidences follow the edits), then every derived
+   structure. *)
+let against_oracle ~pools ~seed dep g uses =
+  let o = GO.of_graph g in
+  let rng = rng_of_seed seed in
+  let leaves = G.evidence_indices g in
+  List.iter
+    (fun use ->
+      let what = name_of use in
+      match use with
+      | Edit ->
+        let i = leaves.(Numerics.Rng.int rng (Array.length leaves)) in
+        let c = Numerics.Rng.uniform rng 0.5 1.0 in
+        G.set_evidence g i c;
+        o.GO.base.(i) <- c;
+        let root = G.refresh dep g in
+        let values = GO.propagate o dep in
+        check_true (what ^ ": root") (same_bits root values.(o.GO.root));
+        same_values what g values
+      | Hash ->
+        let hashes = GO.hashes o in
+        Array.iteri
+          (fun i h ->
+            if not (Int64.equal (G.structural_hash g i) h) then
+              Alcotest.failf "%s: hash of node %d differs" what i)
+          hashes;
+        check_true (what ^ ": root hash") (Int64.equal (G.root_hash g) hashes.(o.GO.root))
+      | Spof -> check_true what (G.spof_evidence g = GO.spof_evidence o)
+      | Parents ->
+        for i = 0 to o.GO.n - 1 do
+          if G.parents g i <> GO.parents o i || G.parent_count g i <> Array.length (GO.parents o i)
+          then Alcotest.failf "%s: parents of node %d differ" what i
+        done
+      | Par d ->
+        let values = GO.propagate_levels o dep in
+        let root = G.propagate_par ~pool:(List.assoc d pools) ~chunks:64 dep g in
+        check_true (what ^ ": root") (same_bits root values.(o.GO.root));
+        same_values what g values)
+    uses;
+  check_true "is_tree" (G.is_tree g = GO.is_tree o);
+  check_true "levels" (G.levels g = o.GO.height);
+  check_true "max_overlap" (same_bits (G.max_overlap g) (GO.max_overlap o));
+  for i = 0 to o.GO.n - 1 do
+    if not (same_bits (G.overlap_fraction g i) o.GO.overlap.(i)) then
+      Alcotest.failf "overlap of node %d differs" i
+  done;
+  let lo, hi = G.propagate_bounds dep g in
+  let olo, ohi = GO.bounds o dep in
+  Array.iteri
+    (fun i l ->
+      if not (same_bits (Numerics.Columns.get lo i) l && same_bits (Numerics.Columns.get hi i) ohi.(i))
+      then Alcotest.failf "bounds of node %d differ" i)
+    olo;
+  check_true "propagate" (same_bits (G.propagate dep g) (GO.propagate o dep).(o.GO.root));
+  same_values "propagate" g (GO.propagate o dep)
+
+let all_uses = [ Edit; Hash; Spof; Parents; Par 1; Par 2; Par 4 ]
+
+let with_pools f =
+  Numerics.Parallel.with_pool ~num_domains:1 (fun p1 ->
+      Numerics.Parallel.with_pool ~num_domains:2 (fun p2 ->
+          Numerics.Parallel.with_pool ~num_domains:4 (fun p4 ->
+              f [ (1, p1); (2, p2); (4, p4) ])))
+
+(* Random graphs, models and orders of first use. *)
+let test_lazy_property () =
+  let open QCheck2.Gen in
+  let gen =
+    let* seed = int_bound 1_000_000
+    and* shape = oneofl [ `Tree; `Dag; `Dag; `Single; `Generated ]
+    and* size = int_range 1 60
+    and* model = int_bound (List.length models - 1)
+    and* uses = shuffle_l (Edit :: all_uses) in
+    pure (seed, shape, size, model, uses)
+  in
+  let print (seed, shape, size, model, uses) =
+    Printf.sprintf "seed %d, %s of %d, %s, %s" seed
+      (match shape with `Tree -> "tree" | `Dag -> "dag" | `Single -> "single" | `Generated -> "generated dag")
+      size (fst (List.nth models model))
+      (String.concat ", " (List.map name_of uses))
+  in
+  with_pools (fun pools ->
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:150 ~name:"lazy graph == eager oracle" ~print gen
+           (fun (seed, shape, size, model, uses) ->
+             let g =
+               match shape with
+               | `Generated -> Gen.case ~seed ~legs:3 ~fanout:3 ~depth:3 ~shared:0.3 ()
+               | (`Tree | `Dag | `Single) as shape -> random_graph ~seed ~size shape
+             in
+             against_oracle ~pools ~seed (snd (List.nth models model)) g uses;
+             true)))
+
+(* Each structure built first, on graphs wide enough for propagate_par
+   to fan out (9000 leaves), one with shared evidence, and a 10^5-node
+   chain. *)
+let test_lazy_first_uses () =
+  let chain () =
+    let b = G.Builder.create ~capacity:100_000 () in
+    let i = ref (G.Builder.evidence b ~confidence:0.999 ()) in
+    for k = 2 to 100_000 do
+      i := G.Builder.goal b ~combinator:(if k mod 2 = 0 then N.All else N.Any) [| !i |]
+    done;
+    G.Builder.build b ~root:!i
+  in
+  let graphs =
+    [ ("wide tree", fun () -> Gen.case ~seed:5 ~legs:9 ~fanout:10 ~depth:3 ());
+      ("wide dag", fun () -> Gen.case ~seed:5 ~legs:9 ~fanout:10 ~depth:3 ~shared:0.1 ());
+      ("chain", chain) ]
+  in
+  with_pools (fun pools ->
+      List.iter
+        (fun (gname, make) ->
+          List.iter
+            (fun first ->
+              let rest = List.filter (fun u -> u <> first) all_uses in
+              try against_oracle ~pools ~seed:7 (G.Correlated 0.37) (make ()) (first :: rest)
+              with e ->
+                Alcotest.failf "%s, %s first: %s" gname (name_of first) (Printexc.to_string e))
+            all_uses)
+        graphs)
+
+(* The generator fills children through one reused array; the graph is
+   the one an array per goal gave, draw for draw. *)
+let test_generator_reuses_children () =
+  List.iter
+    (fun shared ->
+      let g = Gen.case ~seed:13 ~legs:4 ~fanout:5 ~depth:4 ~shared ()
+      and o = GO.generate ~seed:13 ~legs:4 ~fanout:5 ~depth:4 ~shared () in
+      check_true "size" (G.size g = G.size o);
+      check_true "root hash" (Int64.equal (G.root_hash g) (G.root_hash o));
+      List.iter
+        (fun (mname, dep) ->
+          ignore (G.propagate dep g);
+          ignore (G.propagate dep o);
+          for i = 0 to G.size g - 1 do
+            if not (same_bits (G.value g i) (G.value o i)) then
+              Alcotest.failf "shared %g, %s: node %d" shared mname i
+          done)
+        models)
+    [ 0.0; 0.1 ]
+
 let suite =
   [ case "DAG overlap fraction" test_dag_overlap;
     case "correlation floored at overlap" test_dag_correlation_floor;
@@ -572,4 +794,7 @@ let suite =
     test_bitwise_identity_property;
     test_skip_kernel_property;
     test_incremental_identity_property;
-    test_edit_order_convergence_property ]
+    test_edit_order_convergence_property;
+    case "lazy graph == eager oracle, random graphs and orders" test_lazy_property;
+    case "lazy graph == eager oracle, each structure first" test_lazy_first_uses;
+    case "generator reuses one child array, draw for draw" test_generator_reuses_children ]
