@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json serve-smoke bench-compare experiment-vr examples csv clean lint-src check-fixtures audit-fixtures
+.PHONY: all build test check bench bench-json serve-smoke bench-compare experiment-vr examples csv clean lint-src dead-values check-fixtures audit-fixtures
 
 all: build
 
@@ -16,6 +16,11 @@ check:
 # script for the rules and the allow-comment escape hatch.
 lint-src:
 	sh scripts/lint_src.sh
+
+# Report (not a gate) of the values lib/**/*.mli exports that nothing
+# outside their own module and test/ references; see the script.
+dead-values:
+	sh scripts/dead_values.sh
 
 # The static analyser over the shipped fixtures: good ones must be clean
 # even under --strict, the deliberately-bad ones must exit 2, and the

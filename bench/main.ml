@@ -165,8 +165,8 @@ let vr_rows () =
       (* Mean estimation: plain sampling vs randomised QMC through the
          quantile transform (16 scrambled replicates). *)
       let mean_plain () =
-        Sim.Mc.estimate_par ~pool ~chunks ~n ~seed:(seed + 2) (fun rng ->
-            target.Dist.sample rng)
+        Sim.Mc.estimate_par_batched_col ~pool ~chunks ~n ~seed:(seed + 2)
+          (fun () -> Sim.Mc.fill_col_of_scalar target.Dist.sample)
       in
       let replicates = 16 in
       let mean_qmc () =

@@ -2,8 +2,6 @@ module D = Diagnostic
 
 type kind = Case | Belief
 
-let kind_to_string = function Case -> "case" | Belief -> "belief"
-
 let kind_of_path path =
   match Filename.extension path with
   | ".case" -> Some Case

@@ -4,8 +4,6 @@
 
 type kind = Case | Belief
 
-val kind_to_string : kind -> string
-
 (** [kind_of_path path] — from the [.case] / [.belief] extension. *)
 val kind_of_path : string -> kind option
 

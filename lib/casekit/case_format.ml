@@ -578,8 +578,6 @@ let finish ld =
   in
   Graph.Builder.build ld.b ~root
 
-let fit a n = if Array.length a = n then a else Array.sub a 0 n
-
 let load raw =
   let n = Raw.length raw in
   if n > 0 && Raw.indent raw 0 <> 0 then
@@ -604,8 +602,7 @@ let load raw =
     step ld row k
   done;
   let g = finish ld in
-  let size = Graph.size g in
-  (g, { lines = fit ld.lines size; cols = fit ld.cols size })
+  (g, { lines = ld.lines; cols = ld.cols })
 
 (* Without the columns no positions are recorded: only [load]'s callers
    read them. *)

@@ -168,8 +168,11 @@ val parse_raw : string -> raw_node list
     {!graph}, which feeds each lexed row straight to the loader and never
     builds the columns. *)
 
-(** Source position of every graph node: [lines.(i)] and [cols.(i)] are
-    the line and column of the id token of node [i]. *)
+(** Source position of every graph node: for [i < Graph.size g],
+    [lines.(i)] and [cols.(i)] are the line and column of the id token of
+    node [i].  The arrays may be longer (they are sized by the document's
+    lines, assumptions included); entries past the graph are
+    unspecified. *)
 type positions = { lines : int array; cols : int array }
 
 (** [load raw] — the strict graph of a lexed document, with each node's

@@ -931,10 +931,7 @@ let par_level_threshold = 4096
 
 let propagate_par ~pool ?chunks dep t =
   check_dep dep;
-  let chunks =
-    match chunks with Some c -> c | None -> Parallel.default_chunks ~pool ()
-  in
-  if chunks < 1 then invalid_arg "Graph.propagate_par: chunks must be >= 1";
+  let chunks = Parallel.resolve_chunks ~pool ?chunks "Graph.propagate_par" in
   (* Built here, in the calling domain, before any chunk runs. *)
   levels_built t;
   let vdata = Columns.unsafe_data t.value in
@@ -949,14 +946,10 @@ let propagate_par ~pool ?chunks dep t =
     let count = lim - off in
     if count < par_level_threshold || chunks = 1 then run_slice off lim
     else begin
-      let sizes = Parallel.chunk_sizes ~n:count ~chunks in
-      let starts = Array.make (chunks + 1) off in
-      for c = 0 to chunks - 1 do
-        starts.(c + 1) <- starts.(c) + sizes.(c)
-      done;
+      let b = Parallel.slice_bounds ~n:count ~chunks in
       ignore
         (Parallel.map_chunks ~pool ~chunks (fun c ->
-             run_slice starts.(c) starts.(c + 1)))
+             run_slice (off + b.(c)) (off + b.(c + 1))))
     end
   done;
   clear_dirty t;

@@ -200,7 +200,7 @@ val propagate : dependence -> t -> float
 (** [propagate_par ~pool ?chunks dep t] — level-wise parallel propagation
     over the domain pool: nodes at the same level have no edges between
     them, so each level is split into [chunks] near-equal slices
-    ({!Numerics.Parallel.chunk_sizes}) evaluated concurrently.  Every
+    ({!Numerics.Parallel.slice_bounds}) evaluated concurrently.  Every
     node is computed from exactly the same inputs as in {!propagate},
     so the result is bit-identical to the sequential kernel at any
     domain count.  Small levels run inline. *)

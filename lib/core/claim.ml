@@ -22,5 +22,3 @@ let is_at_least_as_strong a b =
 
 let to_string t =
   Printf.sprintf "P(pfd < %g) >= %.6g" t.bound t.confidence
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -26,4 +26,3 @@ val of_belief : Dist.Mixture.t -> bound:float -> t
 val is_at_least_as_strong : t -> t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -23,8 +23,6 @@ let worst_case_belief (claim : Claim.t) =
   if x = 0.0 then Dist.Mixture.atom y
   else Dist.Mixture.make [ (1.0 -. x, Dist.Mixture.Atom y); (x, Dist.Mixture.Atom 1.0) ]
 
-let meets claim ~target = failure_bound claim <= target
-
 let required_confidence ~target ~bound =
   if not (target > 0.0 && target < 1.0) then
     raise (Infeasible "required_confidence: target must be in (0,1)");

@@ -30,10 +30,6 @@ val failure_bound_factor : Claim.t -> k:float -> float
     bound; its mean equals [failure_bound claim]. *)
 val worst_case_belief : Claim.t -> Dist.Mixture.t
 
-(** [meets claim ~target] — does the worst-case failure probability satisfy
-    the target? *)
-val meets : Claim.t -> target:float -> bool
-
 (** [required_confidence ~target ~bound] — the confidence 1-x* needed in
     "pfd < bound" for the failure probability to meet [target]:
     x* = (target - bound)/(1 - bound).

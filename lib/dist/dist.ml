@@ -10,10 +10,8 @@ module Lognormal = Lognormal
 module Gamma_d = Gamma_d
 module Beta_d = Beta_d
 module Exponential_d = Exponential_d
-module Weibull_d = Weibull_d
 module Uniform_d = Uniform_d
 module Mixture = Mixture
-module Truncated = Truncated
 module Reweighted = Reweighted
 module Empirical = Empirical
 module Fit = Fit

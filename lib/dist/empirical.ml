@@ -40,8 +40,6 @@ let of_column ?(share = false) col =
       shared = false;
     }
 
-let of_bigarray ?share ba = of_column ?share (Numerics.Columns.of_bigarray ba)
-
 let size t = Numerics.Columns.length t.raw
 let mean t = Numerics.Columns.mean t.raw
 let variance t = Numerics.Columns.variance t.raw

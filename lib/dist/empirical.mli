@@ -41,10 +41,6 @@ val of_samples : float array -> t
     construction-order buffer and a private scratch is copied lazily. *)
 val of_column : ?share:bool -> Numerics.Columns.t -> t
 
-(** [of_bigarray ?share ba] — [of_column ?share] on a zero-copy adoption
-    of [ba] (e.g. one column of an mmapped snapshot). *)
-val of_bigarray : ?share:bool -> Numerics.Columns.ba -> t
-
 val size : t -> int
 val mean : t -> float
 

@@ -256,7 +256,6 @@ let sample_into_col t rng (buf : Numerics.Columns.ba) ~pos ~len =
       done
   end
 
-let weights_col t = t.weights
 let cum_col t = t.cum
 
 let scale_weights t f =

@@ -72,12 +72,9 @@ val sample : t -> Numerics.Rng.t -> float
 val sample_into_col :
   t -> Numerics.Rng.t -> Numerics.Columns.ba -> pos:int -> len:int -> unit
 
-(** [weights_col t] / [cum_col t] — the parallel component-parameter
-    columns (normalised weights; cumulative weights with the last entry
-    pinned to 1).  Read-only aliases of the mixture's own storage: do not
+(** [cum_col t] — the cumulative component weights, the last entry
+    pinned to 1.  A read-only alias of the mixture's own storage: do not
     mutate. *)
-val weights_col : t -> Numerics.Columns.t
-
 val cum_col : t -> Numerics.Columns.t
 
 (** [support t] — smallest interval containing all mass. *)

@@ -24,14 +24,14 @@ type result = {
 (* Per-assessor population state, SoA: the three expert fields that the
    phase kernels touch ([log_peak], [sigma], [learning]); rows
    [0 .. n_doubters - 1] are doubters, the rest believers, mirroring the
-   index layout of [Delphi.run]. *)
+   index layout of [Delphi.run].  Chunk [c] owns rows
+   [bounds.(c) .. bounds.(c + 1) - 1]. *)
 type state = {
   nd : int;
   lp : Cols.ba;
   sg : Cols.ba;
   lr : Cols.ba;
-  offsets : int array;
-  sizes : int array;
+  bounds : int array;
 }
 
 let ln_sil2 = log 1e-2
@@ -62,8 +62,7 @@ let phase_stats ?pool ~chunks ~compression st phase =
           { s2 = 0.0; s1 = 0.0; sm = 0.0;
             digest = Numerics.Sketch.create ~compression () }
         in
-        let pos = st.offsets.(c) and len = st.sizes.(c) in
-        for i = pos to pos + len - 1 do
+        for i = st.bounds.(c) to st.bounds.(c + 1) - 1 do
           if i >= st.nd then begin
             let sigma = Ba.unsafe_get st.sg i in
             let mu = assessor_mu ~log_peak:(Ba.unsafe_get st.lp i) ~sigma in
@@ -107,8 +106,7 @@ let phase_stats ?pool ~chunks ~compression st phase =
 let move_shrink ?pool ~chunks st ~target ~gain ~spread_reduction =
   ignore
     (Par.map_chunks ?pool ~chunks (fun c ->
-         let pos = st.offsets.(c) and len = st.sizes.(c) in
-         for i = pos to pos + len - 1 do
+         for i = st.bounds.(c) to st.bounds.(c + 1) - 1 do
            if i >= st.nd then begin
              let learning = Ba.unsafe_get st.lr i in
              let peak = Ba.unsafe_get st.lp i in
@@ -125,9 +123,8 @@ let group_view ?pool ~chunks st =
   let num, den =
     Par.parallel_for_reduce ?pool ~chunks ~init:(0.0, 0.0)
       ~body:(fun c ->
-        let pos = st.offsets.(c) and len = st.sizes.(c) in
         let num = ref 0.0 and den = ref 0.0 in
-        for i = pos to pos + len - 1 do
+        for i = st.bounds.(c) to st.bounds.(c + 1) - 1 do
           if i >= st.nd then begin
             let sigma = Ba.unsafe_get st.sg i in
             let w = 1.0 /. (sigma *. sigma) in
@@ -153,13 +150,7 @@ let run ?pool ?chunks ?(compression = 200.0) config ~n =
   if n < 2 then invalid_arg "Population.run: n < 2";
   if not (compression >= 10.0) then
     invalid_arg "Population.run: compression < 10";
-  let chunks =
-    match chunks with
-    | Some c ->
-      if c < 1 then invalid_arg "Population.run: chunks < 1";
-      c
-    | None -> Par.default_chunks ?pool ()
-  in
+  let chunks = Par.resolve_chunks ?pool ?chunks "Population.run" in
   (* Scale the doubter head-count to the population, keeping at least
      one believer (check_config guarantees the proportion is < 1). *)
   let nd = min (n * config.Delphi.n_doubters / config.Delphi.n_experts) (n - 1) in
@@ -173,14 +164,10 @@ let run ?pool ?chunks ?(compression = 200.0) config ~n =
       lp = Cols.unsafe_data log_peak;
       sg = Cols.unsafe_data sigma;
       lr = Cols.unsafe_data learning;
-      offsets = Array.make chunks 0;
-      sizes = Par.chunk_sizes ~n ~chunks;
+      bounds = Par.slice_bounds ~n ~chunks;
     }
   in
-  for c = 1 to chunks - 1 do
-    st.offsets.(c) <- st.offsets.(c - 1) + st.sizes.(c - 1)
-  done;
-  let rngs = Numerics.Rng.split_n (Numerics.Rng.create config.Delphi.seed) chunks in
+  let stream = Par.streams ~seed:config.Delphi.seed ~chunks in
   let ln_true = log config.Delphi.true_pfd in
   let doubter_base =
     ln_true +. (config.Delphi.doubter_pessimism_decades *. log 10.0)
@@ -191,10 +178,10 @@ let run ?pool ?chunks ?(compression = 200.0) config ~n =
      profile-dependent transform per row. *)
   ignore
     (Par.map_chunks ?pool ~chunks (fun c ->
-         let pos = st.offsets.(c) and len = st.sizes.(c) in
-         Numerics.Rng.fill_normals_col rngs.(c) st.lp ~pos ~len ~mu:0.0
-           ~sigma:config.Delphi.briefing_noise;
-         for i = pos to pos + len - 1 do
+         let pos = st.bounds.(c) and lim = st.bounds.(c + 1) in
+         Numerics.Rng.fill_normals_col (stream c) st.lp ~pos ~len:(lim - pos)
+           ~mu:0.0 ~sigma:config.Delphi.briefing_noise;
+         for i = pos to lim - 1 do
            let noise = Ba.unsafe_get st.lp i in
            if i < nd then begin
              Ba.unsafe_set st.lp i (doubter_base +. noise);

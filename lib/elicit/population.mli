@@ -11,10 +11,10 @@
     expert index rescaled to the population.
 
     Determinism: the result is a pure function of [(config.seed, n,
-    chunks)] — per-chunk RNG streams come from [Rng.split_n], reductions
-    fold in chunk order, and the per-phase quantile bands come from
-    mergeable t-digests combined in chunk order — so it is bit-identical
-    at any domain count (the PR 1/4 contract). *)
+    chunks)] — per-chunk RNG streams come from
+    [Numerics.Parallel.streams], reductions fold in chunk order, and the
+    per-phase quantile bands come from mergeable t-digests combined in
+    chunk order — so it is bit-identical at any domain count. *)
 
 (** Quantile band of the believer population's per-assessor SIL 2
     confidence P(pfd <= 1e-2). *)
@@ -39,8 +39,8 @@ type result = {
 (** [run ?pool ?chunks ?compression config ~n] — simulate a population
     of [n] assessors ([n >= 2]) under the panel [config] (validated by
     {!Delphi.check_config}; [config.n_experts]/[config.n_doubters] set
-    the doubter {e proportion}).  [chunks] defaults to
-    [Numerics.Parallel.default_chunks]; [compression] is the t-digest
+    the doubter {e proportion}).  [chunks] resolves as in
+    [Numerics.Parallel.resolve_chunks]; [compression] is the t-digest
     compression for the quantile bands (default 200). *)
 val run :
   ?pool:Numerics.Parallel.pool ->

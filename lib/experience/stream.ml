@@ -198,21 +198,13 @@ let ingest_par ~mode:m ~name ~slice ?pool ?chunks t ~a ~b =
   require_mode t m name;
   let n = check_paired name a b in
   let chunks =
-    match chunks with
-    | Some c ->
-      if c < 1 then invalid_arg (Printf.sprintf "Stream.%s: chunks < 1" name);
-      c
-    | None -> Numerics.Parallel.default_chunks ?pool ()
+    Numerics.Parallel.resolve_chunks ?pool ?chunks ("Stream." ^ name)
   in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let offsets = Array.make chunks 0 in
-  for c = 1 to chunks - 1 do
-    offsets.(c) <- offsets.(c - 1) + sizes.(c - 1)
-  done;
+  let bounds = Numerics.Parallel.slice_bounds ~n ~chunks in
   let subs =
     Numerics.Parallel.map_chunks ?pool ~chunks (fun c ->
         let acc = sub t in
-        slice acc ~pos:offsets.(c) ~len:sizes.(c);
+        slice acc ~pos:bounds.(c) ~len:(bounds.(c + 1) - bounds.(c));
         acc)
   in
   (* Chunk-order merge; with exact totals the order is immaterial, but

@@ -100,8 +100,9 @@ val ingest_hours_col :
   t -> hours:Numerics.Columns.t -> failures:Numerics.Columns.t -> unit
 
 (** [ingest_demands_par ?pool ?chunks t ~demands ~failures] — parallel
-    batch ingestion: the rows are split into [chunks] slices (default
-    [Numerics.Parallel.default_chunks]), each absorbed into a fresh
+    batch ingestion: the rows are split into [chunks] slices
+    ([Numerics.Parallel.slice_bounds], [chunks] resolved by
+    [Numerics.Parallel.resolve_chunks]), each absorbed into a fresh
     sub-accumulator on the pool, then merged into [t] in chunk order.
     Because totals are exact, the final state is bit-identical to
     sequential {!ingest_demands_col} at any domain and chunk count. *)

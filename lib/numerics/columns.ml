@@ -35,7 +35,6 @@ let set t i x =
   Bigarray.Array1.unsafe_set t.data i x
 
 let unsafe_get t i = Bigarray.Array1.unsafe_get t.data i
-let unsafe_set t i x = Bigarray.Array1.unsafe_set t.data i x
 let unsafe_data t = t.data
 
 let ensure_capacity t needed =
@@ -105,19 +104,9 @@ let of_array xs =
 
 let to_array t = Array.init t.len (fun i -> Bigarray.Array1.unsafe_get t.data i)
 
-let fill t x =
-  for i = 0 to t.len - 1 do
-    Bigarray.Array1.unsafe_set t.data i x
-  done
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f (Bigarray.Array1.unsafe_get t.data i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (Bigarray.Array1.unsafe_get t.data i)
   done
 
 let fold_left f init t =

@@ -52,8 +52,6 @@ val set : t -> int -> float -> unit
     bounds invariant ([0 <= i < length t]). *)
 val unsafe_get : t -> int -> float
 
-val unsafe_set : t -> int -> float -> unit
-
 (** [unsafe_data t] — the backing bigarray, index 0 = element 0.  Its
     dimension is [capacity t], not [length t]: indices at or beyond
     [length t] read uninitialised storage.  Invalidated by the next
@@ -99,11 +97,7 @@ val to_array : t -> float array
     capacity = [Array1.dim ba]; fixed capacity). *)
 val of_bigarray : ba -> t
 
-(** [fill t x] — set every element to [x]. *)
-val fill : t -> float -> unit
-
 val iter : (float -> unit) -> t -> unit
-val iteri : (int -> float -> unit) -> t -> unit
 val fold_left : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 (** [mean t] / [variance t] — same definitions (and the same left-fold

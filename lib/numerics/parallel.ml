@@ -96,6 +96,12 @@ let chunk_sizes ~n ~chunks =
   let base = n / chunks and extra = n mod chunks in
   Array.init chunks (fun i -> if i < extra then base + 1 else base)
 
+let slice_bounds ~n ~chunks =
+  if n < 0 then invalid_arg "Parallel.slice_bounds: n < 0";
+  if chunks < 1 then invalid_arg "Parallel.slice_bounds: chunks < 1";
+  let base = n / chunks and extra = n mod chunks in
+  Array.init (chunks + 1) (fun i -> (i * base) + min i extra)
+
 let default_chunks_with ~domains ~spec =
   let fallback = 8 * max 1 domains in
   match spec with
@@ -202,3 +208,27 @@ let map_chunks ?pool ~chunks body =
 
 let parallel_for_reduce ?pool ~chunks ~init ~body ~merge =
   Array.fold_left merge init (map_chunks ?pool ~chunks body)
+
+(* The stream rule.  An explicit [~chunks] wins (the repro layer passes
+   one, for cross-machine reproducibility); otherwise the oversubscribed
+   default applies. *)
+let resolve_chunks ?pool ?chunks name =
+  match chunks with
+  | Some c ->
+    if c < 1 then invalid_arg (name ^ ": chunks < 1");
+    c
+  | None -> default_chunks ?pool ()
+
+(* The split-stream array is only ever read: each chunk advances a copy
+   made in the domain that runs it, so domains never write to
+   adjacently allocated records (false sharing). *)
+let streams ~seed ~chunks =
+  let split = Rng.split_n (Rng.create seed) chunks in
+  fun i -> Rng.copy split.(i)
+
+let fan_out ?pool ?chunks ~name ~n ~seed ~init ~merge body =
+  let chunks = resolve_chunks ?pool ?chunks name in
+  let sizes = chunk_sizes ~n ~chunks in
+  let stream = streams ~seed ~chunks in
+  parallel_for_reduce ?pool ~chunks ~init ~merge ~body:(fun i ->
+      body ~size:sizes.(i) (stream i))

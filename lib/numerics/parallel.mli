@@ -93,3 +93,45 @@ val parallel_for_reduce :
   body:(int -> 'a) ->
   merge:('b -> 'a -> 'b) ->
   'b
+
+(** {1 The stream rule}
+
+    Every parallel entry point follows one rule: it resolves its chunk
+    count with {!resolve_chunks}, cuts its [n] items into the slices of
+    {!slice_bounds}, gives chunk [i] stream [i] of {!streams}, and folds
+    the chunk results in chunk order.  The result is then a pure function
+    of [(seed, chunks)], bit-identical at any domain count.  {!fan_out}
+    is the rule in one call. *)
+
+(** [resolve_chunks ?pool ?chunks name] — an explicit [chunks] wins, and
+    raises [Invalid_argument "<name>: chunks < 1"] below 1; otherwise
+    [default_chunks ?pool ()]. *)
+val resolve_chunks : ?pool:pool -> ?chunks:int -> string -> int
+
+(** [slice_bounds ~n ~chunks] — [chunks + 1] ascending bounds from [0] to
+    [n]: chunk [i] owns items [b.(i) .. b.(i+1) - 1], of the size
+    [chunk_sizes] gives it.  [n >= 0], [chunks >= 1]. *)
+val slice_bounds : n:int -> chunks:int -> int array
+
+(** [streams ~seed ~chunks] — the per-chunk generators of [seed]:
+    [streams ~seed ~chunks i] is a fresh copy of stream [i] of
+    [Rng.split_n (Rng.create seed) chunks].  Call it in the domain that
+    runs chunk [i], so that domain owns the state it advances. *)
+val streams : seed:int -> chunks:int -> int -> Rng.t
+
+(** [fan_out ?pool ?chunks ~name ~n ~seed ~init ~merge body] — the stream
+    rule in one call: chunk [i] runs [body ~size rng] on its share [size]
+    of [n] (possibly 0) with [streams ~seed ~chunks i], and the results
+    fold into [init] with [merge] in chunk order.  [chunks] is resolved
+    by [resolve_chunks ?pool ?chunks name].  [body] must be safe to run
+    in several domains at once on distinct generators. *)
+val fan_out :
+  ?pool:pool ->
+  ?chunks:int ->
+  name:string ->
+  n:int ->
+  seed:int ->
+  init:'a ->
+  merge:('a -> 'a -> 'a) ->
+  (size:int -> Rng.t -> 'a) ->
+  'a

@@ -31,8 +31,6 @@ let rec log_gamma x =
     (0.5 *. log (2.0 *. pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
   end
 
-let gamma x = exp (log_gamma x)
-
 (* Regularised incomplete gamma: series for x < a + 1, continued fraction
    otherwise (Numerical Recipes gser/gcf, tightened tolerances). *)
 let gamma_eps = 1e-15

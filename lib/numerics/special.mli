@@ -10,9 +10,6 @@ val pi : float
     relative error below 1e-13 over the tested range. *)
 val log_gamma : float -> float
 
-(** [gamma x] is the Gamma function for [x > 0] (overflows above ~171). *)
-val gamma : float -> float
-
 (** [gamma_p a x] is the regularised lower incomplete gamma function
     P(a, x) = gamma(a, x) / Gamma(a), for [a > 0], [x >= 0]. *)
 val gamma_p : float -> float -> float

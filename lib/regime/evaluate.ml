@@ -9,57 +9,7 @@ type outcome = {
   testing_demands : int;
 }
 
-let run ~world ~assessor ~band ~policy ~systems ~seed =
-  if systems < 1 then invalid_arg "Evaluate.run: systems < 1";
-  let rng = Numerics.Rng.create seed in
-  let accepted = ref 0 in
-  let accepted_bad = ref 0 in
-  let rejected_good = ref 0 in
-  let accepted_pfd_sum = ref 0.0 in
-  let testing = ref 0 in
-  for _ = 1 to systems do
-    let true_pfd = Population.sample world rng in
-    let belief = Assessor.assess assessor rng ~true_pfd in
-    let good = Population.is_in_band world ~band true_pfd in
-    let verdict = Policy.accepts policy ~band belief rng ~true_pfd in
-    testing := !testing + Policy.testing_cost policy;
-    if verdict then begin
-      incr accepted;
-      accepted_pfd_sum := !accepted_pfd_sum +. true_pfd;
-      if not good then incr accepted_bad
-    end
-    else if good then incr rejected_good
-  done;
-  let mean_accepted_pfd =
-    if !accepted = 0 then 0.0
-    else !accepted_pfd_sum /. float_of_int !accepted
-  in
-  let acceptance_rate = float_of_int !accepted /. float_of_int systems in
-  {
-    policy;
-    systems;
-    accepted = !accepted;
-    accepted_bad = !accepted_bad;
-    rejected_good = !rejected_good;
-    mean_accepted_pfd;
-    expected_accidents_per_1000_demands =
-      mean_accepted_pfd *. 1000.0 *. acceptance_rate;
-    testing_demands = !testing;
-  }
-
-let compare ~world ~assessor ~band ~policies ~systems ~seed =
-  List.map
-    (fun policy -> run ~world ~assessor ~band ~policy ~systems ~seed)
-    policies
-
-(* Parallel regime evaluation: same split-stream fan-out as the
-   Monte-Carlo layer.  Each chunk simulates its share of the systems from
-   its own stream and tallies integer counts plus a pfd sum; the merges
-   are exact integer additions and a left-to-right float sum, both folded
-   in chunk order, so the outcome is a pure function of (seed, chunks).
-   Note the chunked stream differs from the scalar [run] stream — one
-   generator is replaced by [chunks] split streams — exactly as for
-   [Mc.estimate_par]. *)
+(* Per-system tallies: integer counts plus the accepted-pfd sum. *)
 type tally = {
   t_accepted : int;
   t_accepted_bad : int;
@@ -68,83 +18,92 @@ type tally = {
   t_testing : int;
 }
 
-let run_par ?pool ?chunks ~world ~assessor ~band ~policy ~systems ~seed () =
-  if systems < 1 then invalid_arg "Evaluate.run_par: systems < 1";
-  let chunks =
-    match chunks with
-    | Some c ->
-      if c < 1 then invalid_arg "Evaluate.run_par: chunks < 1";
-      c
-    | None -> Numerics.Parallel.default_chunks ?pool ()
-  in
-  let sizes = Numerics.Parallel.chunk_sizes ~n:systems ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  let body i =
-    let rng = Numerics.Rng.copy streams.(i) in
-    let accepted = ref 0 in
-    let accepted_bad = ref 0 in
-    let rejected_good = ref 0 in
-    let pfd_sum = ref 0.0 in
-    let testing = ref 0 in
-    for _ = 1 to sizes.(i) do
-      let true_pfd = Population.sample world rng in
-      let belief = Assessor.assess assessor rng ~true_pfd in
-      let good = Population.is_in_band world ~band true_pfd in
-      let verdict = Policy.accepts policy ~band belief rng ~true_pfd in
-      testing := !testing + Policy.testing_cost policy;
-      if verdict then begin
-        incr accepted;
-        pfd_sum := !pfd_sum +. true_pfd;
-        if not good then incr accepted_bad
-      end
-      else if good then incr rejected_good
-    done;
-    {
-      t_accepted = !accepted;
-      t_accepted_bad = !accepted_bad;
-      t_rejected_good = !rejected_good;
-      t_pfd_sum = !pfd_sum;
-      t_testing = !testing;
-    }
-  in
-  let total =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks
-      ~init:
-        {
-          t_accepted = 0;
-          t_accepted_bad = 0;
-          t_rejected_good = 0;
-          t_pfd_sum = 0.0;
-          t_testing = 0;
-        }
-      ~body
-      ~merge:(fun a b ->
-        {
-          t_accepted = a.t_accepted + b.t_accepted;
-          t_accepted_bad = a.t_accepted_bad + b.t_accepted_bad;
-          t_rejected_good = a.t_rejected_good + b.t_rejected_good;
-          t_pfd_sum = a.t_pfd_sum +. b.t_pfd_sum;
-          t_testing = a.t_testing + b.t_testing;
-        })
-  in
+(* [size] systems simulated from [rng], one after another: draw the true
+   pfd, assess it, decide, and count. *)
+let tally_systems ~world ~assessor ~band ~policy ~size rng =
+  let accepted = ref 0 in
+  let accepted_bad = ref 0 in
+  let rejected_good = ref 0 in
+  let pfd_sum = ref 0.0 in
+  let testing = ref 0 in
+  for _ = 1 to size do
+    let true_pfd = Population.sample world rng in
+    let belief = Assessor.assess assessor rng ~true_pfd in
+    let good = Population.is_in_band world ~band true_pfd in
+    let verdict = Policy.accepts policy ~band belief rng ~true_pfd in
+    testing := !testing + Policy.testing_cost policy;
+    if verdict then begin
+      incr accepted;
+      pfd_sum := !pfd_sum +. true_pfd;
+      if not good then incr accepted_bad
+    end
+    else if good then incr rejected_good
+  done;
+  {
+    t_accepted = !accepted;
+    t_accepted_bad = !accepted_bad;
+    t_rejected_good = !rejected_good;
+    t_pfd_sum = !pfd_sum;
+    t_testing = !testing;
+  }
+
+let outcome_of_tally ~policy ~systems t =
   let mean_accepted_pfd =
-    if total.t_accepted = 0 then 0.0
-    else total.t_pfd_sum /. float_of_int total.t_accepted
+    if t.t_accepted = 0 then 0.0
+    else t.t_pfd_sum /. float_of_int t.t_accepted
   in
-  let acceptance_rate =
-    float_of_int total.t_accepted /. float_of_int systems
-  in
+  let acceptance_rate = float_of_int t.t_accepted /. float_of_int systems in
   {
     policy;
     systems;
-    accepted = total.t_accepted;
-    accepted_bad = total.t_accepted_bad;
-    rejected_good = total.t_rejected_good;
+    accepted = t.t_accepted;
+    accepted_bad = t.t_accepted_bad;
+    rejected_good = t.t_rejected_good;
     mean_accepted_pfd;
     expected_accidents_per_1000_demands =
       mean_accepted_pfd *. 1000.0 *. acceptance_rate;
-    testing_demands = total.t_testing;
+    testing_demands = t.t_testing;
   }
+
+let run ~world ~assessor ~band ~policy ~systems ~seed =
+  if systems < 1 then invalid_arg "Evaluate.run: systems < 1";
+  outcome_of_tally ~policy ~systems
+    (tally_systems ~world ~assessor ~band ~policy ~size:systems
+       (Numerics.Rng.create seed))
+
+let compare ~world ~assessor ~band ~policies ~systems ~seed =
+  List.map
+    (fun policy -> run ~world ~assessor ~band ~policy ~systems ~seed)
+    policies
+
+(* Parallel regime evaluation under [Numerics.Parallel]'s stream rule:
+   each chunk tallies its share of the systems from its own stream, and
+   the tallies merge in chunk order — integer counts exactly, the pfd sum
+   left to right — so the outcome is a pure function of (seed, chunks).
+   The chunked stream differs from the scalar [run] stream: one generator
+   is replaced by [chunks] split streams. *)
+let run_par ?pool ?chunks ~world ~assessor ~band ~policy ~systems ~seed () =
+  if systems < 1 then invalid_arg "Evaluate.run_par: systems < 1";
+  outcome_of_tally ~policy ~systems
+    (Numerics.Parallel.fan_out ?pool ?chunks ~name:"Evaluate.run_par"
+       ~n:systems ~seed
+       ~init:
+         {
+           t_accepted = 0;
+           t_accepted_bad = 0;
+           t_rejected_good = 0;
+           t_pfd_sum = 0.0;
+           t_testing = 0;
+         }
+       ~merge:(fun a b ->
+         {
+           t_accepted = a.t_accepted + b.t_accepted;
+           t_accepted_bad = a.t_accepted_bad + b.t_accepted_bad;
+           t_rejected_good = a.t_rejected_good + b.t_rejected_good;
+           t_pfd_sum = a.t_pfd_sum +. b.t_pfd_sum;
+           t_testing = a.t_testing + b.t_testing;
+         })
+       (tally_systems ~world ~assessor ~band ~policy))
 
 let compare_par ?pool ?chunks ~world ~assessor ~band ~policies ~systems ~seed
     () =

@@ -45,8 +45,8 @@ val compare :
     in chunk order (integer counts exactly, the accepted-pfd sum left to
     right), so the outcome is a pure function of [(seed, chunks)] —
     bit-identical at any domain count.  The chunked stream differs from the
-    scalar [run] stream.  [chunks] defaults to
-    [Numerics.Parallel.default_chunks]. *)
+    scalar [run] stream.  [chunks] resolves as in
+    [Numerics.Parallel.resolve_chunks]. *)
 val run_par :
   ?pool:Numerics.Parallel.pool ->
   ?chunks:int ->

@@ -234,7 +234,8 @@ let survival_curve_par ?pool ?chunks ~n_systems ~seed ~checkpoints belief =
   (* Survivor counts are integers, so the merge is exact as well as
      order-fixed: the curve is bit-identical at any domain count. *)
   let totals =
-    Mc.fan_out ?pool ?chunks ~name:"Demand_sim.survival_curve_par"
+    Numerics.Parallel.fan_out ?pool ?chunks
+      ~name:"Demand_sim.survival_curve_par"
       ~n:n_systems ~seed ~init:(Array.make n_cps 0)
       ~merge:(fun acc counts -> Array.map2 ( + ) acc counts)
       body

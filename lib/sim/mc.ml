@@ -1,3 +1,5 @@
+module Par = Numerics.Parallel
+
 type estimate = {
   mean : float;
   std_error : float;
@@ -30,55 +32,16 @@ let estimate ~n rng f =
 let probability ~n rng event =
   estimate ~n rng (fun rng -> if event rng then 1.0 else 0.0)
 
-(* Chunk-count resolution shared by every parallel entry point: an
-   explicit [~chunks] wins (and is what the repro layer passes, for
-   cross-machine reproducibility); otherwise the oversubscribed
-   [Parallel.default_chunks] default applies (CONFCASE_CHUNKS, else
-   8 × domains). *)
-let resolve_chunks ?pool ?chunks name =
-  match chunks with
-  | Some c ->
-    if c < 1 then invalid_arg (name ^ ": chunks < 1");
-    c
-  | None -> Numerics.Parallel.default_chunks ?pool ()
-
-(* Parallel fan-out: one seed expands into [chunks] independent streams in
-   chunk order, chunk [i] runs [body ~size rng] on its share [size] of [n]
-   with stream [i], and the partial results merge left to right.  Every
-   step is a pure function of (seed, chunks, n), so the result is
-   bit-identical at any domain count.
-
-   Each chunk works on a fresh copy of its stream state made *inside* the
-   executing domain: the split-stream array itself is only ever read, so
-   domains never mutate adjacently-allocated records (false sharing). *)
-let fan_out ?pool ?chunks ~name ~n ~seed ~init ~merge body =
-  let chunks = resolve_chunks ?pool ?chunks name in
-  let sizes = Numerics.Parallel.chunk_sizes ~n ~chunks in
-  let streams = Numerics.Rng.split_n (Numerics.Rng.create seed) chunks in
-  Numerics.Parallel.parallel_for_reduce ?pool ~chunks ~init ~merge
-    ~body:(fun i -> body ~size:sizes.(i) (Numerics.Rng.copy streams.(i)))
-
 (* The Welford fan-out: each non-empty chunk folds its observations into a
    fresh accumulator with [observe acc ~size rng]. *)
 let welford_par ?pool ?chunks ~name ~n ~seed observe =
-  fan_out ?pool ?chunks ~name ~n ~seed
+  Par.fan_out ?pool ?chunks ~name ~n ~seed
     ~init:(Numerics.Summary.Online.create ())
     ~merge:Numerics.Summary.Online.merge
     (fun ~size rng ->
       let acc = Numerics.Summary.Online.create () in
       if size > 0 then observe acc ~size rng;
       acc)
-
-let estimate_par ?pool ?chunks ~n ~seed f =
-  if n < 2 then invalid_arg "Mc.estimate_par: n < 2";
-  let total =
-    welford_par ?pool ?chunks ~name:"Mc.estimate_par" ~n ~seed
-      (fun acc ~size rng ->
-        for _ = 1 to size do
-          Numerics.Summary.Online.add acc (f rng)
-        done)
-  in
-  of_online total n
 
 (* Scratch-buffer segmentation constant for the batched path.  Like
    [chunks], it is part of the stream definition: a fill function may draw
@@ -163,8 +126,8 @@ let estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill =
   of_online total n
 
 let probability_par ?pool ?chunks ~n ~seed event =
-  estimate_par ?pool ?chunks ~n ~seed (fun rng ->
-      if event rng then 1.0 else 0.0)
+  estimate_par_batched_col ?pool ?chunks ~n ~seed (fun () ->
+      fill_col_of_scalar (fun rng -> if event rng then 1.0 else 0.0))
 
 (* One chunk of a sketch fan-out: [size] samples drawn segment by segment
    into a fresh sketch, each segment also handed to [also].  The sketch
@@ -198,7 +161,7 @@ let merge_sketch into sk =
    [Sketch.merge] by construction. *)
 let sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill =
   if n < 1 then invalid_arg "Mc.sketch_par_col: n < 1";
-  fan_out ?pool ?chunks ~name:"Mc.sketch_par_col" ~n ~seed
+  Par.fan_out ?pool ?chunks ~name:"Mc.sketch_par_col" ~n ~seed
     ~init:(Numerics.Sketch.create ?compression ())
     ~merge:merge_sketch
     (fun ~size rng ->
@@ -211,7 +174,7 @@ let sketch_par_col ?pool ?compression ?chunks ~n ~seed make_fill =
 let estimate_quantiles_par ?pool ?compression ?chunks ~n ~seed ~ps make_fill =
   if n < 2 then invalid_arg "Mc.estimate_quantiles_par: n < 2";
   let acc, sk =
-    fan_out ?pool ?chunks ~name:"Mc.estimate_quantiles_par" ~n ~seed
+    Par.fan_out ?pool ?chunks ~name:"Mc.estimate_quantiles_par" ~n ~seed
       ~init:
         ( Numerics.Summary.Online.create (),
           Numerics.Sketch.create ?compression () )
@@ -353,8 +316,8 @@ let estimate_is_weighted ?pool ?chunks ~n ~seed ~proposal ~log_weight f =
     end
   in
   is_finalize
-    (fan_out ?pool ?chunks ~name:"Mc.estimate_is" ~n ~seed ~init:is_acc_zero
-       ~merge:is_acc_merge body)
+    (Par.fan_out ?pool ?chunks ~name:"Mc.estimate_is" ~n ~seed
+       ~init:is_acc_zero ~merge:is_acc_merge body)
 
 let estimate_is ?pool ?chunks ~n ~seed ~target ~proposal f =
   estimate_is_weighted ?pool ?chunks ~n ~seed ~proposal
@@ -377,12 +340,9 @@ let probability_is ?pool ?chunks ~n ~seed ~target ~proposal event =
 let estimate_qmc ?pool ?(replicates = 16) ~dim ~n ~seed f =
   if replicates < 2 then invalid_arg "Mc.estimate_qmc: replicates < 2";
   if n < 1 then invalid_arg "Mc.estimate_qmc: n < 1";
-  let streams =
-    Numerics.Rng.split_n (Numerics.Rng.create seed) replicates
-  in
+  let stream = Par.streams ~seed ~chunks:replicates in
   let body r =
-    let rng = Numerics.Rng.copy streams.(r) in
-    let sobol = Numerics.Sobol.create ~scramble:rng ~dim () in
+    let sobol = Numerics.Sobol.create ~scramble:(stream r) ~dim () in
     let point = Stdlib.Float.Array.create dim (* lint: allow-floatarray *) in
     let acc = ref 0.0 in
     for _ = 1 to n do
@@ -392,7 +352,7 @@ let estimate_qmc ?pool ?(replicates = 16) ~dim ~n ~seed f =
     !acc /. float_of_int n
   in
   let acc =
-    Numerics.Parallel.parallel_for_reduce ?pool ~chunks:replicates
+    Par.parallel_for_reduce ?pool ~chunks:replicates
       ~init:(Numerics.Summary.Online.create ())
       ~body
       ~merge:(fun acc m ->

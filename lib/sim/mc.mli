@@ -15,48 +15,6 @@ val estimate : n:int -> Numerics.Rng.t -> (Numerics.Rng.t -> float) -> estimate
     with the normal-approximation CI. *)
 val probability : n:int -> Numerics.Rng.t -> (Numerics.Rng.t -> bool) -> estimate
 
-(** [estimate_par ?pool ?chunks ~n ~seed f] — parallel [estimate].  The seed
-    fans out into [chunks] independent streams ([Rng.split_n]); chunk [i]
-    draws its share of the [n] samples from stream [i]; per-chunk Welford
-    accumulators merge in chunk order ([Summary.Online.merge]).
-
-    Determinism contract: for a fixed [(seed, chunks)] the result is
-    bit-identical whatever the pool size (1 domain, 4 domains, or the
-    sequential fallback) — only changing [chunks] or [seed] changes the
-    sample streams.  [chunks] defaults to [Parallel.default_chunks] (the
-    [CONFCASE_CHUNKS] environment variable, else [8 × domains]); pass it
-    explicitly — as the repro layer does — when cross-machine
-    reproducibility matters.  [f] must be safe to call from several domains
-    at once on distinct [Rng.t] values (pure apart from its generator
-    argument). *)
-val estimate_par :
-  ?pool:Numerics.Parallel.pool ->
-  ?chunks:int ->
-  n:int ->
-  seed:int ->
-  (Numerics.Rng.t -> float) ->
-  estimate
-
-(** [fan_out ?pool ?chunks ~name ~n ~seed ~init ~merge body] — the stream
-    discipline every parallel entry point here shares: the seed fans out
-    into [chunks] streams ([Rng.split_n]), chunk [i] runs
-    [body ~size rng] on its share [size] of [n] (possibly 0) with a copy
-    of stream [i] made in the executing domain, and the results fold
-    into [init] with [merge] in chunk order.  Bit-identical at any domain
-    count for a fixed [(seed, chunks)]; [chunks] defaults as in
-    [estimate_par], and an explicit [chunks < 1] raises
-    [Invalid_argument] prefixed with [name]. *)
-val fan_out :
-  ?pool:Numerics.Parallel.pool ->
-  ?chunks:int ->
-  name:string ->
-  n:int ->
-  seed:int ->
-  init:'a ->
-  merge:('a -> 'a -> 'a) ->
-  (size:int -> Numerics.Rng.t -> 'a) ->
-  'a
-
 (** Samples per scratch-buffer refill on the batched path.  Part of the
     stream definition, like [chunks]: a fill function may legitimately
     draw differently for one long segment than for two short ones, so the
@@ -76,9 +34,9 @@ type batch_fill_col =
     {!batch_fill_col} that draws [f rng] once per slot, in slot order.
     The lifted fill consumes the generator exactly as a scalar loop would,
     so for a fixed [(seed, chunks)] [estimate_par_batched_col] over it
-    equals [estimate_par] over [f] bit for bit, and a sketch built over it
-    describes {e the same sample multiset}.  [f] may itself run batched
-    Monte-Carlo (see {!with_scratch}). *)
+    equals a per-chunk scalar Welford loop over [f] bit for bit, and a
+    sketch built over it describes {e the same sample multiset}.  [f] may
+    itself run batched Monte-Carlo (see {!with_scratch}). *)
 val fill_col_of_scalar : (Numerics.Rng.t -> float) -> batch_fill_col
 
 (** [with_scratch len f] — run [f] on a scratch column of length [len]
@@ -92,18 +50,22 @@ val fill_col_of_scalar : (Numerics.Rng.t -> float) -> batch_fill_col
 val with_scratch : int -> (Numerics.Columns.t -> 'a) -> 'a
 
 (** [estimate_par_batched_col ?pool ?chunks ~n ~seed make_fill] — the
-    allocation-free fast path of [estimate_par].  Same fan-out (one stream
-    per chunk, Welford merge in chunk order) but each chunk draws samples
-    [batch_size] at a time into a scratch column borrowed with
-    {!with_scratch} via the fill returned by [make_fill ()], and folds the
-    column with [Summary.Online.add_column].
+    parallel Monte-Carlo mean of [n] samples, allocation-free.  The seed
+    fans out by [Numerics.Parallel.fan_out]: chunk [i] draws its share
+    of [n] from stream [i], [batch_size] at a time, into a scratch column
+    borrowed with {!with_scratch} via the fill returned by [make_fill ()],
+    folds the column with [Summary.Online.add_column], and the per-chunk
+    Welford states merge in chunk order ([Summary.Online.merge]).
 
     [make_fill] is called once per chunk, inside the executing domain, so
     any scratch state the fill closes over is domain-local.  Determinism
-    contract: bit-identical at any domain count for fixed [(seed, chunks)];
-    [chunks] defaults as in [estimate_par].  The batched stream is
-    generally a different (faster) stream than the scalar [estimate_par]
-    one — segmentation by [batch_size] is part of its definition. *)
+    contract: bit-identical at any domain count for fixed [(seed, chunks)]
+    — only changing [chunks] or [seed] changes the sample streams.
+    [chunks] resolves as in [Numerics.Parallel.resolve_chunks] (the
+    [CONFCASE_CHUNKS] environment variable, else [8 × domains]); pass it
+    explicitly — as the repro layer does — when cross-machine
+    reproducibility matters.  Segmentation by [batch_size] is part of the
+    stream's definition. *)
 val estimate_par_batched_col :
   ?pool:Numerics.Parallel.pool ->
   ?chunks:int ->
@@ -112,8 +74,11 @@ val estimate_par_batched_col :
   (unit -> batch_fill_col) ->
   estimate
 
-(** [probability_par ?pool ?chunks ~n ~seed event] — parallel [probability]
-    under the same determinism contract as [estimate_par]. *)
+(** [probability_par ?pool ?chunks ~n ~seed event] — parallel [probability]:
+    [estimate_par_batched_col] over the [fill_col_of_scalar] lift of the
+    indicator of [event], under the same determinism contract.  [event]
+    must be safe to call from several domains at once on distinct
+    generators. *)
 val probability_par :
   ?pool:Numerics.Parallel.pool ->
   ?chunks:int ->
@@ -151,9 +116,7 @@ val sketch_par_col :
     [sketch_par_col] over the same arguments, from one fan-out: each chunk
     fills its column once and feeds it to both the Welford state and the
     sketch.
-    Both halves equal the separate calls bit for bit, so with a
-    {!fill_col_of_scalar} fill the estimate also equals [estimate_par]
-    over the scalar sampler.  [n >= 2]. *)
+    Both halves equal the separate calls bit for bit.  [n >= 2]. *)
 val estimate_quantiles_par :
   ?pool:Numerics.Parallel.pool ->
   ?compression:float ->
@@ -167,9 +130,10 @@ val estimate_quantiles_par :
 (** {1 Variance reduction}
 
     Importance sampling, quasi-Monte-Carlo and stratified/antithetic
-    wrappers.  All entry points obey the same determinism contract as
-    [estimate_par]: for a fixed [(seed, chunks)] (or [(seed, replicates)]
-    for QMC) the result is bit-identical at any domain count. *)
+    wrappers.  All entry points obey the stream rule of
+    [Numerics.Parallel]: for a fixed [(seed, chunks)] (or
+    [(seed, replicates)] for QMC) the result is bit-identical at any
+    domain count. *)
 
 (** Importance-sampling estimate with diagnostics.
 
@@ -199,7 +163,8 @@ type is_estimate = {
     (proposal density positive wherever target density × f is); a weight
     that comes out non-finite raises [Invalid_argument].  Per-chunk
     weight sums merge by componentwise addition in chunk order, so the
-    determinism contract of [estimate_par] carries over verbatim. *)
+    determinism contract of [estimate_par_batched_col] carries over
+    verbatim. *)
 val estimate_is :
   ?pool:Numerics.Parallel.pool ->
   ?chunks:int ->
@@ -252,8 +217,8 @@ val probability_is :
     the [replicates] i.i.d. replicate means, so it is honest even though
     points within a replicate are correlated.  For smooth integrands the
     error decays near O(n⁻¹) instead of Monte-Carlo's O(n⁻¹ᐟ²).
-    Scrambles are seeded from [Rng.split_n] stream [r], so the result is
-    a pure function of [(seed, replicates, n, dim)]. *)
+    Replicate [r] scrambles from [Numerics.Parallel.streams] stream [r],
+    so the result is a pure function of [(seed, replicates, n, dim)]. *)
 val estimate_qmc :
   ?pool:Numerics.Parallel.pool ->
   ?replicates:int ->

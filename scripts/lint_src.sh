@@ -21,6 +21,10 @@
 #      lib/numerics/decimal.ml: every text format reads numbers through
 #      Numerics.Decimal, which returns float_of_string's bits without
 #      copying the token and falls back to it for unusual spellings.
+#   6. `Rng.split_n` / `Parallel.default_chunks` in lib/ outside
+#      lib/numerics/: every parallel entry point resolves its chunk count
+#      and splits its seed through Numerics.Parallel (resolve_chunks,
+#      streams, fan_out), so the stream rule has one home.
 #
 # A line can be exempted from rules 1-2 with a trailing
 # `(* lint: allow-poly-compare *)`, and from rule 3 with
@@ -74,6 +78,15 @@ if [ -n "$hits" ]; then
   echo "lint-src: float_of_string in lib/ outside Numerics.Decimal:" >&2
   echo "$hits" >&2
   echo "  read numbers with Numerics.Decimal.of_span / of_string(_opt)" >&2
+  fail=1
+fi
+
+hits=$(grep -rn --include='*.ml' -E 'split_n|default_chunks' lib/ |
+  grep -v '^lib/numerics/')
+if [ -n "$hits" ]; then
+  echo "lint-src: hand-written fan-out in lib/ outside Numerics.Parallel:" >&2
+  echo "$hits" >&2
+  echo "  use Parallel.resolve_chunks / Parallel.streams / Parallel.fan_out" >&2
   fail=1
 fi
 

@@ -6,6 +6,8 @@
    against their specification rather than against each other:
 
    - [mixture_stream]: the draw scheme of [Mixture.sample_into_col];
+   - [estimate_par]: the scalar Welford fan-out that
+     [Mc.estimate_par_batched_col] over [Mc.fill_col_of_scalar] equals;
    - [sketch_fan_out]: the per-chunk streams and chunk-order merge of
      [Mc.sketch_par_col]. *)
 
@@ -36,6 +38,30 @@ let mixture_stream t rng len =
         draw comps.(!i))
       us
   end
+
+(* [estimate_par ?pool ?chunks ~n ~seed f] — the parallel mean of [n]
+   scalar draws under [Parallel.fan_out]: chunk [i] adds [f rng] one value
+   at a time to a fresh Welford state, drawing from stream [i], and the
+   states merge in chunk order.  [n >= 2]. *)
+let estimate_par ?pool ?chunks ~n ~seed f =
+  if n < 2 then invalid_arg "Mc_oracle.estimate_par: n < 2";
+  let module O = Numerics.Summary.Online in
+  let acc =
+    Numerics.Parallel.fan_out ?pool ?chunks ~name:"Mc_oracle.estimate_par" ~n
+      ~seed ~init:(O.create ()) ~merge:O.merge (fun ~size rng ->
+        let acc = O.create () in
+        for _ = 1 to size do
+          O.add acc (f rng)
+        done;
+        acc)
+  in
+  let mean = O.mean acc in
+  let std_error = O.std acc /. sqrt (float_of_int n) in
+  { Sim.Mc.mean;
+    std_error;
+    ci95_lo = mean -. (1.96 *. std_error);
+    ci95_hi = mean +. (1.96 *. std_error);
+    n }
 
 (* [sketch_fan_out ?compression ~chunks ~n ~seed f] — chunk [i] adds
    [f rng] one value at a time for its share of [n], drawing from stream

@@ -470,7 +470,7 @@ let mc_batched_col_bit_identical () =
   let f rng = Numerics.Rng.normal rng ~mu:0.0 ~sigma:1.0 in
   List.iter
     (fun (chunks, n) ->
-      let e1 = Sim.Mc.estimate_par ~chunks ~n ~seed:42 f in
+      let e1 = Mc_oracle.estimate_par ~chunks ~n ~seed:42 f in
       let e2 =
         Sim.Mc.estimate_par_batched_col ~chunks ~n ~seed:42 (fun () ->
             Sim.Mc.fill_col_of_scalar f)

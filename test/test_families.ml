@@ -151,16 +151,6 @@ let test_exponential () =
   check_close "mean" (1.0 /. 3.0) d.mean;
   check_close ~eps:1e-12 "memoryless cdf" (1.0 -. exp (-1.5)) (d.cdf 0.5)
 
-let test_weibull () =
-  let d = Dist.Weibull_d.make ~shape:2.0 ~scale:3.0 in
-  conformance "weibull" d [| 0.3; 1.0; 2.0; 4.0; 6.0 |];
-  (* shape 2: mean = scale * sqrt(pi)/2 *)
-  check_close ~eps:1e-9 "rayleigh mean" (3.0 *. sqrt Numerics.Special.pi /. 2.0)
-    d.mean;
-  let e = Dist.Weibull_d.make ~shape:1.0 ~scale:0.5 in
-  check_close ~eps:1e-12 "weibull(1) = exponential" (1.0 -. exp (-2.0))
-    (e.cdf 1.0)
-
 let test_uniform () =
   let d = Dist.Uniform_d.make ~lo:2.0 ~hi:6.0 in
   conformance "uniform" d [| 2.5; 3.0; 4.0; 5.0; 5.5 |];
@@ -181,5 +171,4 @@ let suite =
     case "gamma from mode" test_gamma_of_mode;
     case "beta" test_beta;
     case "exponential" test_exponential;
-    case "weibull" test_weibull;
     case "uniform" test_uniform ]

@@ -16,7 +16,33 @@ let test_chunk_sizes () =
   check_raises_invalid "chunks < 1" (fun () ->
       ignore (P.chunk_sizes ~n:1 ~chunks:0));
   check_raises_invalid "n < 0" (fun () ->
-      ignore (P.chunk_sizes ~n:(-1) ~chunks:1))
+      ignore (P.chunk_sizes ~n:(-1) ~chunks:1));
+  (* Slice bounds: ascending from 0 to n, each gap the chunk's size. *)
+  List.iter
+    (fun (n, chunks) ->
+      let b = P.slice_bounds ~n ~chunks in
+      let sizes = P.chunk_sizes ~n ~chunks in
+      Alcotest.(check int) "bounds count" (chunks + 1) (Array.length b);
+      Alcotest.(check int) "bounds start at 0" 0 b.(0);
+      Alcotest.(check int) "bounds end at n" n b.(chunks);
+      for c = 0 to chunks - 1 do
+        check_true "bounds monotone" (b.(c) <= b.(c + 1));
+        Alcotest.(check int) "bound gap = chunk size" sizes.(c)
+          (b.(c + 1) - b.(c))
+      done)
+    [ (10, 4); (10, 2); (2, 5); (0, 3); (1_000_003, 64) ];
+  Alcotest.(check (array int)) "chunks > n: empty slices past n"
+    [| 0; 1; 2; 2; 2 |] (P.slice_bounds ~n:2 ~chunks:4);
+  check_raises_invalid "slice_bounds chunks < 1" (fun () ->
+      ignore (P.slice_bounds ~n:1 ~chunks:0));
+  (* Chunk resolution: an explicit count wins, and one below 1 raises
+     with the caller's name. *)
+  Alcotest.(check int) "explicit chunks win" 7 (P.resolve_chunks ~chunks:7 "X");
+  check_true "default chunks >= 1" (P.resolve_chunks "X" >= 1);
+  match P.resolve_chunks ~chunks:0 "Caller.entry" with
+  | _ -> Alcotest.fail "chunks = 0 accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "caller named" "Caller.entry: chunks < 1" msg
 
 let test_pool_basics () =
   List.iter
@@ -79,7 +105,7 @@ let test_estimate_par_determinism () =
      count — the core contract of the split-stream fan-out. *)
   let run d =
     P.with_pool ~num_domains:d (fun pool ->
-        Mc.estimate_par ~pool ~n:20_000 ~chunks:16 ~seed:917 (fun rng ->
+        Mc_oracle.estimate_par ~pool ~n:20_000 ~chunks:16 ~seed:917 (fun rng ->
             Numerics.Rng.normal rng ~mu:1.0 ~sigma:2.0))
   in
   let a = run 1 and b = run 2 and c = run 4 in
@@ -88,16 +114,16 @@ let test_estimate_par_determinism () =
   check_in_range "mean sane" ~lo:0.9 ~hi:1.1 a.mean;
   Alcotest.(check int) "n recorded" 20_000 a.n;
   check_raises_invalid "n < 2" (fun () ->
-      ignore (Mc.estimate_par ~n:1 ~chunks:1 ~seed:0 (fun _ -> 0.0)));
+      ignore (Mc_oracle.estimate_par ~n:1 ~chunks:1 ~seed:0 (fun _ -> 0.0)));
   check_raises_invalid "chunks < 1" (fun () ->
-      ignore (Mc.estimate_par ~n:10 ~chunks:0 ~seed:0 (fun _ -> 0.0)))
+      ignore (Mc_oracle.estimate_par ~n:10 ~chunks:0 ~seed:0 (fun _ -> 0.0)))
 
 let test_estimate_par_degenerate_chunking () =
   (* More chunks than samples: most chunks draw nothing and contribute an
      empty accumulator to the chunk-order merge. *)
   let run d =
     P.with_pool ~num_domains:d (fun pool ->
-        Mc.estimate_par ~pool ~n:3 ~chunks:16 ~seed:101 (fun rng ->
+        Mc_oracle.estimate_par ~pool ~n:3 ~chunks:16 ~seed:101 (fun rng ->
             Numerics.Rng.float rng))
   in
   let a = run 1 and b = run 2 and c = run 4 in
@@ -132,7 +158,7 @@ let test_estimate_par_batched_determinism () =
   check_true "1 domain = 2 domains" (estimates_equal a b);
   check_true "2 domains = 4 domains" (estimates_equal b c);
   let scalar =
-    Mc.estimate_par ~n:20_000 ~chunks:16 ~seed:917 (fun rng ->
+    Mc_oracle.estimate_par ~n:20_000 ~chunks:16 ~seed:917 (fun rng ->
         Numerics.Rng.normal rng ~mu:1.0 ~sigma:2.0)
   in
   check_true "bit-compatible kernel reproduces the scalar stream"
@@ -162,7 +188,7 @@ let test_nested_batched_scratch () =
         (fun (d, chunks) ->
           P.with_pool ~num_domains:d (fun pool ->
               let scalar =
-                Mc.estimate_par ~pool ~chunks ~n:64 ~seed:5 inner
+                Mc_oracle.estimate_par ~pool ~chunks ~n:64 ~seed:5 inner
               in
               let batched =
                 Mc.estimate_par_batched_col ~pool ~chunks ~n:64 ~seed:5
@@ -220,7 +246,7 @@ let test_estimate_par_chunk_sensitivity () =
   (* Changing the chunk count legitimately changes the streams; the answer
      must stay statistically equivalent, not bitwise. *)
   let run chunks =
-    Mc.estimate_par ~n:20_000 ~chunks ~seed:917 (fun rng ->
+    Mc_oracle.estimate_par ~n:20_000 ~chunks ~seed:917 (fun rng ->
         Numerics.Rng.float rng)
   in
   let a = run 8 and b = run 32 in
@@ -322,7 +348,7 @@ let test_optional_chunks_defaulting () =
      validation; the defaulted chunk count is machine-dependent, so only
      statistical properties are asserted. *)
   let est =
-    Mc.estimate_par ~n:10_000 ~seed:3 (fun rng -> Numerics.Rng.float rng)
+    Mc_oracle.estimate_par ~n:10_000 ~seed:3 (fun rng -> Numerics.Rng.float rng)
   in
   check_true "defaulted chunks cover 0.5" (Mc.within est 0.5);
   Alcotest.(check int) "n recorded" 10_000 est.n

@@ -81,6 +81,42 @@ let test_seed_sensitivity () =
   let fb = (List.nth b.Pop.phases 3).Pop.pooled_mean in
   check_true "different seed differs" (abs_float (fa -. fb) > 0.0)
 
+(* The float bits of every phase of [result] (default config, n 20 000,
+   8 chunks, the default seed), recorded once: per phase the pooled mean, the
+   SIL 2 and SIL 1 confidence and the five SIL 2 bands.  Domain-count
+   invariance cannot see a stream change that is the same at every
+   domain count; these pins can. *)
+let pinned =
+  [ [ 0x3f8c661289596cf0L; 0x3fe52370c24d1f04L; 0x3fef869f105dedd7L;
+      0x3fcfea1ba77fb313L; 0x3fde6e0d6c7fc942L; 0x3fe5ba29329ed2d6L;
+      0x3febe84cded4d32fL; 0x3fefa66db575ab64L ];
+    [ 0x3f7c7ae99e6e6bd8L; 0x3febc6526b1035dbL; 0x3fefe5490d6110d8L;
+      0x3fde185e40987df4L; 0x3fe9e8d83e9dcc0eL; 0x3fee528ff4344dd7L;
+      0x3fefbd371f3cbd0eL; 0x3feffe16d8f5b22aL ];
+    [ 0x3f74e6c2667b2caeL; 0x3fee0f2223d5878fL; 0x3feff1d6f511a368L;
+      0x3fe3142a1b5262faL; 0x3fef0cfef7af3509L; 0x3feff9880562c61bL;
+      0x3fefffed3c0e4d8fL; 0x3feffffffc21fb34L ];
+    [ 0x3f71c9334ae70ff9L; 0x3feec548ea5b3711L; 0x3feff6773743caddL;
+      0x3fe64c4eef894205L; 0x3feff8e979f2401eL; 0x3fefffffed9ef72aL;
+      0x3feffffffffff3abL; 0x3ff0000000000000L ] ]
+
+let test_pinned_streams () =
+  let r = Lazy.force result in
+  List.iter2
+    (fun (s : Pop.phase_stats) want ->
+      let b = s.Pop.sil2_bands in
+      let got =
+        [ s.Pop.pooled_mean; s.Pop.confidence_sil2; s.Pop.confidence_sil1;
+          b.Pop.q05; b.Pop.q25; b.Pop.q50; b.Pop.q75; b.Pop.q95 ]
+      in
+      List.iter2
+        (fun x w ->
+          if not (Int64.equal (bits x) w) then
+            Alcotest.failf "%s: got %.17g (0x%LxL), pinned 0x%LxL"
+              (D.phase_to_string s.Pop.phase) x (bits x) w)
+        got want)
+    r.Pop.phases pinned
+
 let test_validation () =
   check_raises_invalid "n < 2" (fun () ->
       ignore (Pop.run D.default_config ~n:1));
@@ -100,6 +136,7 @@ let suite =
     case "population converges like the panel" test_convergence;
     case "quantile bands ordered" test_bands_ordered;
     case "bit-identical at 1/2/4 domains" test_domain_count_invariance;
+    case "pinned streams: recorded phase bits" test_pinned_streams;
     case "seed sensitivity" test_seed_sensitivity;
     case "validation" test_validation;
     case "summary table" test_summary_table ]

@@ -176,6 +176,63 @@ let test_run_par_deterministic () =
            ~band:Sil.Band.Sil2 ~policy:R.Policy.Mean_based ~systems:0 ~seed:0
            ()))
 
+(* Pinned streams: the outcomes of the seven decision-impact policies on
+   400 systems from seed 7, recorded once as (accepted, accepted_bad,
+   rejected_good, mean accepted pfd bits, expected accidents bits,
+   testing demands) — from the scalar [run] and from [run_par] at 16
+   chunks.  Determinism across domains cannot see a stream change that
+   is the same at every domain count; these pins can. *)
+let seven_policies =
+  [ R.Policy.Mode_based; R.Policy.Mean_based;
+    R.Policy.Confidence_based 0.7; R.Policy.Confidence_based 0.9;
+    R.Policy.Conservative_based;
+    R.Policy.Test_first { demands = 500; confidence = 0.9 };
+    R.Policy.Test_tolerant
+      { demands = 500; max_failures = 3; confidence = 0.9 } ]
+
+let pinned_run =
+  [ (347, 12, 17, 0x3f73eefe227a36c4L, 0x4010e3178b754925L, 0);
+    (260, 1, 93, 0x3f6d463c4718bc6bL, 0x400295154321339aL, 0);
+    (255, 1, 98, 0x3f6d47a128c9d15eL, 0x40023a77f4c4a4b8L, 0);
+    (165, 1, 188, 0x3f6b1ddfdb8f97dfL, 0x3ff5d8d19aa4701bL, 0);
+    (0, 0, 352, 0x0L, 0x0L, 0);
+    (54, 0, 289, 0x3f679513cbdd08edL, 0x3fd8df3ae1031f6aL, 200000);
+    (246, 0, 97, 0x3f6f1a2f5585fa27L, 0x4002adf9ed9d36fdL, 200000) ]
+
+let pinned_run_par =
+  [ (347, 11, 14, 0x3f75ce1829d6c621L, 0x401278f8b871d319L, 0);
+    (237, 0, 113, 0x3f6e31bd2231fbfaL, 0x400178878f692becL, 0);
+    (229, 0, 121, 0x3f6e09eeae564c87L, 0x4000cb4d9137ff89L, 0);
+    (149, 0, 201, 0x3f6c95efcd97d11dL, 0x3ff4cc15b753b3e3L, 0);
+    (0, 0, 350, 0x0L, 0x0L, 0);
+    (59, 0, 300, 0x3f683732ca189195L, 0x3fdbe79b86e24fc3L, 200000);
+    (263, 0, 96, 0x3f6d4cf777d47626L, 0x4002d04b65910b5cL, 200000) ]
+
+let check_pinned what outcomes pinned =
+  List.iter2
+    (fun (o : R.Evaluate.outcome) (acc, bad, rej, pfd, accidents, testing) ->
+      let got =
+        ( o.accepted, o.accepted_bad, o.rejected_good,
+          Int64.bits_of_float o.mean_accepted_pfd,
+          Int64.bits_of_float o.expected_accidents_per_1000_demands,
+          o.testing_demands )
+      in
+      if got <> (acc, bad, rej, pfd, accidents, testing) then
+        Alcotest.failf "%s %s: outcome differs from its pinned bits" what
+          (R.Policy.label o.policy))
+    outcomes pinned
+
+let test_pinned_streams () =
+  let args f =
+    f ~world ~assessor:R.Assessor.calibrated ~band:Sil.Band.Sil2
+      ~policies:seven_policies ~systems:400 ~seed:7
+  in
+  check_pinned "run" (args R.Evaluate.compare) pinned_run;
+  Numerics.Parallel.with_pool ~num_domains:2 (fun pool ->
+      check_pinned "run_par at 16 chunks"
+        (args (R.Evaluate.compare_par ~pool ~chunks:16) ())
+        pinned_run_par)
+
 let test_compare_par_plausible () =
   (* The parallel comparison preserves the qualitative safety ordering the
      scalar path established. *)
@@ -213,4 +270,5 @@ let suite =
     case "evaluation deterministic by seed" test_evaluate_deterministic;
     case "run_par bit-identical across domains" test_run_par_deterministic;
     case "compare_par preserves the safety ordering" test_compare_par_plausible;
+    case "pinned streams: recorded run and run_par bits" test_pinned_streams;
     case "summary table" test_summary_table ]

@@ -137,7 +137,7 @@ let test_estimate_quantiles_par () =
   List.iter
     (fun (n, chunks) ->
       let make_fill () = Mc.fill_col_of_scalar f in
-      let scalar = Mc.estimate_par ~n ~chunks ~seed:17 f in
+      let scalar = Mc_oracle.estimate_par ~n ~chunks ~seed:17 f in
       let sk = Mc.sketch_par_col ~n ~chunks ~seed:17 make_fill in
       let sk = Array.map (Numerics.Sketch.quantile sk) ps in
       List.iter
@@ -169,7 +169,7 @@ let test_fill_col_of_scalar () =
      so the batched estimate over [fill_col_of_scalar f] reproduces the
      scalar [estimate_par] stream bit for bit. *)
   let f rng = Numerics.Rng.normal rng ~mu:2.0 ~sigma:0.5 in
-  let scalar = Mc.estimate_par ~n:20_000 ~chunks:16 ~seed:91 f in
+  let scalar = Mc_oracle.estimate_par ~n:20_000 ~chunks:16 ~seed:91 f in
   let lifted =
     Mc.estimate_par_batched_col ~n:20_000 ~chunks:16 ~seed:91 (fun () ->
         Mc.fill_col_of_scalar f)
